@@ -10,6 +10,7 @@ Run:  python demos/quadratic_gde_tour.py
 
 from betapar import (
     apply_local,
+    check_sum,
     eval_digit_string,
     exhaustive,
     fixed_letters,
@@ -55,15 +56,25 @@ print("  alphabet %s, effective window %d digits"
       % (adder.alphabet, adder.effective_window))
 for x_text, y_text in [("6", "6"), ("5,3,1", "2,6,4"), ("3.5", "0.6,6")]:
     x, y = parse_digits(x_text), parse_digits(y_text)
-    print("  %s + %s = %s" % (x_text, y_text, adder.add_checked(x, y)))
+    out = adder.add(x, y)
+    assert check_sum(adder, x, y, out)  # in the alphabet, and value-exact
+    print("  %s + %s = %s" % (x_text, y_text, out))
 
 section("Shifted alphabets: {-3..3} for beta^2 = 4 beta + 2")
 sh = shifted_adder("plus", 4, 2, d=3)
+print("  the same gde rule, conjugated by the plateau letter 3:")
+u = parse_digits("4,-3,1")
+print("  %s -> %s (reads u + 3, subtracts 3)" % (u, apply_local(rule, u, 3)))
 for x_text, y_text in [("3", "-3,1.2"), ("-1,-2,-3", "-3,0,2")]:
     x, y = parse_digits(x_text), parse_digits(y_text)
-    print("  %s + %s = %s" % (x_text, y_text, sh.add_checked(x, y)))
+    out = sh.add(x, y)
+    assert check_sum(sh, x, y, out)
+    print("  %s + %s = %s" % (x_text, y_text, out))
 
 section("Shifted alphabets for the minus family, b <= d <= a-2")
 shm = shifted_adder("minus", 4, 1, d=1)
 print("  alphabet %s" % shm.alphabet)
-print("  -1,2 + 2,-1.1 =", shm.add_checked(parse_digits("-1,2"), parse_digits("2,-1.1")))
+x, y = parse_digits("-1,2"), parse_digits("2,-1.1")
+out = shm.add(x, y)
+assert check_sum(shm, x, y, out)
+print("  -1,2 + 2,-1.1 =", out)

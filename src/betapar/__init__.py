@@ -67,15 +67,12 @@ from .conversion import (
     ConversionReport,
     LocalRule,
     apply_local,
-    digitwise_add,
+    check_sum,
     exhaustive,
     fixed_letters,
-    identity_rule,
     make_adder_by_elimination,
     make_shifted_adder,
-    negate_rule,
     random_strings,
-    shift_rule,
     verify_conversion,
 )
 from .digits import Alphabet, DigitString, format_digits, parse_digits

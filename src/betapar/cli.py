@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from .algebraic import base_from_spec, eval_digit_string, qv_add, values_equal
+from .algebraic import base_from_spec
 from .blocks import (
     BlockAdder,
     estimate_s_report,
@@ -26,7 +26,7 @@ from .bounds import (
     lower_bound_1block,
     upper_bound_corollaries,
 )
-from .conversion import LocalRule, exhaustive, random_strings, verify_conversion
+from .conversion import LocalRule, check_sum, exhaustive, random_strings, verify_conversion
 from .digits import Alphabet, format_digits, parse_digits
 from .numeration import classify_parry, pf_sufficient
 from .quadratic import gde_minus, gde_plus, gde_plus_special, quadratic_adder, shifted_adder
@@ -91,8 +91,7 @@ def _corrupt_rule(rule):
 
     wider = Alphabet(rule.output_alphabet.min_digit, rule.output_alphabet.max_digit + 1)
     return LocalRule(rule.base, rule.memory, rule.anticipation, rule.input_alphabet,
-                     wider, broken, name=rule.name + "-corrupt",
-                     neighbour_free=rule.neighbour_free)
+                     wider, broken, name=rule.name + "-corrupt")
 
 
 def cmd_verify(args):
@@ -116,17 +115,16 @@ def cmd_verify(args):
     return 0 if report.verdict == "pass" else 2
 
 
-def _quadratic_kind(base_spec):
-    base_spec = base_spec.strip().lower()
-    if base_spec.startswith("quadratic-plus:"):
-        a, b = (int(t) for t in base_spec.split(":", 1)[1].split(","))
-        if b == a - 1:
-            return "plus_special", a, b
-        return "plus", a, b
-    if base_spec.startswith("quadratic-minus:"):
-        a, b = (int(t) for t in base_spec.split(":", 1)[1].split(","))
+def _quadratic_family(base):
+    """(kind, a, b) of the GDE family whose base polynomial is X^2 - a X -+ b."""
+    coeffs = base.poly.coefficients
+    if len(coeffs) == 3:
+        _, c1, c0 = coeffs
+        a, b = -c1, abs(c0)
+        if c0 < 0:
+            return ("plus_special" if b == a - 1 else "plus"), a, b
         return "minus", a, b
-    raise CliError("gde-chain addition needs a quadratic-plus/minus base, got %r" % base_spec)
+    raise CliError("gde-chain addition needs a quadratic base, got %s" % base.poly)
 
 
 def _parse_block_algo(token):
@@ -145,29 +143,28 @@ def cmd_add(args):
     y = parse_digits(args.y)
     algo = args.algo.strip().lower()
     if algo == "gde-chain":
-        kind, a, b = _quadratic_kind(args.base)
+        kind, a, b = _quadratic_family(base)
         if args.shift:
             adder = shifted_adder(kind, a, b, args.shift)
         else:
             adder = quadratic_adder(kind, a, b)
-        alphabet = adder.alphabet
     elif algo.startswith("block:"):
+        if args.shift:
+            raise CliError("--shift applies to --algo gde-chain only")
         ell, s = _parse_block_algo(algo.split(":", 1)[1])
         adder = BlockAdder(base, make_block_params(base, ell, s))
-        alphabet = adder.params.A
     else:
         raise CliError("unknown algorithm %r (try gde-chain or block:k,ell,s)" % args.algo)
     try:
         out = adder.add(x, y)
     except ValueError as exc:
         raise CliError(str(exc)) from None
-    ok = values_equal(eval_digit_string(out, base),
-                      qv_add(eval_digit_string(x, base), eval_digit_string(y, base)))
+    ok = check_sum(adder, x, y, out)
     payload = {"base": args.base, "algo": args.algo, "x": format_digits(x),
                "y": format_digits(y), "result": format_digits(out),
-               "alphabet": str(alphabet), "value_ok": ok}
+               "alphabet": str(adder.alphabet), "value_ok": ok}
     _emit(args, payload, ["%s" % format_digits(out),
-                          "alphabet: %s" % alphabet,
+                          "alphabet: %s" % adder.alphabet,
                           "value-ok" if ok else "VALUE MISMATCH (bug)"])
     return 0 if ok else 2
 
@@ -193,8 +190,7 @@ def cmd_block_add(args):
         out = adder.add(x, y)
     except ValueError as exc:
         raise CliError(str(exc)) from None
-    ok = values_equal(eval_digit_string(out, base),
-                      qv_add(eval_digit_string(x, base), eval_digit_string(y, base)))
+    ok = check_sum(adder, x, y, out)
     payload = {"base": args.base, "k": params.k, "ell": params.ell, "s": params.s,
                "x": format_digits(x), "y": format_digits(y),
                "result": format_digits(out), "value_ok": ok}

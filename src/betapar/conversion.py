@@ -15,11 +15,20 @@ Adders are built by greatest-digit-elimination chains: to add x and y over
 {0..M}, split y into indicator layers y(i) with y(i)_j = 1 iff y_j >= i and
 fold s_i = gde(s_{i-1} + y(i)); every intermediate sum stays within the
 gde's input alphabet {0..M+1}.  The composite is (M(p-1)+1)-local.  Shifted
-alphabets {-d..M-d} are handled by conjugating the gde by a fixed letter
-(see :func:`shift_rule`) for the positive layers and by the negation of a
-conjugate for the negative layers; the chain is then the same fold with
-signed indicator layers.  Shift constructions are heuristic by design and
-must be re-verified through :func:`verify_conversion` before use.
+alphabets {-d..M-d} conjugate the layer map by a plateau letter c: the map
+reads u + c at every position and c is subtracted from its output again
+(``convert(u, c)``).  Positive layers use c = d; negative layers use the
+mirror image -convert(-u, M-d).  Finite support survives exactly when the
+layer fixes the plateau letter, which :class:`ChainAdder` checks at
+construction.  Value preservation carries over by a plateau argument: lift
+u by c on a huge interval K around its support and apply the original map;
+the interior matches the conjugate output shifted by c, while each edge
+contributes a fixed pattern scaled by beta^(+-K).  The value identity of the
+original map holds for every K, which forces both edge contributions to
+vanish.  The same fold runs over any layer with that ``convert`` and
+``fixes`` protocol: a :class:`LocalRule` or a k-block adder.  Conjugated
+chains are heuristic by design and must be re-verified through
+:func:`verify_conversion` before use.
 
 Rules are immutable and shareable; window evaluations are independent per
 position, so data-parallel evaluation is allowed and must stay bit-identical
@@ -33,7 +42,7 @@ import json
 import random as _random
 from typing import NamedTuple
 
-from .algebraic import eval_digit_string, qv_add, values_equal
+from .algebraic import eval_digit_string, values_equal
 from .digits import Alphabet, DigitString, format_digits
 
 TABULATE_THRESHOLD = 10 ** 6
@@ -50,8 +59,7 @@ class LocalRule:
     """
 
     def __init__(self, base, memory, anticipation, input_alphabet, output_alphabet,
-                 window_fn, name=None, neighbour_free=None, string_apply=None,
-                 tabulate_threshold=TABULATE_THRESHOLD):
+                 window_fn, name=None, tabulate_threshold=TABULATE_THRESHOLD):
         if memory < 0 or anticipation < 0:
             raise ValueError("memory and anticipation must be non-negative")
         self.base = base
@@ -61,8 +69,6 @@ class LocalRule:
         self.output_alphabet = output_alphabet
         self.window_fn = window_fn
         self.name = name or "rule"
-        self.neighbour_free = neighbour_free
-        self._string_apply = string_apply
         self._table = None
         zero_out = window_fn((0,) * self.p)
         if zero_out != 0:
@@ -95,33 +101,44 @@ class LocalRule:
                              % (self.name, w, out, self.output_alphabet))
         return out
 
+    def fixes(self, c):
+        """Whether the constant letter c is a fixed point: Phi(c^p) = c."""
+        return (c in self.input_alphabet and c in self.output_alphabet
+                and self.window((c,) * self.p) == c)
+
+    def convert(self, u, plateau=0):
+        """The rule applied to u conjugated by the plateau letter; see apply_local."""
+        return apply_local(self, u, plateau)
+
     def __repr__(self):
         return "LocalRule(%s, r=%d, t=%d, %s -> %s)" % (
             self.name, self.memory, self.anticipation,
             self.input_alphabet, self.output_alphabet)
 
 
-def apply_local(rule, u):
+def apply_local(rule, u, plateau=0):
     """Sliding-window application of a rule to a finite digit string.
 
-    The input is read as 0 outside its support; output positions j with the
-    window disjoint from the support are 0 because Phi(0^p) = 0, so only
-    j in [lsd - t, msd + r] is computed.
+    The rule reads u + c at every position, c the plateau letter, and c is
+    subtracted from each output digit, so u must lie in the input alphabet
+    shifted down by c.  Outside the support the input is the constant c.
+    Output positions j with the window disjoint from the support are 0
+    because c must be a fixed letter, Phi(c^p) = c (ChainAdder checks this
+    at construction), so only j in [lsd - t, msd + r] is computed.
     """
-    if not u.alphabet_ok(rule.input_alphabet):
-        raise ValueError("digit out of alphabet %s in %s" % (rule.input_alphabet, u))
-    if rule._string_apply is not None:
-        return rule._string_apply(u)
+    c = plateau
+    if not u.alphabet_ok(rule.input_alphabet.shifted(c)):
+        raise ValueError("digit out of alphabet %s in %s" % (rule.input_alphabet.shifted(c), u))
     if u.is_zero():
         return DigitString()
-    msd, lsd = u.support()
-    t = rule.anticipation
     r = rule.memory
-    out = []
-    for j in range(msd + r, lsd - t - 1, -1):
-        w = tuple(u.digit_at(k) for k in range(j + t, j - r - 1, -1))
-        out.append(rule.window(w))
-    return DigitString(tuple(out), msd + r)
+    t = rule.anticipation
+    p = r + t + 1
+    # padded[i] is u + c at exponent msd + r + t - i
+    padded = [c] * (r + t) + [d + c for d in u.digits] + [c] * (r + t)
+    window = rule.window
+    out = [window(tuple(padded[i:i + p])) - c for i in range(len(padded) - p + 1)]
+    return DigitString(out, u.msd_exponent + r)
 
 
 def fixed_letters(rule):
@@ -129,63 +146,17 @@ def fixed_letters(rule):
 
     Fixed letters are what make alphabet shifting possible.
     """
-    out = set()
-    for h in rule.input_alphabet:
-        if h in rule.output_alphabet and rule.window((h,) * rule.p) == h:
-            out.add(h)
-    return out
+    return {h for h in rule.input_alphabet if rule.fixes(h)}
 
 
-def shift_rule(rule, d):
-    """Conjugate a rule by a fixed letter d: Phi'(w) = Phi(w + d) - d.
+def check_sum(adder, x, y, out):
+    """Whether out, a sum of x and y, lies in adder.alphabet with the exact value of x + y.
 
-    Both alphabets shift down by d.  Finite support is preserved because
-    Phi'(0^p) = Phi(d^p) - d = 0.  Value preservation carries over by a
-    plateau argument: lift a finite string u by d on a huge interval K
-    around its support, apply the original rule, and compare; the interior
-    matches the conjugate output shifted by d, while each edge contributes
-    a fixed pattern scaled by beta^(+-K).  The value identity of the
-    original rule holds for every K, which forces both edge contributions
-    to vanish, hence value(Phi'(u)) = value(u).  Callers must still
-    re-verify the result via verify_conversion before use (the paper-trail
-    for the underlying corollary is external).
+    The value is compared in Z[beta] through the oracle, never in floating point.
     """
-    if d == 0:
-        return rule
-    if d not in fixed_letters(rule):
-        raise ValueError("%d is not a fixed letter of %s" % (d, rule.name))
-    fn = rule.window_fn
-
-    def shifted(w, _d=d, _fn=fn):
-        return _fn(tuple(x + _d for x in w)) - _d
-
-    return LocalRule(rule.base, rule.memory, rule.anticipation,
-                     rule.input_alphabet.shifted(d), rule.output_alphabet.shifted(d),
-                     shifted, name="%s-shift%d" % (rule.name, d),
-                     neighbour_free=rule.neighbour_free)
-
-
-def negate_rule(rule):
-    """Mirror a rule through digit negation: Phi'(w) = -Phi(-w)."""
-    fn = rule.window_fn
-
-    def negated(w, _fn=fn):
-        return -_fn(tuple(-x for x in w))
-
-    return LocalRule(rule.base, rule.memory, rule.anticipation,
-                     rule.input_alphabet.negated(), rule.output_alphabet.negated(),
-                     negated, name="%s-neg" % rule.name,
-                     neighbour_free=rule.neighbour_free)
-
-
-def identity_rule(base, alphabet):
-    return LocalRule(base, 0, 0, alphabet, alphabet, lambda w: w[0],
-                     name="identity", neighbour_free=True)
-
-
-def digitwise_add(x, y):
-    """Position-wise integer sum of two digit strings (no carries)."""
-    return x + y
+    base = adder.base
+    return out.alphabet_ok(adder.alphabet) and values_equal(
+        eval_digit_string(out, base), eval_digit_string(x + y, base))
 
 
 # -- verification harness ------------------------------------------------------
@@ -265,7 +236,11 @@ def _iter_random(alphabet, n, seed, maxlen):
 
 
 def verify_conversion(rule, strategy, max_failures=5):
-    """Check alphabet containment and exact value preservation of a rule.
+    """Check alphabet containment and exact value preservation of a conversion.
+
+    ``rule`` is anything with ``base``, ``name``, ``input_alphabet``,
+    ``output_alphabet`` and ``convert(u)``: a local rule or an adder used as
+    its A+A -> A conversion.
 
     Exhaustive mode enumerates every string over the input alphabet up to
     the given length (leading zeros skipped; they only duplicate shorter
@@ -289,7 +264,7 @@ def verify_conversion(rule, strategy, max_failures=5):
         checked += 1
         u = DigitString(word, len(word) - 1)
         try:
-            v = apply_local(rule, u)
+            v = rule.convert(u)
         except ValueError as exc:
             failures.append((format_digits(u), "", "error: %s" % exc))
         else:
@@ -306,33 +281,40 @@ def verify_conversion(rule, strategy, max_failures=5):
 
 
 class ChainAdder:
-    """Parallel adder over a contiguous alphabet, built from GDE stages.
+    """Parallel adder over a contiguous alphabet {-d..M-d} folding one layer map.
 
-    Addition of x and y over the alphabet folds the indicator layers of y
-    into x through the elimination rules; the whole composite is a single
-    local function of effective window width ``effective_window``.  The
-    adder is also usable as a digit set conversion from A+A to A via
-    :meth:`as_conversion_rule` (the two addends are recovered from the
-    digitwise sum by clamping, which is 1-local).
+    ``layer`` converts {0..M+1} (or more) to {0..M} through
+    ``layer.convert(u, plateau)`` and reports fixed letters through
+    ``layer.fixes(c)``: a greatest-digit-elimination :class:`LocalRule`, or
+    a k-block adder.  Addition of x and y folds the indicator layers of y
+    into x: positive layers through ``layer.convert(., d)``, negative ones
+    through ``-layer.convert(-., M-d)``.  The adder is itself the digit set
+    conversion from A+A to A (``convert``): the two addends are recovered
+    from the digitwise sum by clamping, which is 1-local.
     """
 
-    def __init__(self, base, alphabet, hi_rule, lo_rule, shift, name):
-        self.base = base
+    def __init__(self, layer, alphabet):
+        M = len(alphabet) - 1
+        if layer.output_alphabet != Alphabet(0, M) or M + 1 not in layer.input_alphabet:
+            raise ValueError("layer must convert {0..%d} to {0..%d}, got %s -> %s"
+                             % (M + 1, M, layer.input_alphabet, layer.output_alphabet))
+        self.layer = layer
+        self.base = layer.base
         self.alphabet = alphabet
-        self.hi_rule = hi_rule
-        self.lo_rule = lo_rule
-        self.shift = shift
-        self.name = name
-        m = len(alphabet) - 1
+        self.input_alphabet = alphabet.plus(alphabet)
+        self.output_alphabet = alphabet
         self.hi_layers = alphabet.max_digit
-        self.lo_layers = -alphabet.min_digit
-        assert self.hi_layers + self.lo_layers == m
-        width = 1
-        if hi_rule is not None:
-            width += self.hi_layers * (hi_rule.p - 1)
-        if lo_rule is not None:
-            width += self.lo_layers * (lo_rule.p - 1)
-        self.effective_window = width
+        self.lo_layers = d = -alphabet.min_digit
+        # positive layers are conjugated by d, negative layers by M - d
+        for c, used in ((d, self.hi_layers > 0), (M - d, d > 0)):
+            if used and not layer.fixes(c):
+                raise ValueError("%d is not a fixed letter of %s" % (c, layer.name))
+        self.name = "%s-adder" % layer.name + ("-shift%d" % d if d else "")
+
+    @property
+    def effective_window(self):
+        """Window width of the composite map over a local-rule layer."""
+        return 1 + (self.hi_layers + self.lo_layers) * (self.layer.p - 1)
 
     def __call__(self, x, y):
         return self.add(x, y)
@@ -341,63 +323,26 @@ class ChainAdder:
         for s in (x, y):
             if not s.alphabet_ok(self.alphabet):
                 raise ValueError("digit out of adder alphabet %s in %s" % (self.alphabet, s))
-        return self._fold(x, y)
-
-    def _fold(self, x, y):
+        layer = self.layer
+        d = self.lo_layers
         s = x
         for i in range(1, self.hi_layers + 1):
-            layer = _indicator(y, lambda dig, i=i: dig >= i, 1)
-            s = apply_local(self.hi_rule, s + layer)
+            s = layer.convert(s + _indicator(y, lambda dig, i=i: dig >= i, 1), d)
         for i in range(1, self.lo_layers + 1):
-            layer = _indicator(y, lambda dig, i=i: dig <= -i, -1)
-            s = apply_local(self.lo_rule, s + layer)
+            s = s + _indicator(y, lambda dig, i=i: dig <= -i, -1)
+            s = layer.convert(s.negated(), self.hi_layers).negated()  # M - d = hi_layers
         return s
-
-    def add_checked(self, x, y):
-        """Add and assert exact value correctness against the oracle."""
-        out = self.add(x, y)
-        lhs = eval_digit_string(out, self.base)
-        rhs = qv_add(eval_digit_string(x, self.base), eval_digit_string(y, self.base))
-        if not values_equal(lhs, rhs):
-            raise AssertionError("adder produced a wrong value for %s + %s" % (x, y))
-        return out
 
     def split_sum(self, w):
         """Clamp-split a digitwise sum over A+A back into two A-strings."""
         lo = self.alphabet.min_digit
         hi = self.alphabet.max_digit
-        xs = []
-        for _, dig in w.iter_pairs():
-            xs.append(max(lo, min(dig, hi)))
-        x = DigitString(tuple(xs), w.msd_exponent)
+        x = DigitString(tuple(max(lo, min(dig, hi)) for dig in w.digits), w.msd_exponent)
         return x, w - x
 
-    def as_conversion_rule(self):
-        """The adder as a local digit set conversion from A+A to A."""
-        mem = 0
-        ant = 0
-        if self.hi_rule is not None:
-            mem += self.hi_layers * self.hi_rule.memory
-            ant += self.hi_layers * self.hi_rule.anticipation
-        if self.lo_rule is not None:
-            mem += self.lo_layers * self.lo_rule.memory
-            ant += self.lo_layers * self.lo_rule.anticipation
-        in_alpha = self.alphabet.plus(self.alphabet)
-
-        def string_apply(u, _self=self):
-            x, y = _self.split_sum(u)
-            return _self._fold(x, y)
-
-        def window_fn(w, _self=self, _ant=ant):
-            u = DigitString(w, len(w) - 1)
-            x, y = _self.split_sum(u)
-            out = _self._fold(x, y)
-            # the window is centered at position len(w) - 1 - _ant
-            return out.digit_at(len(w) - 1 - _ant)
-
-        return LocalRule(self.base, mem, ant, in_alpha, self.alphabet, window_fn,
-                         name="%s-as-conversion" % self.name, neighbour_free=False,
-                         string_apply=string_apply, tabulate_threshold=0)
+    def convert(self, u):
+        """The adder as a digit set conversion from A+A to A."""
+        return self.add(*self.split_sum(u))
 
 
 def _indicator(y, pred, sign):
@@ -413,26 +358,18 @@ def make_adder_by_elimination(gde, M):
     intermediate within {0..M+1} and ends over {0..M} with the exact sum
     value.  The composite is (M(p-1)+1)-local.
     """
-    if gde.input_alphabet != Alphabet(0, M + 1) or gde.output_alphabet != Alphabet(0, M):
-        raise ValueError("gde must convert {0..%d} to {0..%d}, got %s -> %s"
-                         % (M + 1, M, gde.input_alphabet, gde.output_alphabet))
-    return ChainAdder(gde.base, Alphabet(0, M), gde, None, 0,
-                      name="%s-adder" % gde.name)
+    return make_shifted_adder(gde, M, 0)
 
 
 def make_shifted_adder(gde, M, d):
-    """Adder on {-d..M-d} via conjugated and mirrored elimination rules.
+    """Adder on {-d..M-d} via the elimination rule conjugated by plateau letters.
 
-    Positive layers of y go through the gde conjugated by the fixed letter
-    d; negative layers through the negation of the gde conjugated by M-d.
-    Requires d = 0, or d (resp. M-d) fixed whenever positive (resp.
-    negative) layers exist.  Callers are expected to oracle-verify the
-    result; the construction is engineering on top of a cited, unrestated
-    corollary.
+    Positive layers of y go through the gde conjugated by d; negative layers
+    through the mirror image of the gde conjugated by M-d.  Requires d
+    (resp. M-d) fixed whenever positive (resp. negative) layers exist.
+    Callers are expected to oracle-verify the result; the construction is
+    engineering on top of a cited, unrestated corollary.
     """
     if not (0 <= d <= M):
         raise ValueError("shift must satisfy 0 <= d <= M")
-    hi_rule = shift_rule(gde, d) if d < M else None
-    lo_rule = negate_rule(shift_rule(gde, M - d)) if d > 0 else None
-    return ChainAdder(gde.base, Alphabet(-d, M - d), hi_rule, lo_rule, d,
-                      name="%s-adder-shift%d" % (gde.name, d))
+    return ChainAdder(gde, Alphabet(-d, M - d))

@@ -24,7 +24,6 @@ from typing import NamedTuple
 from .algebraic import (
     QuotientValue,
     certified_floor,
-    eval_digit_string,
     qv_compare,
     qv_mul_beta_pow,
     qv_sign,
@@ -434,16 +433,3 @@ def iter_beta_integer_words(base, max_len, dstar=None):
         if ok([first]):
             yield from rec([first])
 
-
-def word_value(base, word):
-    """Exact value of an integer-part digit word (msd first)."""
-    return eval_digit_string(DigitString(word, len(word) - 1), base)
-
-
-def random_admissible_string(rng, base, dstar, length, frac=False):
-    """Rejection-sample an admissible word over the canonical alphabet."""
-    top = canonical_alphabet(base).max_digit
-    while True:
-        word = tuple(rng.randint(0, top) for _ in range(length))
-        if is_admissible(EventuallyPeriodicString(word), dstar):
-            return DigitString(word, -1 if frac else length - 1)

@@ -56,6 +56,30 @@ class TestAdd:
                            "--algo", "gde-chain", "--shift", "3", "--x=-3,1", "--y=2")
         assert code == 0 and "value-ok" in out
 
+    def test_gde_chain_raw_coefficients(self, capsys):
+        # 1,-4,-2 is beta^2 = 4 beta + 2, the same base as quadratic-plus:4,2
+        code, out, _ = run(capsys, "add", "--base", "1,-4,-2",
+                           "--algo", "gde-chain", "--x", "6", "--y", "6")
+        assert code == 0
+        assert out.splitlines()[0] == "2,3.0,2" and "value-ok" in out
+
+    def test_gde_chain_raw_minus_coefficients(self, capsys):
+        code, out, _ = run(capsys, "add", "--base", "1,-4,2", "--algo", "gde-chain",
+                           "--x", "3,3", "--y", "3,3", "--json")
+        assert code == 0
+        data = json.loads(out)
+        assert data["alphabet"] == "{0..4}" and data["value_ok"]
+
+    def test_gde_chain_needs_quadratic_base(self, capsys):
+        code, _, err = run(capsys, "add", "--base", "tribonacci",
+                           "--algo", "gde-chain", "--x", "1", "--y", "1")
+        assert code == 1 and "quadratic" in err
+
+    def test_shift_rejected_with_block_algo(self, capsys):
+        code, out, err = run(capsys, "add", "--base", "tribonacci", "--algo", "block:14,2,5",
+                             "--shift", "3", "--x", "1", "--y", "1")
+        assert code == 1 and "--shift" in err and not out
+
     def test_special_family_dispatch(self, capsys):
         code, out, _ = run(capsys, "add", "--base", "quadratic-plus:4,3",
                            "--algo", "gde-chain", "--x", "7", "--y", "7")

@@ -6,18 +6,26 @@ from betapar.algebraic import eval_digit_string, values_equal
 from betapar.conversion import (
     LocalRule,
     apply_local,
-    digitwise_add,
+    check_sum,
     exhaustive,
     fixed_letters,
-    identity_rule,
     make_adder_by_elimination,
     make_shifted_adder,
-    negate_rule,
     random_strings,
-    shift_rule,
     verify_conversion,
 )
 from betapar.digits import Alphabet, DigitString, parse_digits
+from betapar.quadratic import gde_minus
+
+
+def _seeded_strings(alphabet, n, seed, maxlen=12):
+    """The strings that verify_conversion draws for random_strings(n, seed)."""
+    rng = random.Random(seed)
+    for _ in range(n):
+        length = rng.randint(0, maxlen)
+        digits = tuple(rng.randint(alphabet.min_digit, alphabet.max_digit)
+                       for _ in range(length))
+        yield DigitString(digits, length - 1)
 
 
 class TestLocalRule:
@@ -30,7 +38,8 @@ class TestLocalRule:
             LocalRule(fib, 0, 0, Alphabet(0, 2), Alphabet(0, 1), lambda w: w[0])
 
     def test_identity(self, fib):
-        rule = identity_rule(fib, Alphabet(0, 3))
+        A = Alphabet(0, 3)
+        rule = LocalRule(fib, 0, 0, A, A, lambda w: w[0])
         s = parse_digits("3,0,1.2")
         assert apply_local(rule, s) == s
         assert fixed_letters(rule) == {0, 1, 2, 3}
@@ -53,7 +62,8 @@ class TestApplyLocal:
 
 class TestVerifyConversion:
     def test_identity_random_passes(self, fib):
-        rule = identity_rule(fib, Alphabet(0, 1))
+        A = Alphabet(0, 1)
+        rule = LocalRule(fib, 0, 0, A, A, lambda w: w[0])
         rep = verify_conversion(rule, random_strings(100, seed=1))
         assert rep.verdict == "pass" and rep.checked_count == 100
 
@@ -83,40 +93,36 @@ class TestVerifyConversion:
         assert data["verdict"] == "pass" and data["checked"] == rep.checked_count
 
 
-class TestDigitwiseAdd:
-    def test_zero_neutral(self):
-        s = parse_digits("2,1.1")
-        assert digitwise_add(DigitString(), s) == s
-
-    def test_positional(self):
-        assert digitwise_add(parse_digits("1,1"), parse_digits("1,0.1")) == parse_digits("2,1.1")
-
-    def test_doubling_max(self):
-        m = parse_digits("6,6")
-        assert digitwise_add(m, m) == parse_digits("12,12")
-
-
 class TestShiftRule:
-    def test_zero_shift_is_same_rule(self, rule_plus42):
-        assert shift_rule(rule_plus42, 0) is rule_plus42
+    """Conjugation by a plateau letter and mirroring through digit negation."""
 
-    def test_unfixed_letter_rejected(self, rule_plus42):
-        # a+b = 6 is not fixed by the plus rule
-        with pytest.raises(ValueError):
-            shift_rule(rule_plus42, 6)
+    def test_zero_shift_is_same_rule(self, rule_plus42):
+        u = parse_digits("7,0,3.6")
+        plain = apply_local(rule_plus42, u)
+        assert rule_plus42.convert(u) == apply_local(rule_plus42, u, 0) == plain
+
+    def test_unfixed_letter_rejected(self):
+        # minus:4,2 fixes only {0, 1, 2}; d = 3 needs 3 fixed
+        with pytest.raises(ValueError, match="3 is not a fixed letter"):
+            make_shifted_adder(gde_minus(4, 2), 4, 3)
 
     def test_shifted_rule_verifies(self, rule_plus42):
-        shifted = shift_rule(rule_plus42, 3)
-        assert shifted.input_alphabet == Alphabet(-3, 4)
-        assert shifted.output_alphabet == Alphabet(-3, 3)
-        rep = verify_conversion(shifted, random_strings(300, seed=9))
-        assert rep.verdict == "pass"
+        base = rule_plus42.base
+        for u in _seeded_strings(Alphabet(-3, 4), 300, seed=9):
+            v = apply_local(rule_plus42, u, 3)
+            assert v.alphabet_ok(Alphabet(-3, 3))
+            assert values_equal(eval_digit_string(v, base), eval_digit_string(u, base))
 
     def test_negate_rule_verifies(self, rule_plus42):
-        neg = negate_rule(rule_plus42)
-        assert neg.input_alphabet == Alphabet(-7, 0)
-        rep = verify_conversion(neg, random_strings(200, seed=9))
-        assert rep.verdict == "pass"
+        base = rule_plus42.base
+        for u in _seeded_strings(Alphabet(-7, 0), 200, seed=9):
+            v = apply_local(rule_plus42, u.negated(), 0).negated()
+            assert v.alphabet_ok(Alphabet(-6, 0))
+            assert values_equal(eval_digit_string(v, base), eval_digit_string(u, base))
+
+    def test_plateau_input_alphabet_checked(self, rule_plus42):
+        with pytest.raises(ValueError):
+            apply_local(rule_plus42, parse_digits("5"), 3)  # 5 + 3 is outside {0..7}
 
 
 class TestEliminationAdder:
@@ -139,7 +145,8 @@ class TestEliminationAdder:
         # the A+A -> A conversion view re-splits the digitwise sum, so its
         # output string may differ from add(x, y); the values must agree
         adder = make_adder_by_elimination(rule_plus42, 6)
-        conv = adder.as_conversion_rule()
+        assert adder.input_alphabet == Alphabet(0, 12)
+        assert adder.output_alphabet == Alphabet(0, 6)
         base = adder.base
         rng = random.Random(2)
         for _ in range(20):
@@ -147,8 +154,9 @@ class TestEliminationAdder:
             x = DigitString(tuple(rng.randint(0, 6) for _ in range(n)), n - 1)
             m = rng.randint(0, 8)
             y = DigitString(tuple(rng.randint(0, 6) for _ in range(m)), m - 1)
-            via_rule = apply_local(conv, digitwise_add(x, y))
-            via_adder = adder.add_checked(x, y)
+            via_rule = adder.convert(x + y)
+            via_adder = adder.add(x, y)
+            assert check_sum(adder, x, y, via_adder)
             assert via_rule.alphabet_ok(adder.alphabet)
             assert values_equal(eval_digit_string(via_rule, base),
                                 eval_digit_string(via_adder, base))
@@ -156,19 +164,21 @@ class TestEliminationAdder:
     def test_composite_rule_windows_consistent(self, rule_minus41):
         # window-by-window evaluation must agree with whole-string evaluation
         adder = make_adder_by_elimination(rule_minus41, 3)
-        conv = adder.as_conversion_rule()
+        # three layers of a (3, 3)-local rule: the composite is (9, 9)-local
+        mem = 3 * rule_minus41.memory
+        ant = 3 * rule_minus41.anticipation
         rng = random.Random(4)
         for _ in range(5):
             n = rng.randint(1, 6)
             u = DigitString(tuple(rng.randint(0, 6) for _ in range(n)), n - 1)
-            fast = apply_local(conv, u)
+            fast = adder.convert(u)
             slow_digits = []
             msd, lsd = u.support()
-            for j in range(msd + conv.memory, lsd - conv.anticipation - 1, -1):
-                w = tuple(u.digit_at(k) for k in range(j + conv.anticipation,
-                                                       j - conv.memory - 1, -1))
-                slow_digits.append(conv.window_fn(w))
-            assert DigitString(tuple(slow_digits), msd + conv.memory) == fast
+            for j in range(msd + mem, lsd - ant - 1, -1):
+                w = tuple(u.digit_at(k) for k in range(j + ant, j - mem - 1, -1))
+                # the window alone, centred at exponent mem
+                slow_digits.append(adder.convert(DigitString(w, mem + ant)).digit_at(mem))
+            assert DigitString(tuple(slow_digits), msd + mem) == fast
 
 
 class TestLocality:
@@ -200,7 +210,7 @@ class TestLocality:
             far = DigitString((rng.randint(1, 3),), radius + 3)
             y = DigitString(tuple(rng.randint(0, 3) for _ in range(4)), 1)
             out1 = adder.add(x1, y)
-            out2 = adder.add(digitwise_add(x1, far), y)
+            out2 = adder.add(x1 + far, y)
             assert out1.digit_at(0) == out2.digit_at(0)
 
 
@@ -209,8 +219,9 @@ class TestShiftedChain:
         adder = make_shifted_adder(rule_plus42, 6, 6)
         x = parse_digits("-4,-2")
         y = parse_digits("-1.-6")
-        out = adder.add_checked(x, y)
-        assert out.alphabet_ok(Alphabet(-6, 0))
+        out = adder.add(x, y)
+        assert check_sum(adder, x, y, out)
+        assert adder.alphabet == Alphabet(-6, 0)
 
     def test_mixed_shift_random(self, rule_plus42):
         adder = make_shifted_adder(rule_plus42, 6, 2)
@@ -220,5 +231,22 @@ class TestShiftedChain:
             x = DigitString(tuple(rng.randint(-2, 4) for _ in range(n)), n - 1)
             m = rng.randint(0, 8)
             y = DigitString(tuple(rng.randint(-2, 4) for _ in range(m)), m - 1)
-            out = adder.add_checked(x, y)
-            assert out.alphabet_ok(adder.alphabet)
+            assert check_sum(adder, x, y, adder.add(x, y))
+
+
+class TestCheckSum:
+    def test_accepts_the_adder_sum(self, rule_plus42):
+        adder = make_adder_by_elimination(rule_plus42, 6)
+        x, y = parse_digits("6,6"), parse_digits("5.1")
+        assert check_sum(adder, x, y, adder.add(x, y))
+
+    def test_rejects_a_wrong_value(self, rule_plus42):
+        adder = make_adder_by_elimination(rule_plus42, 6)
+        x, y = parse_digits("6"), parse_digits("6")
+        assert not check_sum(adder, x, y, parse_digits("2,3.0,1"))
+
+    def test_rejects_digits_outside_the_alphabet(self, rule_plus42):
+        # 12 has the right value but is no digit of {0..6}
+        adder = make_adder_by_elimination(rule_plus42, 6)
+        x, y = parse_digits("6"), parse_digits("6")
+        assert not check_sum(adder, x, y, parse_digits("12"))

@@ -9,7 +9,13 @@ from betapar.algebraic import (
     qv_mul_int,
     values_equal,
 )
-from betapar.conversion import apply_local, exhaustive, fixed_letters, verify_conversion
+from betapar.conversion import (
+    apply_local,
+    check_sum,
+    exhaustive,
+    fixed_letters,
+    verify_conversion,
+)
 from betapar.digits import Alphabet, DigitString, parse_digits
 from betapar.quadratic import (
     gde_minus,
@@ -134,15 +140,17 @@ class TestQuadraticAdder:
 
     def test_six_plus_six(self):
         adder = quadratic_adder("plus", 4, 2)
-        out = adder.add_checked(parse_digits("6"), parse_digits("6"))
+        out = adder.add(parse_digits("6"), parse_digits("6"))
+        assert check_sum(adder, parse_digits("6"), parse_digits("6"), out)
         assert out.alphabet_ok(Alphabet(0, 6))
         assert values_equal(eval_digit_string(out, adder.base),
                             QuotientValue.from_int(adder.base, 12))
 
     def test_minus_33(self):
         adder = quadratic_adder("minus", 4, 1)
-        out = adder.add_checked(parse_digits("3,3"), parse_digits("3,3"))
-        assert out.alphabet_ok(Alphabet(0, 3))
+        x = parse_digits("3,3")
+        assert check_sum(adder, x, x, adder.add(x, x))
+        assert adder.alphabet == Alphabet(0, 3)
 
     @pytest.mark.parametrize("kind,a,b", [
         ("plus", 4, 2), ("plus_special", 3, None), ("minus", 4, 2)])
@@ -155,8 +163,7 @@ class TestQuadraticAdder:
             x = DigitString(tuple(rng.randint(0, top) for _ in range(n)), n - 1)
             m = rng.randint(0, 8)
             y = DigitString(tuple(rng.randint(0, top) for _ in range(m)), m - 1)
-            out = adder.add_checked(x, y)
-            assert out.alphabet_ok(adder.alphabet)
+            assert check_sum(adder, x, y, adder.add(x, y))
 
 
 class TestBoundAttainment:
@@ -215,18 +222,32 @@ class TestShiftedAdder:
             x = DigitString(tuple(rng.randint(-3, 3) for _ in range(n)), n - 1)
             m = rng.randint(0, 8)
             y = DigitString(tuple(rng.randint(-3, 3) for _ in range(m)), m - 1)
-            out = adder.add_checked(x, y)
-            assert out.alphabet_ok(adder.alphabet)
+            assert check_sum(adder, x, y, adder.add(x, y))
 
     def test_minus_d1_alphabet(self):
         adder = shifted_adder("minus", 4, 1, d=1)
         assert adder.alphabet == Alphabet(-1, 2)
-        out = adder.add_checked(parse_digits("-1,2"), parse_digits("2,-1.1"))
-        assert out.alphabet_ok(adder.alphabet)
+        x, y = parse_digits("-1,2"), parse_digits("2,-1.1")
+        assert check_sum(adder, x, y, adder.add(x, y))
 
     def test_shifted_conversion_random_500(self):
         from betapar.conversion import random_strings, verify_conversion
 
         adder = shifted_adder("plus", 4, 2, d=3)
-        rep = verify_conversion(adder.as_conversion_rule(), random_strings(500, seed=6))
+        rep = verify_conversion(adder, random_strings(500, seed=6))
         assert rep.verdict == "pass", rep.to_json()
+
+    def test_minus_d2_tabulates_one_table(self, monkeypatch):
+        # only the gde's own window table is built; conjugation reads it at w + c
+        from betapar.conversion import LocalRule
+
+        calls = []
+        tabulate = LocalRule._tabulate
+
+        def counted(rule):
+            calls.append(rule.name)
+            tabulate(rule)
+
+        monkeypatch.setattr(LocalRule, "_tabulate", counted)
+        shifted_adder("minus", 4, 2, d=2)
+        assert calls == ["gde-minus:4,2"]
