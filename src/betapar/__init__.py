@@ -23,7 +23,6 @@ from .algebraic import (
     BetaBase,
     MinimalPolynomial,
     QuotientValue,
-    RationalInterval,
     base_from_spec,
     certified_floor,
     dbonacci_base,
@@ -36,7 +35,6 @@ from .algebraic import (
     qv_sub,
     quadratic_minus_base,
     quadratic_plus_base,
-    refine_beta,
     root_moduli,
     self_reciprocal,
     tribonacci_base,

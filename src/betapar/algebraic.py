@@ -32,33 +32,6 @@ _SIGN_BITS_START = 64
 _SIGN_BITS_LIMIT = 1 << 14
 
 
-class RationalInterval:
-    """Closed rational interval [lo, hi]."""
-
-    __slots__ = ("lo", "hi")
-
-    def __init__(self, lo, hi):
-        lo = Fraction(lo)
-        hi = Fraction(hi)
-        if lo > hi:
-            raise ValueError("empty interval")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalInterval is immutable")
-
-    @property
-    def width(self):
-        return self.hi - self.lo
-
-    def __contains__(self, x):
-        return self.lo <= x <= self.hi
-
-    def __repr__(self):
-        return "RationalInterval(%s, %s)" % (self.lo, self.hi)
-
-
 class MinimalPolynomial:
     """Monic integer polynomial, coefficients highest degree first, d >= 2.
 
@@ -174,6 +147,8 @@ class BetaBase:
         lo, hi = isolating_interval
         lo = Fraction(lo)
         hi = Fraction(hi)
+        if not lo < hi:
+            raise ValueError("empty interval")
         if not lo > 1:
             raise ValueError("isolating interval must have lo > 1")
         slo = _fraction_sign(poly.eval_fraction(lo))
@@ -181,7 +156,7 @@ class BetaBase:
         if slo == 0 or shi == 0 or slo == shi:
             raise ValueError("isolating interval endpoints must straddle a root")
         self.poly = poly
-        self.interval = RationalInterval(lo, hi)
+        self.interval = (lo, hi)
         self.name = name
         self.degree = poly.degree
         self._red = poly.reduction_vector()
@@ -203,11 +178,10 @@ class BetaBase:
 
     def shift_vector(self, v):
         """Vector of beta * value(v), reduced by the minimal polynomial."""
-        red = self._red
-        d = self.degree
         c = v[-1]
         if c:
-            return tuple((v[i - 1] if i else 0) + c * red[i] for i in range(d))
+            red = self._red
+            return (c * red[0],) + tuple([a + c * r for a, r in zip(v, red[1:])])
         return (0,) + v[:-1]
 
     def power_vector(self, n):
@@ -220,6 +194,15 @@ class BetaBase:
     def mul_power(self, v, n):
         for _ in range(n):
             v = self.shift_vector(v)
+        return v
+
+    def digits_vector(self, digits):
+        """Vector of the MSD-first digits with the last one at beta**0 (Horner)."""
+        v = self.zero_vector()
+        for dig in digits:
+            v = self.shift_vector(v)
+            if dig:
+                v = (v[0] + dig,) + v[1:]
         return v
 
     def divide_by_beta(self, v):
@@ -241,9 +224,9 @@ class BetaBase:
     def _refine_dyadic(self, bits):
         if bits <= self._dy_bits:
             return
-        iv = self.interval
-        lo_num = (iv.lo.numerator << bits) // iv.lo.denominator
-        hi_num = -((-iv.hi.numerator << bits) // iv.hi.denominator)
+        lo, hi = self.interval
+        lo_num = (lo.numerator << bits) // lo.denominator
+        hi_num = -((-hi.numerator << bits) // hi.denominator)
         slo = self._sign_at_lo
         while hi_num - lo_num > 1:
             mid = (lo_num + hi_num) // 2
@@ -326,14 +309,18 @@ class BetaBase:
             n -= 1
 
     def float_value(self, v, scale=0):
-        """Double-precision approximation of beta**(-scale)*value(v) (reporting only)."""
+        """Double-precision approximation of beta**(-scale)*value(v) (reporting only).
+
+        Midpoints of the enclosures of value(v) and beta**scale, divided as
+        integers: correctly rounded at any precision, 0.0 on underflow.
+        """
         L, H, bits = self._value_enclosure(v, 128)
-        x = (L + H) / 2.0 / (1 << bits)
-        return x / (self.beta_float() ** scale)
+        plo, phi, bits = self._powers_dyadic(bits, scale)
+        return (L + H) / (plo[scale] + phi[scale])
 
     def beta_float(self):
         self._refine_dyadic(_SIGN_BITS_START)
-        return (2 * self._dy_num + 1) / 2.0 / (1 << self._dy_bits)
+        return (2 * self._dy_num + 1) / (2 << self._dy_bits)
 
     def __eq__(self, other):
         # same polynomial AND overlapping isolating intervals: a polynomial
@@ -341,8 +328,8 @@ class BetaBase:
         # root always intersect (both contain it) while intervals isolating
         # different roots cannot
         return (isinstance(other, BetaBase) and self.poly == other.poly
-                and self.interval.lo <= other.interval.hi
-                and other.interval.lo <= self.interval.hi)
+                and self.interval[0] <= other.interval[1]
+                and other.interval[0] <= self.interval[1])
 
     def __hash__(self):
         return hash(self.poly)
@@ -489,41 +476,11 @@ def eval_digit_string(s, base):
     """
     if not isinstance(s, DigitString):
         raise TypeError("expected DigitString")
-    v = base.zero_vector()
-    unit = base.unit_vector()
-    for d in s.digits:
-        v = base.shift_vector(v)
-        if d:
-            v = tuple(v[i] + d * unit[i] for i in range(base.degree))
-    if s.is_zero():
-        return QuotientValue(base, v)
+    v = base.digits_vector(s.digits)
     lsd = s.lsd_exponent
     if lsd >= 0:
         return QuotientValue(base, base.mul_power(v, lsd))
     return QuotientValue(base, v, -lsd)
-
-
-def refine_beta(base, target_width):
-    """Interval of width <= target_width containing beta, by sign bisection.
-
-    Returns a new interval; the base's stored interval is not mutated.
-    """
-    target_width = Fraction(target_width)
-    if target_width <= 0:
-        raise ValueError("target_width must be positive")
-    lo, hi = base.interval.lo, base.interval.hi
-    slo = base._sign_at_lo
-    while hi - lo > target_width:
-        mid = (lo + hi) / 2
-        s = _fraction_sign(base.poly.eval_fraction(mid))
-        if s == 0:
-            # mid is a rational root; excluded at construction time
-            raise RuntimeError("rational root inside isolating interval")
-        if s == slo:
-            lo = mid
-        else:
-            hi = mid
-    return RationalInterval(lo, hi)
 
 
 def certified_floor(v, base=None):

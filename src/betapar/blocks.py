@@ -35,7 +35,6 @@ import itertools
 import random as _random
 from typing import NamedTuple
 
-from .algebraic import QuotientValue, qv_add, values_equal
 from .conversion import ChainAdder, check_sum
 from .digits import Alphabet, DigitString
 from .numeration import (
@@ -149,15 +148,12 @@ class BlockAdder:
         for dig in u:
             if dig not in inA2:
                 raise ValueError("block digit %d outside %s" % (dig, inA2))
+        base = self.base
+        vec = base.mul_power(base.digits_vector(reversed(u)), 2 * s)  # u * beta^(2s)
         if all(dig in B for dig in u):
             dec = BlockDecomposition((0,) * (2 * ell), u, (0,) * (2 * s))
         else:
-            vec = self.base.zero_vector()
-            for i, dig in enumerate(u):
-                if dig:
-                    pw = self.base.power_vector(i + 2 * s)
-                    vec = tuple(vec[j] + dig * pw[j] for j in range(self.base.degree))
-            int_digits, frac, exact = greedy_vector_digits(self.base, vec, 0)
+            int_digits, frac, exact = greedy_vector_digits(base, vec, 0)
             if not exact or len(int_digits) > 2 * k:
                 raise InsufficientParamsError(
                     "parameters (ell=%d, s=%d) insufficient for block %r" % (ell, s, u))
@@ -165,20 +161,17 @@ class BlockAdder:
             dec = BlockDecomposition(tuple(pos[2 * s + k:2 * k]),
                                      tuple(pos[2 * s:2 * s + k]),
                                      tuple(pos[0:2 * s]))
-        self._check_decomposition(u, dec)
+        self._check_decomposition(u, vec, dec)
         return dec
 
-    def _check_decomposition(self, u, dec):
-        k, ell, s, B, _ = self.params
-        base = self.base
+    def _check_decomposition(self, u, vec, dec):
+        """Digits over B, and vec = u * beta^(2s) is S, C, L read as one string."""
+        B = self.params.B
         for part in dec:
             for dig in part:
                 if dig not in B:
                     raise InsufficientParamsError("decomposition digit %d outside %s" % (dig, B))
-        lhs = _block_value(base, u, 0)
-        rhs = qv_add(qv_add(_block_value(base, dec.L, k), _block_value(base, dec.C, 0)),
-                     _block_value(base, dec.S, -2 * s))
-        if not values_equal(lhs, rhs):
+        if self.base.digits_vector(reversed(dec.S + dec.C + dec.L)) != vec:
             raise AssertionError("decomposition identity failed for block %r" % (u,))
 
     def phi(self, f, g, h):
@@ -244,17 +237,6 @@ class BlockAdder:
         return self.add(x, y)
 
 
-def _block_value(base, digits, shift):
-    vec = base.zero_vector()
-    scale = -shift if shift < 0 else 0
-    off = shift if shift > 0 else 0
-    for i, dig in enumerate(digits):
-        if dig:
-            pw = base.power_vector(i + off)
-            vec = tuple(vec[j] + dig * pw[j] for j in range(base.degree))
-    return QuotientValue(base, vec, scale)
-
-
 # -- empirical estimation of s -------------------------------------------------
 
 
@@ -295,17 +277,6 @@ def estimate_s_report(base, test_len, pair_budget=300000, sample_pairs=2000, see
         if w:
             words_by_len[len(w)].append(w)
 
-    def values_of(words):
-        out = []
-        for w in words:
-            vec = base.zero_vector()
-            for dig in w:
-                vec = base.shift_vector(vec)
-                if dig:
-                    vec = (vec[0] + dig,) + vec[1:]
-            out.append(vec)
-        return out
-
     counts = list(itertools.accumulate(len(ws) for ws in words_by_len))
     exh_len = 0
     for n in range(1, test_len + 1):
@@ -318,7 +289,7 @@ def estimate_s_report(base, test_len, pair_budget=300000, sample_pairs=2000, see
     deg = base.degree
     best = 0
     checked = 0
-    vals = values_of([w for n in range(exh_len + 1) for w in words_by_len[n]])
+    vals = [base.digits_vector(w) for n in range(exh_len + 1) for w in words_by_len[n]]
     for i, x in enumerate(vals):
         for y in vals[i:]:
             s2 = tuple(x[t] + y[t] for t in range(deg))
@@ -328,7 +299,7 @@ def estimate_s_report(base, test_len, pair_budget=300000, sample_pairs=2000, see
                 best = dep
     if exh_len < test_len:
         rng = _random.Random(seed)
-        pool = values_of([w for n in range(test_len + 1) for w in words_by_len[n]])
+        pool = [base.digits_vector(w) for n in range(test_len + 1) for w in words_by_len[n]]
         for _ in range(sample_pairs):
             x = pool[rng.randrange(len(pool))]
             y = pool[rng.randrange(len(pool))]

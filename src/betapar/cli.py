@@ -127,40 +127,21 @@ def _quadratic_family(base):
     raise CliError("gde-chain addition needs a quadratic base, got %s" % base.poly)
 
 
-def _parse_block_algo(token):
-    try:
-        k, ell, s = (int(t) for t in token.split(","))
-    except ValueError:
-        raise CliError("block algo spec must be block:k,ell,s") from None
-    if k != 2 * (ell + s):
-        raise CliError("inconsistent block parameters: k must equal 2*(ell+s)")
-    return ell, s
-
-
 def cmd_add(args):
     base = base_from_spec(args.base)
     x = parse_digits(args.x)
     y = parse_digits(args.y)
-    algo = args.algo.strip().lower()
-    if algo == "gde-chain":
-        kind, a, b = _quadratic_family(base)
-        if args.shift:
-            adder = shifted_adder(kind, a, b, args.shift)
-        else:
-            adder = quadratic_adder(kind, a, b)
-    elif algo.startswith("block:"):
-        if args.shift:
-            raise CliError("--shift applies to --algo gde-chain only")
-        ell, s = _parse_block_algo(algo.split(":", 1)[1])
-        adder = BlockAdder(base, make_block_params(base, ell, s))
+    kind, a, b = _quadratic_family(base)
+    if args.shift:
+        adder = shifted_adder(kind, a, b, args.shift)
     else:
-        raise CliError("unknown algorithm %r (try gde-chain or block:k,ell,s)" % args.algo)
+        adder = quadratic_adder(kind, a, b)
     try:
         out = adder.add(x, y)
     except ValueError as exc:
         raise CliError(str(exc)) from None
     ok = check_sum(adder, x, y, out)
-    payload = {"base": args.base, "algo": args.algo, "x": format_digits(x),
+    payload = {"base": args.base, "x": format_digits(x),
                "y": format_digits(y), "result": format_digits(out),
                "alphabet": str(adder.alphabet), "value_ok": ok}
     _emit(args, payload, ["%s" % format_digits(out),
@@ -250,10 +231,9 @@ def build_parser():
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_dbeta)
 
-    p = sub.add_parser("add", help="add two digit strings with a parallel algorithm")
-    p.add_argument("--base", required=True)
-    p.add_argument("--algo", required=True, help="gde-chain or block:k,ell,s")
-    p.add_argument("--shift", type=int, default=0, help="alphabet shift d for gde-chain")
+    p = sub.add_parser("add", help="add two digit strings with a GDE-chain adder")
+    p.add_argument("--base", required=True, help="a quadratic base")
+    p.add_argument("--shift", type=int, default=0, help="alphabet shift d")
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
     p.add_argument("--json", action="store_true")

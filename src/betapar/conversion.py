@@ -346,8 +346,7 @@ class ChainAdder:
 
 
 def _indicator(y, pred, sign):
-    pairs = [(e, sign) for e, d in y.iter_pairs() if pred(d)]
-    return DigitString.from_pairs(pairs)
+    return DigitString([sign if pred(d) else 0 for d in y.digits], y.msd_exponent)
 
 
 def make_adder_by_elimination(gde, M):

@@ -171,8 +171,13 @@ class DigitString:
             return self
         hi = max(self.msd_exponent, other.msd_exponent)
         lo = min(self.lsd_exponent, other.lsd_exponent)
-        return DigitString(
-            tuple(self.digit_at(e) + other.digit_at(e) for e in range(hi, lo - 1, -1)), hi)
+        out = [0] * (hi - lo + 1)
+        a = hi - self.msd_exponent
+        out[a:a + len(self.digits)] = self.digits
+        b = hi - other.msd_exponent
+        n = len(other.digits)
+        out[b:b + n] = [s + t for s, t in zip(out[b:b + n], other.digits)]
+        return DigitString(out, hi)
 
     def __sub__(self, other):
         return self + other.negated()

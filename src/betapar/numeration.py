@@ -18,16 +18,14 @@ exact-arithmetic layer.
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, log
 from typing import NamedTuple
 
 from .algebraic import (
     QuotientValue,
     certified_floor,
     qv_compare,
-    qv_mul_beta_pow,
     qv_sign,
-    qv_sub,
 )
 from .digits import Alphabet, DigitString
 
@@ -195,51 +193,32 @@ def greedy_expand(x, base, max_digits):
         raise ValueError("max_digits must be at least 1")
     if qv_sign(x) < 0 or qv_compare(x, QuotientValue.from_int(base, 1)) >= 0:
         raise ValueError("greedy_expand needs 0 <= x < 1")
-    digits = []
-    r = x
-    exact = x.is_zero()
-    for _ in range(max_digits):
-        if r.is_zero():
-            exact = True
-            break
-        t = qv_mul_beta_pow(r, 1)
-        d = certified_floor(t)
-        digits.append(d)
-        r = qv_sub(t, QuotientValue.from_int(base, d))
-    else:
-        exact = r.is_zero()
-    return GreedyExpansion(DigitString(tuple(digits), -1), exact)
+    return _greedy_down_to(x, base, -max_digits)
 
 
 def greedy_expand_ge1(x, base, max_frac=64):
     """Greedy expansion of x >= 0; integer part exact, fractional part may truncate.
 
-    Scales x by beta**(-n) into [0, 1), expands, and shifts back; the digit
-    sequence of the result is beta-admissible by construction.
+    The digit sequence of the result is beta-admissible by construction.
     """
     if qv_sign(x) < 0:
         raise ValueError("greedy_expand_ge1 needs x >= 0")
-    if x.is_zero():
-        return GreedyExpansion(DigitString(), True)
-    n = _integer_length(x, base)
-    scaled = qv_mul_beta_pow(x, -n)
-    res = greedy_expand(scaled, base, n + max_frac)
-    return GreedyExpansion(res.string.shifted(n), res.exact)
+    return _greedy_down_to(x, base, -max_frac)
 
 
-def _integer_length(x, base):
-    """Smallest n >= 0 with x < beta**n (so x scaled by beta**-n is < 1)."""
-    est = base.float_value(x.coeffs, x.scale)
-    n = 0
-    if est > 1.0:
-        import math
+def _greedy_down_to(x, base, lowest):
+    """Greedy digits of x >= 0 at positions >= lowest; inexact iff a nonzero one is cut.
 
-        n = max(0, int(math.log(est) / math.log(base.beta_float())))
-    while qv_compare(x, QuotientValue.beta_power(base, n)) >= 0:
-        n += 1
-    while n > 0 and qv_compare(x, QuotientValue.beta_power(base, n - 1)) < 0:
-        n -= 1
-    return n
+    x = value(coeffs) * beta**(-scale), and the greedy expansion commutes
+    with multiplication by powers of beta, so the digits of coeffs are
+    shifted down by the scale.
+    """
+    e = x.scale
+    ints, frac, exact = greedy_vector_digits(base, x.coeffs, max(0, -lowest - e))
+    digits = ints[::-1] + frac
+    keep = max(0, len(ints) - e - lowest)
+    exact = exact and not any(digits[keep:])
+    return GreedyExpansion(DigitString(digits[:keep], len(ints) - 1 - e), exact)
 
 
 def renyi_dbeta(base, max_steps=DEFAULT_MAX_STEPS):
@@ -253,14 +232,11 @@ def renyi_dbeta(base, max_steps=DEFAULT_MAX_STEPS):
     """
     if max_steps < 1:
         raise ValueError("max_steps must be at least 1")
-    unit = base.unit_vector()
-    r = unit
+    r = base.unit_vector()
     seen = {r: 0}
     digits = []
     for j in range(1, max_steps + 1):
-        rv = base.shift_vector(r)
-        t = base.floor_of_vector(rv)
-        r = tuple(rv[i] - t * unit[i] for i in range(base.degree))
+        t, r = _greedy_step(base, r)
         digits.append(t)
         if not any(r):
             return EventuallyPeriodicString(digits)
@@ -341,12 +317,11 @@ def greedy_vector_digits(base, vec, max_frac):
 
     Returns (int_digits, frac_digits, exact) with int_digits ascending
     (index = position) and frac_digits[i] the digit at position -(i+1).
-    This is the hot-loop variant of the greedy algorithm shared by block
-    decomposition and the fractional-depth sweeps; it avoids QuotientValue
-    construction entirely.
+    This is the one greedy digit loop: block decomposition, the
+    fractional-depth sweeps and greedy_expand all run through it, and it
+    avoids QuotientValue construction entirely.
     """
     d = base.degree
-    unit = base.unit_vector()
     if not any(vec):
         return [], [], True
     if base.sign_of_vector(vec) < 0:
@@ -354,9 +329,7 @@ def greedy_vector_digits(base, vec, max_frac):
     est = base.float_value(vec)
     n = 0
     if est > 1.0:
-        import math
-
-        n = max(0, int(math.log(est) / math.log(base.beta_float())))
+        n = max(0, int(log(est) / log(base.beta_float())))
     while base.floor_of_vector(vec, n + 1) > 0:
         n += 1
     while n > 0 and base.floor_of_vector(vec, n) == 0:
@@ -372,13 +345,19 @@ def greedy_vector_digits(base, vec, max_frac):
     frac = []
     exact = not any(r)
     while not exact and len(frac) < max_frac:
-        r = base.shift_vector(r)
-        dig = base.floor_of_vector(r)
-        if dig:
-            r = tuple(r[i] - dig * unit[i] for i in range(d))
+        dig, r = _greedy_step(base, r)
         frac.append(dig)
         exact = not any(r)
     return int_digits, frac, exact
+
+
+def _greedy_step(base, r):
+    """One fractional greedy step: the digit floor(beta * r) and the new remainder."""
+    r = base.shift_vector(r)
+    dig = base.floor_of_vector(r)
+    if dig:
+        r = (r[0] - dig,) + r[1:]
+    return dig, r
 
 
 def greedy_fractional_depth(base, vec, cap=500):

@@ -16,11 +16,14 @@ from betapar.algebraic import (
     qv_mul_beta_pow,
     qv_sign,
     qv_sub,
-    refine_beta,
+    quadratic_plus_base,
     root_moduli,
     self_reciprocal,
+    tribonacci_base,
     values_equal,
 )
+from betapar.blocks import BlockAdder, make_block_params
+from betapar.conversion import check_sum
 from betapar.digits import DigitString, parse_digits
 
 
@@ -129,19 +132,6 @@ class TestEvalDigitString:
 
 
 class TestRefineAndFloor:
-    def test_refine_fibonacci(self, fib):
-        iv = refine_beta(fib, Fraction(1, 1000))
-        assert iv.width <= Fraction(1, 1000)
-        assert iv.lo <= Fraction(16181, 10000) <= iv.hi or iv.lo <= Fraction(1618, 1000) <= iv.hi
-
-    def test_refine_tribonacci(self, tri):
-        iv = refine_beta(tri, Fraction(1, 1000))
-        assert iv.lo < Fraction(18393, 10000) < iv.hi
-
-    def test_refine_no_op_width(self, fib):
-        iv = refine_beta(fib, fib.interval.width)
-        assert iv.lo == fib.interval.lo and iv.hi == fib.interval.hi
-
     def test_floor_exact_integer(self, fib):
         assert certified_floor(QuotientValue.from_int(fib, 2)) == 2
 
@@ -155,6 +145,33 @@ class TestRefineAndFloor:
             n = certified_floor(v)
             assert qv_sign(qv_sub(v, QuotientValue.from_int(fib, n))) >= 0
             assert qv_sign(qv_sub(v, QuotientValue.from_int(fib, n + 1))) < 0
+
+
+class TestFloats:
+    def test_beta_float_fibonacci(self, fib):
+        assert abs(fib.beta_float() - 1.6180) < 1e-3
+
+    def test_beta_float_tribonacci(self, tri):
+        assert abs(tri.beta_float() - 1.8393) < 1e-3
+
+    def test_floats_after_a_hard_comparison(self):
+        # signing beta^-800 raises the base's dyadic precision to thousands of bits
+        tri = tribonacci_base()
+        assert qv_sign(QuotientValue.beta_power(tri, -800)) == 1
+        assert abs(tri.beta_float() - 1.8392868) < 1e-7
+        assert abs(float(QuotientValue.beta_power(tri, 3)) - 1.8392868 ** 3) < 1e-6
+        adder = BlockAdder(tri, make_block_params(tri, 2, 5))
+        x, y = parse_digits("2,1,2,0,1"), parse_digits("1,2,2.0,1")
+        assert check_sum(adder, x, y, adder.add(x, y))
+
+    def test_float_of_a_large_scale_underflows(self):
+        assert float(QuotientValue.beta_power(quadratic_plus_base(4, 2), -800)) == 0.0
+
+    def test_float_of_a_scaled_value(self, qp42):
+        beta = qp42.beta_float()
+        x = QuotientValue(qp42, (3, 5), 7)
+        assert x.scale == 7
+        assert abs(float(x) - (3 + 5 * beta) / beta ** 7) < 1e-15
 
 
 class TestPolynomialValidation:
@@ -177,6 +194,15 @@ class TestPolynomialValidation:
             BetaBase([1, -1, -1], (Fraction(1, 2), 2))  # lo <= 1
         with pytest.raises(ValueError):
             BetaBase([1, -1, -1], (3, 4))  # no sign change
+
+    def test_empty_interval_rejected(self):
+        with pytest.raises(ValueError, match="empty interval"):
+            BetaBase([1, -1, -1], (2, Fraction(3, 2)))
+        with pytest.raises(ValueError, match="empty interval"):
+            BetaBase([1, -1, -1], (Fraction(3, 2), Fraction(3, 2)))
+
+    def test_interval_is_a_fraction_pair(self, fib):
+        assert fib.interval == (Fraction(3, 2), Fraction(2))
 
     def test_conjugate_roots_are_distinct_bases(self):
         # X^2 - 6X + 7 has two real roots above 1 (3 +- sqrt(2)); bases

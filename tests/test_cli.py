@@ -36,64 +36,53 @@ class TestDbeta:
 class TestAdd:
     def test_gde_chain(self, capsys):
         code, out, _ = run(capsys, "add", "--base", "quadratic-plus:4,2",
-                           "--algo", "gde-chain", "--x", "6", "--y", "6")
+                           "--x", "6", "--y", "6")
         assert code == 0 and "value-ok" in out
 
     def test_block(self, capsys):
-        code, out, _ = run(capsys, "add", "--base", "tribonacci",
-                           "--algo", "block:14,2,5", "--x", "1", "--y", "1")
+        code, out, _ = run(capsys, "block-add", "--base", "tribonacci",
+                           "--k", "14", "--ell", "2", "--s", "5", "--x", "1", "--y", "1")
         assert code == 0 and "value-ok" in out
 
     def test_zero(self, capsys):
         code, out, _ = run(capsys, "add", "--base", "quadratic-plus:4,2",
-                           "--algo", "gde-chain", "--x", "0", "--y", "0", "--json")
+                           "--x", "0", "--y", "0", "--json")
         assert code == 0
         data = json.loads(out)
         assert data["result"] == "0" and data["value_ok"]
 
     def test_shifted(self, capsys):
         code, out, _ = run(capsys, "add", "--base", "quadratic-plus:4,2",
-                           "--algo", "gde-chain", "--shift", "3", "--x=-3,1", "--y=2")
+                           "--shift", "3", "--x=-3,1", "--y=2")
         assert code == 0 and "value-ok" in out
 
     def test_gde_chain_raw_coefficients(self, capsys):
         # 1,-4,-2 is beta^2 = 4 beta + 2, the same base as quadratic-plus:4,2
         code, out, _ = run(capsys, "add", "--base", "1,-4,-2",
-                           "--algo", "gde-chain", "--x", "6", "--y", "6")
+                           "--x", "6", "--y", "6")
         assert code == 0
         assert out.splitlines()[0] == "2,3.0,2" and "value-ok" in out
 
     def test_gde_chain_raw_minus_coefficients(self, capsys):
-        code, out, _ = run(capsys, "add", "--base", "1,-4,2", "--algo", "gde-chain",
-                           "--x", "3,3", "--y", "3,3", "--json")
+        code, out, _ = run(capsys, "add", "--base", "1,-4,2", "--x", "3,3", "--y", "3,3", "--json")
         assert code == 0
         data = json.loads(out)
         assert data["alphabet"] == "{0..4}" and data["value_ok"]
 
     def test_gde_chain_needs_quadratic_base(self, capsys):
         code, _, err = run(capsys, "add", "--base", "tribonacci",
-                           "--algo", "gde-chain", "--x", "1", "--y", "1")
+                           "--x", "1", "--y", "1")
         assert code == 1 and "quadratic" in err
-
-    def test_shift_rejected_with_block_algo(self, capsys):
-        code, out, err = run(capsys, "add", "--base", "tribonacci", "--algo", "block:14,2,5",
-                             "--shift", "3", "--x", "1", "--y", "1")
-        assert code == 1 and "--shift" in err and not out
 
     def test_special_family_dispatch(self, capsys):
         code, out, _ = run(capsys, "add", "--base", "quadratic-plus:4,3",
-                           "--algo", "gde-chain", "--x", "7", "--y", "7")
+                           "--x", "7", "--y", "7")
         assert code == 0 and "value-ok" in out
 
     def test_digit_out_of_alphabet(self, capsys):
         code, _, err = run(capsys, "add", "--base", "quadratic-plus:4,2",
-                           "--algo", "gde-chain", "--x", "9", "--y", "0")
+                           "--x", "9", "--y", "0")
         assert code == 1 and "error" in err
-
-    def test_unknown_algo(self, capsys):
-        code, _, err = run(capsys, "add", "--base", "fibonacci",
-                           "--algo", "magic", "--x", "1", "--y", "1")
-        assert code == 1
 
 
 class TestVerify:
@@ -182,8 +171,8 @@ class TestBounds:
     def test_digit_string_roundtrip_in_json(self, capsys):
         from betapar.digits import parse_digits
 
-        code, out, _ = run(capsys, "add", "--base", "tribonacci",
-                           "--algo", "block:14,2,5", "--x", "2,0.1", "--y", "1,1", "--json")
+        code, out, _ = run(capsys, "block-add", "--base", "tribonacci", "--k", "14", "--ell", "2",
+                           "--s", "5", "--x", "2,0.1", "--y", "1,1", "--json")
         assert code == 0
         data = json.loads(out)
         parsed = parse_digits(data["result"])

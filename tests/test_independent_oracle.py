@@ -29,7 +29,7 @@ def mp_root(base):
     with mp.workdps(DPS):
         roots = mp.polyroots([mp.mpf(c) for c in base.poly.coefficients],
                              maxsteps=200, extraprec=240)
-        lo, hi = float(base.interval.lo), float(base.interval.hi)
+        lo, hi = (float(t) for t in base.interval)
         real = [r.real for r in roots if abs(r.imag) < 1e-30 and lo - 1e-9 < r.real < hi + 1e-9]
         assert len(real) == 1
         return real[0]

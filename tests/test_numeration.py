@@ -135,6 +135,13 @@ class TestGreedyGe1:
         res = greedy_expand_ge1(QuotientValue.from_int(qp42, 2), qp42)
         assert res.exact and res.string == parse_digits("2")
 
+    @pytest.mark.parametrize("power", [-1, -3])
+    def test_no_fractional_digits_below_one(self, fib, qp42, power):
+        # the integer part of 0 < x < 1 is zero, and cutting x off is inexact
+        for base in (fib, qp42):
+            res = greedy_expand_ge1(QuotientValue.beta_power(base, power), base, max_frac=0)
+            assert res.string.is_zero() and not res.exact
+
     def test_output_admissible(self, fib):
         dstar = quasi_greedy(renyi_dbeta(fib))
         rng = random.Random(11)
