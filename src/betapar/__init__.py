@@ -68,8 +68,6 @@ from .conversion import (
     check_sum,
     exhaustive,
     fixed_letters,
-    make_adder_by_elimination,
-    make_shifted_adder,
     random_strings,
     verify_conversion,
 )

@@ -18,8 +18,11 @@ powers of beta obtained by bisection of f, with precision escalated until
 the enclosure decides the question; exact vector tests settle the boundary
 cases, so floors always terminate.
 
-All classes are immutable after construction and all functions are pure;
-everything here is safe to share between threads without locking.
+Values are immutable.  A base's power caches grow by building each
+extension privately and publishing it in one assignment; an 8-thread test
+checks that threads sharing a base read the powers a fresh base computes.
+Raising the dyadic precision still writes three attributes in turn, so a
+thread reading during that write can see them out of step.
 """
 
 from __future__ import annotations
@@ -170,9 +173,6 @@ class BetaBase:
 
     # -- exact vector arithmetic -------------------------------------------
 
-    def zero_vector(self):
-        return (0,) * self.degree
-
     def unit_vector(self):
         return self._powvecs[0]
 
@@ -187,8 +187,11 @@ class BetaBase:
     def power_vector(self, n):
         """Reduced vector of beta**n, n >= 0; cached."""
         pv = self._powvecs
-        while len(pv) <= n:
-            pv.append(self.shift_vector(pv[-1]))
+        if len(pv) <= n:
+            pv = list(pv)
+            while len(pv) <= n:
+                pv.append(self.shift_vector(pv[-1]))
+            self._powvecs = pv  # one assignment: no thread sees a partial extension
         return pv[n]
 
     def mul_power(self, v, n):
@@ -198,7 +201,7 @@ class BetaBase:
 
     def digits_vector(self, digits):
         """Vector of the MSD-first digits with the last one at beta**0 (Horner)."""
-        v = self.zero_vector()
+        v = (0,) * self.degree
         for dig in digits:
             v = self.shift_vector(v)
             if dig:
@@ -243,17 +246,15 @@ class BetaBase:
         """Integer enclosures [plo[i], phi[i]] / 2**bits of beta**i, i <= n."""
         self._refine_dyadic(bits)
         bits = self._dy_bits
-        cache = self._dy_powers.get(bits)
-        if cache is None:
-            one = 1 << bits
-            cache = ([one], [one])
-            self._dy_powers[bits] = cache
-        plo, phi = cache
-        blo = self._dy_num
-        bhi = blo + 1
-        while len(plo) <= n:
-            plo.append((plo[-1] * blo) >> bits)
-            phi.append(-((-phi[-1] * bhi) >> bits))
+        plo, phi = self._dy_powers.get(bits) or ((1 << bits,), (1 << bits,))
+        if len(plo) <= n:
+            plo, phi = list(plo), list(phi)
+            blo = self._dy_num
+            bhi = blo + 1
+            while len(plo) <= n:
+                plo.append((plo[-1] * blo) >> bits)
+                phi.append(-((-phi[-1] * bhi) >> bits))
+            self._dy_powers[bits] = (plo, phi)  # published together, as in power_vector
         return plo, phi, bits
 
     def _value_enclosure(self, v, bits):
@@ -286,13 +287,17 @@ class BetaBase:
 
     def floor_of_vector(self, v, scale=0):
         """Exact floor of beta**(-scale) * value(v)."""
-        # dyadic estimate first; the exact adjustment below certifies it
-        L, H, bits = self._value_enclosure(v, _SIGN_BITS_START)
-        if scale:
+        # dyadic estimate first, refined until it pins the floor to one unit
+        # (or the precision cap); the exact adjustment below certifies it
+        bits = _SIGN_BITS_START
+        while True:
+            L, H, bits = self._value_enclosure(v, bits)
             plo, phi, bits = self._powers_dyadic(bits, scale)
             n = L // phi[scale] if L >= 0 else L // plo[scale]
-        else:
-            n = L >> bits
+            top = H // plo[scale] if H >= 0 else H // phi[scale]
+            if top - n <= 1 or bits >= _SIGN_BITS_LIMIT:
+                break
+            bits *= 2
         pw = self.power_vector(scale)
         while True:
             diff = tuple(v[i] - (n + 1) * pw[i] for i in range(self.degree))
@@ -494,13 +499,6 @@ def certified_floor(v, base=None):
     if base is not None and v.base != base:
         raise ValueError("value does not live over the given base")
     return v.base.floor_of_vector(v.coeffs, v.scale)
-
-
-def certified_ceil(v):
-    f = certified_floor(v)
-    if values_equal(v, QuotientValue.from_int(v.base, f)):
-        return f
-    return f + 1
 
 
 def self_reciprocal(poly):

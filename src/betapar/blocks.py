@@ -82,6 +82,12 @@ def make_block_params(base, ell, s):
     return BlockParams(2 * (ell + s), ell, s, B, A)
 
 
+def _pf_certified(base):
+    """Whether d_beta(1) of the base passes the (F)/(PF) sufficient check."""
+    d = renyi_dbeta(base)
+    return d is not None and pf_sufficient(d) in (F, PF)
+
+
 def params_for_pf_base(base, s, allow_non_pf=False):
     """Block parameters with the smallest l such that 2*floor(beta)/(beta-1) < beta^l.
 
@@ -91,12 +97,9 @@ def params_for_pf_base(base, s, allow_non_pf=False):
     check unless the caller overrides (the check is not a negative
     certificate, so overriding can be legitimate).
     """
-    if not allow_non_pf:
-        d = renyi_dbeta(base)
-        if d is None or pf_sufficient(d) not in (F, PF):
-            raise ValueError(
-                "base not certified (F)/(PF) by the sufficient condition; "
-                "pass allow_non_pf=True to proceed at your own risk")
+    if not allow_non_pf and not _pf_certified(base):
+        raise ValueError("base not certified (F)/(PF) by the sufficient condition; "
+                         "pass allow_non_pf=True to proceed at your own risk")
     t1 = canonical_alphabet(base).max_digit
     unit = base.unit_vector()
     ell = 0
@@ -233,9 +236,6 @@ class BlockAdder:
         block = (c,) * self.params.k
         return c in self.params.A and self.phi(block, block, block) == block
 
-    def __call__(self, x, y):
-        return self.add(x, y)
-
 
 # -- empirical estimation of s -------------------------------------------------
 
@@ -267,8 +267,7 @@ def estimate_s_report(base, test_len, pair_budget=300000, sample_pairs=2000, see
     then over seeded random pairs drawn from the longer words.  The
     returned value is a lower estimate of the true bound.
     """
-    d = renyi_dbeta(base)
-    if d is None or pf_sufficient(d) not in (F, PF):
+    if not _pf_certified(base):
         raise ValueError("estimate_s needs a base certified (F)/(PF)")
     words_by_len = [[()]]
     for n in range(1, test_len + 1):
@@ -336,13 +335,11 @@ class SignedBlockAdder(ChainAdder):
     verification is part of the contract.
     """
 
-    def __init__(self, base, params, verify=True):
+    def __init__(self, base, params):
         self.params = params
         self.inner = BlockAdder(base, params)
         t1 = params.B.max_digit
         super().__init__(self.inner, Alphabet(-t1, t1))
-        if not verify:
-            return
         rng = _random.Random(_SIGNED_VERIFY_SEED)
         k = params.k
         for _ in range(_SIGNED_VERIFY_PAIRS):

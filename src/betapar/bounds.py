@@ -18,6 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebraic import MinimalPolynomial, root_moduli, self_reciprocal
+from .numeration import F, PF, pf_sufficient
 
 IMPOSSIBLE_EVIDENCE = "impossible-evidence"
 NO_EVIDENCE = "no-evidence"
@@ -107,28 +108,18 @@ def upper_bound_corollaries(d):
     d_beta(1) = t_1..t_m t^omega with t_1 > t_2 >= ... >= t_m > t >= 1
     gives 2 t_1 - t_2 - 1 <= M <= 2 t_1.  (The source states the second
     hypothesis chain with an apparent typo, "t_1 > t_2 >= t_2 >= ...";
-    it is implemented as the monotone chain above.)  Note this brackets M,
-    not the cardinality M + 1.
+    it is implemented as the monotone chain above.)  These are the (F) and
+    (PF) conditions of :func:`pf_sufficient`, the second with a strict
+    first step.  Note this brackets M, not the cardinality M + 1.
     """
-    if d.is_finite():
-        ts = d.preperiod
-        if not ts or any(t < 1 for t in ts):
-            return None
-        if any(a < b for a, b in zip(ts, ts[1:])):
-            return None
-        return (ts[0] + ts[-1], 2 * ts[0])
-    if len(d.period) != 1:
-        return None
-    t = d.period[0]
+    kind = pf_sufficient(d)
     ts = d.preperiod
-    if not ts or t < 1 or ts[-1] <= t:
-        return None
-    if any(a < b for a, b in zip(ts, ts[1:])):
-        return None
-    if len(ts) >= 2 and not ts[0] > ts[1]:
-        return None
-    t2 = ts[1] if len(ts) >= 2 else t
-    return (2 * ts[0] - t2 - 1, 2 * ts[0])
+    if kind == F:
+        return (ts[0] + ts[-1], 2 * ts[0])
+    if kind == PF and (len(ts) == 1 or ts[0] > ts[1]):
+        t2 = ts[1] if len(ts) >= 2 else d.period[0]
+        return (2 * ts[0] - t2 - 1, 2 * ts[0])
+    return None
 
 
 def block_impossible_unit_conjugate(poly, eps=Fraction(1, 10 ** 6)):

@@ -29,7 +29,14 @@ from .bounds import (
 from .conversion import LocalRule, check_sum, exhaustive, random_strings, verify_conversion
 from .digits import Alphabet, format_digits, parse_digits
 from .numeration import classify_parry, pf_sufficient
-from .quadratic import gde_minus, gde_plus, gde_plus_special, quadratic_adder, shifted_adder
+from .quadratic import (
+    gde_minus,
+    gde_plus,
+    gde_plus_special,
+    quadratic_adder,
+    quadratic_family,
+    shifted_adder,
+)
 
 
 class CliError(Exception):
@@ -115,23 +122,11 @@ def cmd_verify(args):
     return 0 if report.verdict == "pass" else 2
 
 
-def _quadratic_family(base):
-    """(kind, a, b) of the GDE family whose base polynomial is X^2 - a X -+ b."""
-    coeffs = base.poly.coefficients
-    if len(coeffs) == 3:
-        _, c1, c0 = coeffs
-        a, b = -c1, abs(c0)
-        if c0 < 0:
-            return ("plus_special" if b == a - 1 else "plus"), a, b
-        return "minus", a, b
-    raise CliError("gde-chain addition needs a quadratic base, got %s" % base.poly)
-
-
 def cmd_add(args):
     base = base_from_spec(args.base)
     x = parse_digits(args.x)
     y = parse_digits(args.y)
-    kind, a, b = _quadratic_family(base)
+    kind, a, b = quadratic_family(base)
     if args.shift:
         adder = shifted_adder(kind, a, b, args.shift)
     else:

@@ -82,11 +82,12 @@ class LocalRule:
 
     def _tabulate(self):
         table = {}
-        lo = self.input_alphabet.min_digit
-        hi = self.input_alphabet.max_digit
-        for w in itertools.product(range(lo, hi + 1), repeat=self.p):
-            out = self.window_fn(w)
-            if out not in self.output_alphabet:
+        window_fn = self.window_fn
+        lo = self.output_alphabet.min_digit
+        hi = self.output_alphabet.max_digit
+        for w in itertools.product(self.input_alphabet, repeat=self.p):
+            out = window_fn(w)
+            if not lo <= out <= hi:
                 raise ValueError("%s: window %r maps to %r outside %s"
                                  % (self.name, w, out, self.output_alphabet))
             table[w] = out
@@ -172,12 +173,8 @@ class RandomStrings(NamedTuple):
     maxlen: int = 12
 
 
-def exhaustive(maxlen):
-    return Exhaustive(maxlen)
-
-
-def random_strings(n, seed, maxlen=12):
-    return RandomStrings(n, seed, maxlen)
+exhaustive = Exhaustive
+random_strings = RandomStrings
 
 
 class ConversionReport:
@@ -235,7 +232,10 @@ def _iter_random(alphabet, n, seed, maxlen):
         yield tuple(rng.randint(lo, hi) for _ in range(length))
 
 
-def verify_conversion(rule, strategy, max_failures=5):
+_MAX_FAILURES = 5
+
+
+def verify_conversion(rule, strategy):
     """Check alphabet containment and exact value preservation of a conversion.
 
     ``rule`` is anything with ``base``, ``name``, ``input_alphabet``,
@@ -272,7 +272,7 @@ def verify_conversion(rule, strategy, max_failures=5):
                 failures.append((format_digits(u), format_digits(v), "digit outside output alphabet"))
             elif not values_equal(eval_digit_string(u, base), eval_digit_string(v, base)):
                 failures.append((format_digits(u), format_digits(v), "value mismatch"))
-        if len(failures) >= max_failures:
+        if len(failures) >= _MAX_FAILURES:
             break
     return ConversionReport(rule.name, label, checked, failures)
 
@@ -316,9 +316,6 @@ class ChainAdder:
         """Window width of the composite map over a local-rule layer."""
         return 1 + (self.hi_layers + self.lo_layers) * (self.layer.p - 1)
 
-    def __call__(self, x, y):
-        return self.add(x, y)
-
     def add(self, x, y):
         for s in (x, y):
             if not s.alphabet_ok(self.alphabet):
@@ -348,27 +345,3 @@ class ChainAdder:
 def _indicator(y, pred, sign):
     return DigitString([sign if pred(d) else 0 for d in y.digits], y.msd_exponent)
 
-
-def make_adder_by_elimination(gde, M):
-    """Adder on {0..M} from a greatest-digit-elimination rule {0..M+1} -> {0..M}.
-
-    y decomposes into indicator layers y(1), ..., y(M) with
-    y(i)_j = 1 iff y_j >= i; folding s_i = gde(s_{i-1} + y(i)) keeps every
-    intermediate within {0..M+1} and ends over {0..M} with the exact sum
-    value.  The composite is (M(p-1)+1)-local.
-    """
-    return make_shifted_adder(gde, M, 0)
-
-
-def make_shifted_adder(gde, M, d):
-    """Adder on {-d..M-d} via the elimination rule conjugated by plateau letters.
-
-    Positive layers of y go through the gde conjugated by d; negative layers
-    through the mirror image of the gde conjugated by M-d.  Requires d
-    (resp. M-d) fixed whenever positive (resp. negative) layers exist.
-    Callers are expected to oracle-verify the result; the construction is
-    engineering on top of a cited, unrestated corollary.
-    """
-    if not (0 <= d <= M):
-        raise ValueError("shift must satisfy 0 <= d <= M")
-    return ChainAdder(gde, Alphabet(-d, M - d))

@@ -102,14 +102,6 @@ class DigitString:
         raise AttributeError("DigitString is immutable")
 
     @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
-    def single(cls, digit, exponent=0):
-        return cls((digit,), exponent)
-
-    @classmethod
     def from_pairs(cls, pairs):
         """Build from (exponent, digit) pairs; repeated exponents add."""
         acc = {}

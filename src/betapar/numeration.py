@@ -360,15 +360,20 @@ def _greedy_step(base, r):
     return dig, r
 
 
-def greedy_fractional_depth(base, vec, cap=500):
+_MAX_FRACTIONAL_DEPTH = 500
+
+
+def greedy_fractional_depth(base, vec):
     """Number of fractional digits of the greedy expansion of value(vec) >= 0.
 
-    Raises if the expansion has not terminated after cap fractional digits;
-    for (PF) bases and the sums considered here this never happens.
+    Raises if the expansion has not terminated after _MAX_FRACTIONAL_DEPTH
+    fractional digits; for (PF) bases and the sums considered here this
+    never happens.
     """
-    _, frac, exact = greedy_vector_digits(base, vec, cap)
+    _, frac, exact = greedy_vector_digits(base, vec, _MAX_FRACTIONAL_DEPTH)
     if not exact:
-        raise RuntimeError("greedy expansion did not terminate within %d fractional digits" % cap)
+        raise RuntimeError("greedy expansion did not terminate within %d fractional digits"
+                           % _MAX_FRACTIONAL_DEPTH)
     return len(frac)
 
 

@@ -13,15 +13,17 @@ Each rule first selects a carry q_j from a short case table reading the
 digits near position j, then outputs
 x_j = z_j - a q_j -(+) b q_{j+1} + q_{j-1}, which deducts q_j times a
 representation of zero (beta^2 - a beta -+ b) and therefore cannot change
-the value.  The case tables are transcribed verbatim; construction
-enumerates every window, which both asserts that all outputs stay inside
-the declared alphabet and freezes the table for fast application.  Any
-transcription slip fails loudly at construction or in the exhaustive
-verification sweeps.
+the value.  The three rules differ only in their case tables, which are
+transcribed verbatim; :func:`_gde` is the rest of the construction.  It
+tabulates the carry once, and the rule's construction enumerates every
+window, which both asserts that all outputs stay inside the declared
+alphabet and freezes the table for fast application.  Any transcription
+slip fails loudly at construction or in the exhaustive verification sweeps.
 
-Note on window widths: the carry q_j reads one digit each way (two for the
-special and minus tables), but the output x_j also consumes q_{j+1} and
-q_{j-1}, so the full digit maps are 5-, 6- and 7-local respectively.
+Note on window widths: the carry q_j reads one digit each way (two ahead
+for the special table, two each way for the minus table), but the output
+x_j also consumes q_{j+1} and q_{j-1}, so the full digit maps are 5-, 6-
+and 7-local respectively.  Every adder takes its alphabet from its rule.
 
 The carry choice depends on neighbouring digits, so all three rules are
 neighbour-sensitive.
@@ -29,42 +31,44 @@ neighbour-sensitive.
 
 from __future__ import annotations
 
-from .algebraic import (
-    QuotientValue,
-    qv_add,
-    qv_mul_int,
-    quadratic_minus_base,
-    quadratic_plus_base,
-    values_equal,
-)
-from .conversion import (
-    LocalRule,
-    make_adder_by_elimination,
-    make_shifted_adder,
-    random_strings,
-    verify_conversion,
-)
+import itertools
+
+from .algebraic import quadratic_minus_base, quadratic_plus_base
+from .conversion import ChainAdder, LocalRule, random_strings, verify_conversion
 from .digits import Alphabet
 
 _SHIFT_VERIFY_SEED = 1729
 _SHIFT_VERIFY_STRINGS = 200
 
 
-def _assert_zero_identity(base, a, b_signed):
-    """beta^2 - a beta - b_signed must be exactly zero in Z[beta]."""
-    lhs = QuotientValue.beta_power(base, 2)
-    rhs = qv_add(qv_mul_int(QuotientValue.beta_power(base, 1), a),
-                 QuotientValue.from_int(base, b_signed))
-    if not values_equal(lhs, rhs):
+def _gde(base, a, b_signed, top, ahead, behind, q, name):
+    """The elimination {0..top} -> {0..top-1} with carry q, for beta^2 = a beta + b_signed.
+
+    q reads the ``ahead`` digits above z_j, z_j itself and the ``behind``
+    digits below it, most significant first.  It is tabulated once; the
+    output x_j = z_j - a q_j - b_signed q_{j+1} + q_{j-1} reads that table
+    at j+1, j and j-1, so the rule has memory behind+1 and anticipation
+    ahead+1.
+    """
+    if base.poly.reduction_vector() != (b_signed, a):  # f is minimal: beta^2 = a beta + b_signed
         raise AssertionError("base polynomial does not match the elimination identity")
+    reach = ahead + 1 + behind
+    carry = {z: q(*z) for z in itertools.product(range(top + 1), repeat=reach)}
+    mid = ahead + 1
+    here, above, below = slice(1, reach + 1), slice(0, reach), slice(2, reach + 2)
+
+    def window_fn(w):
+        # w = (z_{j+ahead+1}, ..., z_j, ..., z_{j-behind-1}) with z_j at w[mid]
+        return w[mid] - a * carry[w[here]] - b_signed * carry[w[above]] + carry[w[below]]
+
+    return LocalRule(base, behind + 1, ahead + 1, Alphabet(0, top), Alphabet(0, top - 1),
+                     window_fn, name=name)
 
 
 def gde_plus(a, b):
     """Greatest digit elimination for beta^2 = a beta + b, a >= b+2, b >= 2."""
     if not (b >= 2 and a >= b + 2):
         raise ValueError("gde_plus needs a >= b+2 and b >= 2")
-    base = quadratic_plus_base(a, b)
-    _assert_zero_identity(base, a, b)
     top = a + b + 1
 
     def q(zp, z, zm):
@@ -80,12 +84,7 @@ def gde_plus(a, b):
             return -1
         return 0
 
-    def window_fn(w):
-        # w = (z_{j+2}, z_{j+1}, z_j, z_{j-1}, z_{j-2})
-        return w[2] - a * q(w[1], w[2], w[3]) - b * q(w[0], w[1], w[2]) + q(w[2], w[3], w[4])
-
-    return LocalRule(base, 2, 2, Alphabet(0, top), Alphabet(0, a + b), window_fn,
-                     name="gde-plus:%d,%d" % (a, b))
+    return _gde(quadratic_plus_base(a, b), a, b, top, 1, 1, q, "gde-plus:%d,%d" % (a, b))
 
 
 def gde_plus_special(a):
@@ -96,9 +95,6 @@ def gde_plus_special(a):
     """
     if a < 3:
         raise ValueError("gde_plus_special needs a >= 3")
-    base = quadratic_plus_base(a, a - 1)
-    _assert_zero_identity(base, a, a - 1)
-    top = 2 * a
 
     def q(zpp, zp, z, zm):
         if z == 2 * a and zp <= 2 * a - 1:
@@ -119,22 +115,14 @@ def gde_plus_special(a):
             return -1
         return 0
 
-    def window_fn(w):
-        # w = (z_{j+3}, z_{j+2}, z_{j+1}, z_j, z_{j-1}, z_{j-2})
-        return (w[3] - a * q(w[1], w[2], w[3], w[4])
-                - (a - 1) * q(w[0], w[1], w[2], w[3]) + q(w[2], w[3], w[4], w[5]))
-
-    return LocalRule(base, 2, 3, Alphabet(0, top), Alphabet(0, 2 * a - 1), window_fn,
-                     name="gde-plus-special:%d" % a)
+    return _gde(quadratic_plus_base(a, a - 1), a, a - 1, 2 * a, 2, 1, q,
+                "gde-plus-special:%d" % a)
 
 
 def gde_minus(a, b):
     """Greatest digit elimination for beta^2 = a beta - b, a >= b+2, b >= 1."""
     if not (b >= 1 and a >= b + 2):
         raise ValueError("gde_minus needs a >= b+2 and b >= 1")
-    base = quadratic_minus_base(a, b)
-    _assert_zero_identity(base, a, -b)
-    top = a + b - 1
 
     def q(zpp, zp, z, zm, zmm):
         if z == a + b - 1:
@@ -153,16 +141,7 @@ def gde_minus(a, b):
                 return 1
         return 0
 
-    def window_fn(w):
-        # w = (z_{j+3}, z_{j+2}, z_{j+1}, z_j, z_{j-1}, z_{j-2}, z_{j-3})
-        return (w[3] - a * q(w[1], w[2], w[3], w[4], w[5])
-                + b * q(w[0], w[1], w[2], w[3], w[4]) + q(w[2], w[3], w[4], w[5], w[6]))
-
-    return LocalRule(base, 3, 3, Alphabet(0, top), Alphabet(0, a + b - 2), window_fn,
-                     name="gde-minus:%d,%d" % (a, b))
-
-
-_KINDS = ("plus", "plus_special", "minus")
+    return _gde(quadratic_minus_base(a, b), a, -b, a + b - 1, 2, 2, q, "gde-minus:%d,%d" % (a, b))
 
 
 def gde_rule(kind, a, b=None):
@@ -172,47 +151,50 @@ def gde_rule(kind, a, b=None):
         return gde_plus_special(a)
     if kind == "minus":
         return gde_minus(a, b)
-    raise ValueError("kind must be one of %s" % (_KINDS,))
+    raise ValueError("kind must be one of ('plus', 'plus_special', 'minus')")
 
 
-def _adder_top(kind, a, b):
-    if kind == "plus":
-        return a + b
-    if kind == "plus_special":
-        return 2 * a - 1
-    return a + b - 2
+def quadratic_family(base):
+    """(kind, a, b) of the GDE family whose base polynomial is X^2 - a X -+ b."""
+    coeffs = base.poly.coefficients
+    if len(coeffs) == 3:
+        _, c1, c0 = coeffs
+        a, b = -c1, abs(c0)
+        if c0 < 0:
+            return ("plus_special" if b == a - 1 else "plus"), a, b
+        return "minus", a, b
+    raise ValueError("gde-chain addition needs a quadratic base, got %s" % base.poly)
 
 
 def quadratic_adder(kind, a, b=None):
-    """Full parallel adder on the attained alphabet for the given family.
+    """Full parallel adder on the elimination's output alphabet for the given family.
 
     Target alphabets: plus {0..a+b}, plus_special {0..2a-1}, minus
     {0..a+b-2}; these cardinalities meet the corresponding lower bounds.
     """
     rule = gde_rule(kind, a, b)
-    return make_adder_by_elimination(rule, _adder_top(kind, a, b))
+    return ChainAdder(rule, rule.output_alphabet)
 
 
-def shifted_adder(kind, a, b=None, d=0, verify=True):
+def shifted_adder(kind, a, b=None, d=0):
     """Adder on the shifted alphabet {-d .. M-d} for the given family.
 
-    Allowed shifts: 0 <= d <= a+b for the plus families (any contiguous
-    alphabet of the attained cardinality containing 0), and b <= d <= a-2
-    for the minus family.  The construction conjugates the elimination rule
+    M is the top digit of the rule's output alphabet.  Allowed shifts:
+    0 <= d <= M for the plus families (any contiguous alphabet of the
+    attained cardinality containing 0), and b <= d <= a-2 for the minus
+    family.  The construction conjugates the elimination rule
     by fixed letters; the adder, as its own A+A -> A conversion, is
     oracle-verified right here on 200 strings with a fixed seed;
     a verification failure is a bug, not a recoverable condition.
     """
-    M = _adder_top(kind, a, b)
-    if kind == "minus":
-        if not (b <= d <= a - 2):
-            raise ValueError("minus-family shift needs b <= d <= a-2, got d=%d" % d)
-    else:
-        if not (0 <= d <= M):
-            raise ValueError("shift out of range: 0 <= d <= %d, got d=%d" % (M, d))
+    if kind == "minus" and not (b <= d <= a - 2):
+        raise ValueError("minus-family shift needs b <= d <= a-2, got d=%d" % d)
     rule = gde_rule(kind, a, b)
-    adder = make_shifted_adder(rule, M, d)
-    if verify and d != 0:
+    M = rule.output_alphabet.max_digit
+    if not (0 <= d <= M):
+        raise ValueError("shift out of range: 0 <= d <= %d, got d=%d" % (M, d))
+    adder = ChainAdder(rule, Alphabet(-d, M - d))
+    if d:
         report = verify_conversion(adder, random_strings(_SHIFT_VERIFY_STRINGS,
                                                          _SHIFT_VERIFY_SEED))
         if report.verdict != "pass":

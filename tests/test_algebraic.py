@@ -1,3 +1,6 @@
+import sys
+import threading
+import time
 from fractions import Fraction
 
 import pytest
@@ -145,6 +148,64 @@ class TestRefineAndFloor:
             n = certified_floor(v)
             assert qv_sign(qv_sub(v, QuotientValue.from_int(fib, n))) >= 0
             assert qv_sign(qv_sub(v, QuotientValue.from_int(fib, n + 1))) < 0
+
+    def test_floor_of_a_large_value_takes_few_sign_calls(self, monkeypatch):
+        # the 64-bit enclosure of beta^40 is about 2^20 units wide; refined
+        # until it pins the floor to one unit, the exact correction needs
+        # only a couple of sign tests instead of one per unit
+        base = quadratic_plus_base(4, 2)
+        v = QuotientValue.beta_power(base, 40)
+        sign = BetaBase.sign_of_vector
+        calls = []
+
+        def counted(self, w):
+            calls.append(w)
+            return sign(self, w)
+
+        monkeypatch.setattr(BetaBase, "sign_of_vector", counted)
+        n = certified_floor(v)
+        monkeypatch.undo()
+        assert len(calls) <= 4
+        assert qv_sign(qv_sub(v, QuotientValue.from_int(base, n))) >= 0
+        assert qv_sign(qv_sub(v, QuotientValue.from_int(base, n + 1))) < 0
+
+
+class TestConcurrency:
+    def test_power_caches_agree_across_threads(self, monkeypatch):
+        # shift_vector yields to the other threads between cache appends, and
+        # a short switch interval interleaves the dyadic enclosure loop too,
+        # so eight threads extend the caches of one fresh base at the same
+        # time; each must read what a base of its own computes
+        fresh = tribonacci_base()
+        want = (fresh.power_vector(40), fresh.float_value(fresh.unit_vector(), 40))
+        shift = BetaBase.shift_vector
+
+        def yielding(self, v):
+            time.sleep(0)
+            return shift(self, v)
+
+        monkeypatch.setattr(BetaBase, "shift_vector", yielding)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                base = tribonacci_base()
+                barrier = threading.Barrier(8, timeout=10)
+                got = []
+
+                def work():
+                    barrier.wait()
+                    got.append((base.power_vector(40), base.float_value(base.unit_vector(), 40)))
+
+                threads = [threading.Thread(target=work) for _ in range(8)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=10)
+                    assert not t.is_alive()
+                assert got == [want] * 8
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestFloats:

@@ -1,3 +1,6 @@
+import hashlib
+import itertools
+
 import pytest
 
 from betapar.bounds import (
@@ -9,6 +12,7 @@ from betapar.bounds import (
     lower_bound_1block,
     upper_bound_corollaries,
 )
+from betapar.numeration import EventuallyPeriodicString
 from betapar.numeration import parse_eventually_periodic as eps
 
 
@@ -83,6 +87,18 @@ class TestUpperBounds:
     def test_not_applicable(self):
         assert upper_bound_corollaries(eps("12")) is None
         assert upper_bound_corollaries(eps("1(12)")) is None
+
+    def test_golden_enumeration(self):
+        # every preperiod of length <= 4 and period of length <= 2 over the
+        # digits 0..4: 781 * 31 = 24,211 strings, 173 of them bracketed
+        def words(n):
+            return [w for k in range(n + 1) for w in itertools.product(range(5), repeat=k)]
+
+        out = [upper_bound_corollaries(EventuallyPeriodicString(pre, per))
+               for pre in words(4) for per in words(2)]
+        assert len(out) == 24211 and sum(iv is not None for iv in out) == 173
+        assert hashlib.sha256(repr(out).encode()).hexdigest() == (
+            "5424f9ddf7933d66359b750f0b2e33339adb04e4c54d850256a8647284fa1299")
 
     def test_lower_never_exceeds_upper(self):
         for text in ["42", "111", "53", "3(1)", "2(1)", "521(1)"]:

@@ -4,13 +4,12 @@ import pytest
 
 from betapar.algebraic import eval_digit_string, values_equal
 from betapar.conversion import (
+    ChainAdder,
     LocalRule,
     apply_local,
     check_sum,
     exhaustive,
     fixed_letters,
-    make_adder_by_elimination,
-    make_shifted_adder,
     random_strings,
     verify_conversion,
 )
@@ -104,7 +103,7 @@ class TestShiftRule:
     def test_unfixed_letter_rejected(self):
         # minus:4,2 fixes only {0, 1, 2}; d = 3 needs 3 fixed
         with pytest.raises(ValueError, match="3 is not a fixed letter"):
-            make_shifted_adder(gde_minus(4, 2), 4, 3)
+            ChainAdder(gde_minus(4, 2), Alphabet(-3, 1))
 
     def test_shifted_rule_verifies(self, rule_plus42):
         base = rule_plus42.base
@@ -128,23 +127,23 @@ class TestShiftRule:
 class TestEliminationAdder:
     def test_alphabet_contract_enforced(self, rule_plus42):
         with pytest.raises(ValueError):
-            make_adder_by_elimination(rule_plus42, 5)
+            ChainAdder(rule_plus42, Alphabet(0, 5))
 
     def test_add_zero(self, rule_plus42):
-        adder = make_adder_by_elimination(rule_plus42, 6)
+        adder = ChainAdder(rule_plus42, Alphabet(0, 6))
         x = parse_digits("4,0,5")
         out = adder.add(x, DigitString())
         assert values_equal(eval_digit_string(out, adder.base),
                             eval_digit_string(x, adder.base))
 
     def test_effective_window_recorded(self, rule_plus42):
-        adder = make_adder_by_elimination(rule_plus42, 6)
+        adder = ChainAdder(rule_plus42, Alphabet(0, 6))
         assert adder.effective_window == 6 * (rule_plus42.p - 1) + 1
 
     def test_conversion_rule_view_value_correct(self, rule_plus42):
         # the A+A -> A conversion view re-splits the digitwise sum, so its
         # output string may differ from add(x, y); the values must agree
-        adder = make_adder_by_elimination(rule_plus42, 6)
+        adder = ChainAdder(rule_plus42, Alphabet(0, 6))
         assert adder.input_alphabet == Alphabet(0, 12)
         assert adder.output_alphabet == Alphabet(0, 6)
         base = adder.base
@@ -163,7 +162,7 @@ class TestEliminationAdder:
 
     def test_composite_rule_windows_consistent(self, rule_minus41):
         # window-by-window evaluation must agree with whole-string evaluation
-        adder = make_adder_by_elimination(rule_minus41, 3)
+        adder = ChainAdder(rule_minus41, Alphabet(0, 3))
         # three layers of a (3, 3)-local rule: the composite is (9, 9)-local
         mem = 3 * rule_minus41.memory
         ant = 3 * rule_minus41.anticipation
@@ -201,7 +200,7 @@ class TestLocality:
 
     def test_composite_locality_radius(self, rule_minus41):
         # perturbations beyond the effective window radius cannot reach position 0
-        adder = make_adder_by_elimination(rule_minus41, 3)
+        adder = ChainAdder(rule_minus41, Alphabet(0, 3))
         radius = adder.effective_window  # strictly larger than the true radius
         rng = random.Random(13)
         for _ in range(10):
@@ -216,7 +215,7 @@ class TestLocality:
 
 class TestShiftedChain:
     def test_full_negative_shift_is_negation(self, rule_plus42):
-        adder = make_shifted_adder(rule_plus42, 6, 6)
+        adder = ChainAdder(rule_plus42, Alphabet(-6, 0))
         x = parse_digits("-4,-2")
         y = parse_digits("-1.-6")
         out = adder.add(x, y)
@@ -224,7 +223,7 @@ class TestShiftedChain:
         assert adder.alphabet == Alphabet(-6, 0)
 
     def test_mixed_shift_random(self, rule_plus42):
-        adder = make_shifted_adder(rule_plus42, 6, 2)
+        adder = ChainAdder(rule_plus42, Alphabet(-2, 4))
         rng = random.Random(31)
         for _ in range(50):
             n = rng.randint(0, 8)
@@ -236,17 +235,17 @@ class TestShiftedChain:
 
 class TestCheckSum:
     def test_accepts_the_adder_sum(self, rule_plus42):
-        adder = make_adder_by_elimination(rule_plus42, 6)
+        adder = ChainAdder(rule_plus42, Alphabet(0, 6))
         x, y = parse_digits("6,6"), parse_digits("5.1")
         assert check_sum(adder, x, y, adder.add(x, y))
 
     def test_rejects_a_wrong_value(self, rule_plus42):
-        adder = make_adder_by_elimination(rule_plus42, 6)
+        adder = ChainAdder(rule_plus42, Alphabet(0, 6))
         x, y = parse_digits("6"), parse_digits("6")
         assert not check_sum(adder, x, y, parse_digits("2,3.0,1"))
 
     def test_rejects_digits_outside_the_alphabet(self, rule_plus42):
         # 12 has the right value but is no digit of {0..6}
-        adder = make_adder_by_elimination(rule_plus42, 6)
+        adder = ChainAdder(rule_plus42, Alphabet(0, 6))
         x, y = parse_digits("6"), parse_digits("6")
         assert not check_sum(adder, x, y, parse_digits("12"))
