@@ -13,8 +13,8 @@ The package implements, over real algebraic-integer bases beta > 1:
 * k-block 3-local parallel addition for (PF) bases, with the Tribonacci
   14-block adder on {0,1,2} as the flagship instance
   (:mod:`betapar.blocks`);
-* alphabet-cardinality bounds and the unit-circle impossibility reporter
-  (:mod:`betapar.bounds`).
+* alphabet-cardinality bounds and the exact unit-circle impossibility
+  decision (:mod:`betapar.bounds`).
 
 A small CLI wraps the lot: ``betapar dbeta|add|verify|block-add|bounds``.
 """
@@ -35,7 +35,6 @@ from .algebraic import (
     qv_sub,
     quadratic_minus_base,
     quadratic_plus_base,
-    root_moduli,
     self_reciprocal,
     tribonacci_base,
     values_equal,

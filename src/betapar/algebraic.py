@@ -19,10 +19,10 @@ the enclosure decides the question; exact vector tests settle the boundary
 cases, so floors always terminate.
 
 Values are immutable.  A base's power caches grow by building each
-extension privately and publishing it in one assignment; an 8-thread test
-checks that threads sharing a base read the powers a fresh base computes.
-Raising the dyadic precision still writes three attributes in turn, so a
-thread reading during that write can see them out of step.
+extension privately and publishing it in one assignment, and its dyadic
+precision, enclosure of beta and power enclosures form one immutable
+snapshot, replaced in one assignment; 8-thread tests check that threads
+sharing a base read what a fresh base computes.
 """
 
 from __future__ import annotations
@@ -88,10 +88,6 @@ class MinimalPolynomial:
         coeffs = self.coefficients
         d = self.degree
         return tuple(-coeffs[d - i] for i in range(d))
-
-    def derivative_coefficients(self):
-        d = self.degree
-        return tuple(c * (d - j) for j, c in enumerate(self.coefficients[:-1]))
 
     def __eq__(self, other):
         return isinstance(other, MinimalPolynomial) and self.coefficients == other.coefficients
@@ -165,10 +161,9 @@ class BetaBase:
         self._red = poly.reduction_vector()
         self._sign_at_lo = slo
         self._powvecs = [tuple([1] + [0] * (poly.degree - 1))]
-        # dyadic cache: beta in [num, num+1] / 2**bits, plus power enclosures
-        self._dy_bits = 0
-        self._dy_num = None
-        self._dy_powers = {}
+        # dyadic snapshot (bits, num, plo, phi): beta in [num, num+1] / 2**bits
+        # and beta**i in [plo[i], phi[i]] / 2**bits; never mutated, only replaced
+        self._dy = (0, None, None, None)
         self._refine_dyadic(_SIGN_BITS_START)
 
     # -- exact vector arithmetic -------------------------------------------
@@ -225,8 +220,10 @@ class BetaBase:
     # -- dyadic enclosures ---------------------------------------------------
 
     def _refine_dyadic(self, bits):
-        if bits <= self._dy_bits:
-            return
+        """The dyadic snapshot at >= bits of precision, bisecting f if needed."""
+        snap = self._dy
+        if bits <= snap[0]:
+            return snap
         lo, hi = self.interval
         lo_num = (lo.numerator << bits) // lo.denominator
         hi_num = -((-hi.numerator << bits) // hi.denominator)
@@ -238,23 +235,21 @@ class BetaBase:
                 lo_num = mid
             else:
                 hi_num = mid
-        self._dy_bits = bits
-        self._dy_num = lo_num
-        self._dy_powers = {}
+        snap = (bits, lo_num, [1 << bits], [1 << bits])
+        self._dy = snap  # one assignment: no thread sees bits and num out of step
+        return snap
 
     def _powers_dyadic(self, bits, n):
         """Integer enclosures [plo[i], phi[i]] / 2**bits of beta**i, i <= n."""
-        self._refine_dyadic(bits)
-        bits = self._dy_bits
-        plo, phi = self._dy_powers.get(bits) or ((1 << bits,), (1 << bits,))
+        bits, blo, plo, phi = self._refine_dyadic(bits)
         if len(plo) <= n:
             plo, phi = list(plo), list(phi)
-            blo = self._dy_num
             bhi = blo + 1
             while len(plo) <= n:
                 plo.append((plo[-1] * blo) >> bits)
                 phi.append(-((-phi[-1] * bhi) >> bits))
-            self._dy_powers[bits] = (plo, phi)  # published together, as in power_vector
+            if self._dy[0] == bits:  # never replace a finer snapshot
+                self._dy = (bits, blo, plo, phi)
         return plo, phi, bits
 
     def _value_enclosure(self, v, bits):
@@ -324,8 +319,8 @@ class BetaBase:
         return (L + H) / (plo[scale] + phi[scale])
 
     def beta_float(self):
-        self._refine_dyadic(_SIGN_BITS_START)
-        return (2 * self._dy_num + 1) / (2 << self._dy_bits)
+        bits, num, _, _ = self._refine_dyadic(_SIGN_BITS_START)
+        return (2 * num + 1) / (2 << bits)
 
     def __eq__(self, other):
         # same polynomial AND overlapping isolating intervals: a polynomial
@@ -513,81 +508,6 @@ def self_reciprocal(poly):
     c = poly.coefficients
     rev = tuple(reversed(c))
     return c == rev or c == tuple(-x for x in rev)
-
-
-def root_moduli(poly, eps=Fraction(1, 10 ** 8), max_precision=2000):
-    """Certified enclosures of the moduli of all complex roots of poly.
-
-    Roots are approximated numerically (mpmath) and validated a posteriori:
-    for any point z, the disc around z of radius d*|f(z)/f'(z)| contains at
-    least one root, and d pairwise disjoint such discs match the d roots
-    bijectively.  Returns a list of (modulus_lo, modulus_hi) Fraction pairs
-    of width <= eps sorted increasingly, with None marking a root whose
-    enclosure could not be certified within the precision budget.  This is
-    a reporter: an enclosure straddling 1 is evidence, never a proof, of a
-    unit-circle conjugate.
-    """
-    import mpmath as mp
-
-    if not isinstance(poly, MinimalPolynomial):
-        poly = MinimalPolynomial(poly)
-    eps = Fraction(eps)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    d = poly.degree
-    coeffs = [mp.mpf(c) for c in poly.coefficients]
-    dcoeffs = [mp.mpf(c) for c in poly.derivative_coefficients()]
-    dps = 40
-    while dps <= max_precision:
-        with mp.workdps(dps):
-            try:
-                roots = mp.polyroots(coeffs, maxsteps=200, extraprec=4 * dps)
-            except mp.libmp.libhyper.NoConvergence:
-                dps *= 2
-                continue
-            entries = []
-            ok = True
-            for z in roots:
-                fz = mp.polyval(coeffs, z)
-                dfz = mp.polyval(dcoeffs, z)
-                if dfz == 0:
-                    ok = False
-                    break
-                # the disc of radius d*|f/f'| around z contains a root; pad
-                # generously for evaluation and representation rounding
-                rad = 2 * d * abs(fz / dfz) + mp.ldexp(abs(z) + 1, -(mp.mp.prec - 8))
-                if 2 * rad > mp.mpf(eps.numerator) / eps.denominator:
-                    ok = False
-                    break
-                entries.append((z, rad))
-            if ok:
-                for i in range(len(entries)):
-                    for j in range(i + 1, len(entries)):
-                        zi, ri = entries[i]
-                        zj, rj = entries[j]
-                        if abs(zi - zj) <= ri + rj:
-                            ok = False
-            if ok:
-                out = []
-                for z, rad in entries:
-                    m = abs(z)
-                    lo = _mpf_to_fraction(m - rad)
-                    hi = _mpf_to_fraction(m + rad)
-                    out.append((max(lo, Fraction(0)), hi))
-                out.sort(key=lambda p: p[0])
-                return out
-        dps *= 2
-    return [None] * d
-
-
-def _mpf_to_fraction(x):
-    import mpmath as mp
-
-    sign, man, exp, _ = mp.mpf(x)._mpf_
-    if man == 0:
-        return Fraction(0)
-    # binary floats convert exactly, no rounding direction to worry about
-    return Fraction(-man if sign else man) * Fraction(2) ** exp
 
 
 # -- presets -----------------------------------------------------------------

@@ -7,17 +7,15 @@ carries explicit hypothesis checks and returns None ("not applicable")
 instead of silently applying a formula outside its theorem; the non-simple
 hypotheses in particular are intricate.
 
-The unit-circle test is a reporter, not a decision procedure: it combines
-the exact palindrome test on the minimal polynomial with numerically
-certified root-modulus enclosures, and an enclosure straddling 1 counts as
-evidence only.
+The unit-circle test is an exact decision: it counts the roots of modulus 1
+with a Sturm chain over rationals, so no numeric root finding is involved.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebraic import MinimalPolynomial, root_moduli, self_reciprocal
+from .algebraic import MinimalPolynomial, self_reciprocal
 from .numeration import F, PF, pf_sufficient
 
 IMPOSSIBLE_EVIDENCE = "impossible-evidence"
@@ -122,23 +120,71 @@ def upper_bound_corollaries(d):
     return None
 
 
-def block_impossible_unit_conjugate(poly, eps=Fraction(1, 10 ** 6)):
-    """Report evidence that no alphabet allows block parallel addition.
+def block_impossible_unit_conjugate(poly):
+    """Decide whether f has a root of modulus 1, which rules out block parallel addition.
 
-    'impossible-evidence' when the polynomial equals plus/minus its
-    reciprocal (exact) AND some certified root-modulus enclosure of width
-    <= eps straddles 1 (numerical).  Anything else is 'no-evidence'.
-    Explicitly a reporter: a straddling enclosure is consistent with a
-    unit-circle conjugate but does not prove one.
+    'impossible-evidence' when some root of f lies on the unit circle,
+    'no-evidence' otherwise; the decision is exact.  An irreducible f with
+    a root z of modulus 1 also has the root 1/z = conj(z), so f equals plus
+    or minus its reciprocal; as +-1 are not roots, f is then palindromic of
+    even degree 2m and f(z) = z**m g(z + 1/z).  The unit-circle roots of f
+    are the real roots of g in (-2, 2), which a Sturm chain counts; g(+-2)
+    is f(+-1) up to sign, never 0.  Irreducibility of f is asserted by the
+    caller and not proved.  On a reducible f the answer is about the roots
+    of f, but only a palindromic f gets the Sturm count: a unit-circle root
+    of a factor of a non-palindromic f is missed.
     """
     if not isinstance(poly, MinimalPolynomial):
         poly = MinimalPolynomial(poly)
     if not self_reciprocal(poly):
         return NO_EVIDENCE
-    for enc in root_moduli(poly, eps):
-        if enc is None:
-            continue
-        lo, hi = enc
-        if lo <= 1 <= hi:
-            return IMPOSSIBLE_EVIDENCE
+    g = _trace_polynomial(poly.coefficients)
+    n = len(g) - 1
+    chain = [g, [c * (n - j) for j, c in enumerate(g[:-1])]]
+    while len(chain[-1]) > 1 and (r := _remainder(chain[-2], chain[-1])):
+        chain.append([-c for c in r])
+    if _sign_changes(chain, -2) > _sign_changes(chain, 2):
+        return IMPOSSIBLE_EVIDENCE
     return NO_EVIDENCE
+
+
+def _trace_polynomial(c):
+    """g with f(z) = z**m g(z + 1/z) for the palindromic f = c of degree 2m.
+
+    z**k + z**(-k) = D_k(z + 1/z) with D_0 = 2, D_1 = t and
+    D_{k+1} = t D_k - D_{k-1}.  Coefficients are highest degree first.
+    """
+    m = len(c) // 2
+    g = [c[m]] + [0] * m  # lowest degree first while building
+    prev, cur = [2], [0, 1]
+    for k in range(1, m + 1):
+        for i, x in enumerate(cur):
+            g[i] += c[m - k] * x
+        nxt = [0] + cur
+        for i, x in enumerate(prev):
+            nxt[i] -= x
+        prev, cur = cur, nxt
+    return g[::-1]
+
+
+def _remainder(a, b):
+    """Remainder of a divided by b over the rationals, highest degree first; [] for 0."""
+    a = [Fraction(x) for x in a]
+    while len(a) >= len(b):
+        q = a[0] / b[0]
+        a = [x - q * y for x, y in zip(a[1:], b[1:])] + a[len(b):]
+    while a and a[0] == 0:
+        a.pop(0)
+    return a
+
+
+def _sign_changes(chain, x):
+    """Sign changes along the chain evaluated at x, zeros skipped."""
+    signs = []
+    for p in chain:
+        acc = 0
+        for c in p:
+            acc = acc * x + c
+        if acc:
+            signs.append(acc > 0)
+    return sum(s != t for s, t in zip(signs, signs[1:]))

@@ -214,11 +214,9 @@ def _greedy_down_to(x, base, lowest):
     shifted down by the scale.
     """
     e = x.scale
-    ints, frac, exact = greedy_vector_digits(base, x.coeffs, max(0, -lowest - e))
-    digits = ints[::-1] + frac
+    ints, frac, exact = greedy_vector_digits(base, x.coeffs, lowest + e)
     keep = max(0, len(ints) - e - lowest)
-    exact = exact and not any(digits[keep:])
-    return GreedyExpansion(DigitString(digits[:keep], len(ints) - 1 - e), exact)
+    return GreedyExpansion(DigitString((ints[::-1] + frac)[:keep], len(ints) - 1 - e), exact)
 
 
 def renyi_dbeta(base, max_steps=DEFAULT_MAX_STEPS):
@@ -312,14 +310,15 @@ def pf_sufficient(d):
     return INCONCLUSIVE
 
 
-def greedy_vector_digits(base, vec, max_frac):
-    """Greedy digits of a non-negative Z[beta] vector, on raw vectors.
+def greedy_vector_digits(base, vec, lowest):
+    """Greedy digits of a non-negative Z[beta] vector at positions >= lowest.
 
     Returns (int_digits, frac_digits, exact) with int_digits ascending
-    (index = position) and frac_digits[i] the digit at position -(i+1).
-    This is the one greedy digit loop: block decomposition, the
-    fractional-depth sweeps and greedy_expand all run through it, and it
-    avoids QuotientValue construction entirely.
+    (index = position; positions below lowest read 0) and frac_digits[i]
+    the digit at position -(i+1); exact is False iff a nonzero digit lies
+    below lowest.  This is the one greedy digit loop: block decomposition,
+    the fractional-depth sweeps and greedy_expand all run through it, and
+    it avoids QuotientValue construction entirely.
     """
     d = base.degree
     if not any(vec):
@@ -336,7 +335,7 @@ def greedy_vector_digits(base, vec, max_frac):
         n -= 1
     int_digits = [0] * (n + 1)
     r = vec
-    for j in range(n, -1, -1):
+    for j in range(n, max(lowest, 0) - 1, -1):
         dig = base.floor_of_vector(r, j)
         if dig:
             pw = base.power_vector(j)
@@ -344,7 +343,7 @@ def greedy_vector_digits(base, vec, max_frac):
         int_digits[j] = dig
     frac = []
     exact = not any(r)
-    while not exact and len(frac) < max_frac:
+    while not exact and len(frac) < -lowest:
         dig, r = _greedy_step(base, r)
         frac.append(dig)
         exact = not any(r)
@@ -370,7 +369,7 @@ def greedy_fractional_depth(base, vec):
     fractional digits; for (PF) bases and the sums considered here this
     never happens.
     """
-    _, frac, exact = greedy_vector_digits(base, vec, _MAX_FRACTIONAL_DEPTH)
+    _, frac, exact = greedy_vector_digits(base, vec, -_MAX_FRACTIONAL_DEPTH)
     if not exact:
         raise RuntimeError("greedy expansion did not terminate within %d fractional digits"
                            % _MAX_FRACTIONAL_DEPTH)

@@ -145,6 +145,8 @@ def gde_minus(a, b):
 
 
 def gde_rule(kind, a, b=None):
+    if kind in ("plus", "minus") and b is None:
+        raise ValueError("the %s family needs b" % kind)
     if kind == "plus":
         return gde_plus(a, b)
     if kind == "plus_special":
@@ -187,10 +189,10 @@ def shifted_adder(kind, a, b=None, d=0):
     oracle-verified right here on 200 strings with a fixed seed;
     a verification failure is a bug, not a recoverable condition.
     """
-    if kind == "minus" and not (b <= d <= a - 2):
-        raise ValueError("minus-family shift needs b <= d <= a-2, got d=%d" % d)
     rule = gde_rule(kind, a, b)
     M = rule.output_alphabet.max_digit
+    if kind == "minus" and not (b <= d <= a - 2):
+        raise ValueError("minus-family shift needs b <= d <= a-2, got d=%d" % d)
     if not (0 <= d <= M):
         raise ValueError("shift out of range: 0 <= d <= %d, got d=%d" % (M, d))
     adder = ChainAdder(rule, Alphabet(-d, M - d))

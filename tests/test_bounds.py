@@ -111,6 +111,16 @@ class TestUnitCircleReporter:
     def test_salem_like_quartic(self):
         assert block_impossible_unit_conjugate([1, -1, -1, -1, 1]) == IMPOSSIBLE_EVIDENCE
 
+    def test_lehmer_polynomial(self):
+        # Lehmer's degree-10 Salem polynomial: one real root > 1, its inverse,
+        # and eight roots on the unit circle
+        lehmer = [1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1]
+        assert block_impossible_unit_conjugate(lehmer) == IMPOSSIBLE_EVIDENCE
+
+    def test_cyclotomic_octic(self):
+        # x^8 - x^4 + 1, the 24th cyclotomic polynomial: every root has modulus 1
+        assert block_impossible_unit_conjugate([1, 0, 0, 0, -1, 0, 0, 0, 1]) == IMPOSSIBLE_EVIDENCE
+
     def test_fibonacci(self):
         assert block_impossible_unit_conjugate([1, -1, -1]) == NO_EVIDENCE
 

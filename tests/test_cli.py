@@ -1,6 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 
-
+import betapar
 from betapar.cli import main
 
 
@@ -167,6 +170,17 @@ class TestBounds:
     def test_salem_reporter(self, capsys):
         code, out, _ = run(capsys, "bounds", "--base", "1,-1,-1,-1,1")
         assert code == 0 and "impossible-evidence" in out
+
+    def test_bounds_never_imports_mpmath(self):
+        # -X importtime lists every module the process imports on stderr
+        src = os.path.dirname(os.path.dirname(os.path.abspath(betapar.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "betapar.cli", "bounds",
+                               "--base", "1,-1,-1,-1,1"],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0 and "impossible-evidence" in proc.stdout
+        assert "import time:" in proc.stderr and "mpmath" not in proc.stderr
 
     def test_digit_string_roundtrip_in_json(self, capsys):
         from betapar.digits import parse_digits

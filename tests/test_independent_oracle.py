@@ -4,10 +4,12 @@ Everything else in the suite trusts values_equal and the certified floors.
 These tests rebuild the value semantics from scratch with mpmath (root via
 polyroots, digit strings evaluated as plain power sums at 60 digits) and
 compare. A systematic defect in the dyadic enclosure layer cannot hide
-from a disagreement here.
+from a disagreement here. The exact unit-circle decision is checked the
+same way, against the moduli of numerically computed roots.
 """
 
 import random
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
@@ -19,6 +21,7 @@ from betapar.algebraic import (
     eval_digit_string,
 )
 from betapar.blocks import BlockAdder, make_block_params
+from betapar.bounds import IMPOSSIBLE_EVIDENCE, block_impossible_unit_conjugate
 from betapar.digits import DigitString
 from betapar.quadratic import quadratic_adder
 
@@ -111,3 +114,37 @@ def test_block_adder_sums_numerically():
         with mp.workdps(DPS):
             diff = abs(mp_value(out, beta) - mp_value(x, beta) - mp_value(y, beta))
             assert diff < mp.mpf(10) ** (-(DPS - 25))
+
+
+def _squarefree(coeffs):
+    """gcd(f, f') is a constant, by Euclid's algorithm over the rationals."""
+    n = len(coeffs) - 1
+    a = [Fraction(c) for c in coeffs]
+    b = [Fraction(c * (n - j)) for j, c in enumerate(coeffs[:-1])]
+    while b:
+        while len(a) >= len(b):
+            q = a[0] / b[0]
+            a = [x - q * y for x, y in zip(a[1:], b[1:])] + a[len(b):]
+        while a and a[0] == 0:
+            a.pop(0)
+        a, b = b, a
+    return len(a) == 1
+
+
+def test_unit_circle_decision_matches_numeric_roots():
+    # every squarefree palindromic quartic [1, a, b, a, 1] with a, b in -6..6
+    # that has no root +-1 (those are not minimal polynomials of a base)
+    checked = impossible = 0
+    for a in range(-6, 7):
+        for b in range(-6, 7):
+            coeffs = [1, a, b, a, 1]
+            if 2 + 2 * a + b == 0 or 2 - 2 * a + b == 0 or not _squarefree(coeffs):
+                continue
+            with mp.workdps(50):
+                roots = mp.polyroots(coeffs, maxsteps=200, extraprec=200)
+                on_circle = any(abs(abs(r) - 1) < mp.mpf(10) ** -20 for r in roots)
+            decided = block_impossible_unit_conjugate(coeffs) == IMPOSSIBLE_EVIDENCE
+            assert decided == on_circle, coeffs
+            checked += 1
+            impossible += decided
+    assert checked > 100 and 0 < impossible < checked

@@ -3,10 +3,12 @@ import random
 import pytest
 
 from betapar.algebraic import (
+    BetaBase,
     QuotientValue,
     base_from_spec,
     eval_digit_string,
     qv_mul_beta_pow,
+    qv_sub,
     quadratic_minus_base,
     quadratic_plus_base,
     values_equal,
@@ -120,6 +122,25 @@ class TestGreedyExpand:
         x = qv_mul_beta_pow(QuotientValue.from_int(fib, 2), -2)
         res = greedy_expand(x, fib, 1)
         assert not res.exact
+
+    def test_cut_expansion_stops_at_the_cut(self, monkeypatch):
+        # x = 1 - beta^-300 is stored as (beta^300 - 1) * beta^-300; its first
+        # digit must not cost the 300 integer digits of beta^300 - 1
+        base = quadratic_plus_base(4, 2)
+        x = qv_mul_beta_pow(qv_sub(QuotientValue.beta_power(base, 300),
+                                   QuotientValue.from_int(base, 1)), -300)
+        floor = BetaBase.floor_of_vector
+        calls = []
+
+        def counted(self, v, scale=0):
+            calls.append(scale)
+            return floor(self, v, scale)
+
+        monkeypatch.setattr(BetaBase, "floor_of_vector", counted)
+        res = greedy_expand(x, base, 1)
+        monkeypatch.undo()
+        assert len(calls) <= 10
+        assert res.string == parse_digits("0.4") and not res.exact
 
 
 class TestGreedyGe1:

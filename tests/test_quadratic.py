@@ -21,6 +21,7 @@ from betapar.quadratic import (
     gde_minus,
     gde_plus,
     gde_plus_special,
+    gde_rule,
     quadratic_adder,
     shifted_adder,
 )
@@ -40,6 +41,13 @@ class TestHypotheses:
     def test_minus_needs_gap(self):
         with pytest.raises(ValueError):
             gde_minus(3, 2)
+
+    def test_missing_b_names_b(self):
+        calls = [(quadratic_adder, ("minus", 4)), (quadratic_adder, ("plus", 4)),
+                 (gde_rule, ("plus", 5)), (shifted_adder, ("minus", 4))]
+        for fn, args in calls:
+            with pytest.raises(ValueError, match=r"\bneeds b\b"):
+                fn(*args)
 
 
 class TestAlphabets:
