@@ -74,7 +74,6 @@ for i in range(200):
     worst = max(worst, out.fractional_depth)
 print("  200 random additions of length <= 40: all exact;"
       " deepest fractional tail %d digits" % worst)
-print("  distinct blocks decomposed so far: %d" % len(adder._memo))
 
 section("The signed variant on {-1, 0, 1}")
 signed = dbonacci_block_adder(3, signed=True, s=5)

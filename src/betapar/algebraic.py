@@ -220,13 +220,21 @@ class BetaBase:
     # -- dyadic enclosures ---------------------------------------------------
 
     def _refine_dyadic(self, bits):
-        """The dyadic snapshot at >= bits of precision, bisecting f if needed."""
+        """The dyadic snapshot at >= bits of precision, bisecting f if needed.
+
+        Bisection starts from the current snapshot's [num, num + 1] when
+        there is one, so raising the precision costs one step per new bit.
+        """
         snap = self._dy
         if bits <= snap[0]:
             return snap
-        lo, hi = self.interval
-        lo_num = (lo.numerator << bits) // lo.denominator
-        hi_num = -((-hi.numerator << bits) // hi.denominator)
+        if snap[1] is not None:
+            lo_num = snap[1] << (bits - snap[0])
+            hi_num = (snap[1] + 1) << (bits - snap[0])
+        else:
+            lo, hi = self.interval
+            lo_num = (lo.numerator << bits) // lo.denominator
+            hi_num = -((-hi.numerator << bits) // hi.denominator)
         slo = self._sign_at_lo
         while hi_num - lo_num > 1:
             mid = (lo_num + hi_num) // 2

@@ -15,13 +15,12 @@ in parallel because the L/C/S contributions telescope across blocks.
 Blocks already over B keep L = S = 0 and C = u, which pins the zero block
 to zero and makes every B-block a fixed point of Phi(u, u, u).
 
-Decomposition is computed lazily: the block's exact value is multiplied by
-beta^(2s) and greedily expanded; the expansion must be a beta-integer
+Decomposition is computed on demand: the block's exact value is multiplied
+by beta^(2s) and greedily expanded; the expansion must be a beta-integer
 fitting in 2k positions, otherwise the chosen (l, s) are insufficient for
 this input and :class:`InsufficientParamsError` is raised (the runtime
-fit-check standing in for the existence argument).  Decompositions are
-memoized per adder; inserts are idempotent and deterministic, so the memo
-behaves correctly under concurrent use.
+fit-check standing in for the existence argument).  A conversion
+decomposes each block it reads once and keeps nothing afterwards.
 
 The parameter l is computed from the base by a certified comparison; s is
 supplied by the caller or estimated empirically by sweeping sums of
@@ -75,8 +74,9 @@ class BlockDecomposition(NamedTuple):
 
 def make_block_params(base, ell, s):
     """Assemble parameters; k = 2(ell + s), B the canonical digits, A = B + B."""
-    if ell < 0 or s < 0:
-        raise ValueError("ell and s must be non-negative")
+    if ell < 0 or s < 0 or ell + s == 0:
+        raise ValueError("need ell, s >= 0 and a positive block length k = 2(ell + s); "
+                         "got ell=%d, s=%d" % (ell, s))
     B = canonical_alphabet(base)
     A = B.plus(B)
     return BlockParams(2 * (ell + s), ell, s, B, A)
@@ -125,29 +125,20 @@ class BlockAdder:
         self.alphabet = self.output_alphabet = params.A
         self.input_alphabet = params.A.plus(params.A)
         self.name = "block:%d,%d,%d" % (params.k, params.ell, params.s)
-        self._memo = {}
 
     # -- block-level operations ------------------------------------------------
 
     def decompose(self, u):
-        """The fixed (L, C, S) triple for a block u over A + A.
+        """The (L, C, S) triple of a block u over A + A; u and the parts run LSD first.
 
-        Deterministic and memoized: repeated calls return the identical
-        triple, as the block map requires.
+        Deterministic: repeated calls return equal triples, as the block map
+        requires.
         """
-        u = tuple(u)
-        hit = self._memo.get(u)
-        if hit is not None:
-            return hit
-        dec = self._decompose(u)
-        self._memo[u] = dec
-        return dec
-
-    def _decompose(self, u):
         k, ell, s, B, A = self.params
+        u = tuple(u)
         if len(u) != k:
             raise ValueError("block must have exactly k=%d digits" % k)
-        inA2 = A.plus(A)
+        inA2 = self.input_alphabet
         for dig in u:
             if dig not in inA2:
                 raise ValueError("block digit %d outside %s" % (dig, inA2))
@@ -164,32 +155,27 @@ class BlockAdder:
             dec = BlockDecomposition(tuple(pos[2 * s + k:2 * k]),
                                      tuple(pos[2 * s:2 * s + k]),
                                      tuple(pos[0:2 * s]))
-        self._check_decomposition(u, vec, dec)
-        return dec
-
-    def _check_decomposition(self, u, vec, dec):
-        """Digits over B, and vec = u * beta^(2s) is S, C, L read as one string."""
-        B = self.params.B
+        # digits over B, and vec = u * beta^(2s) is S, C, L read as one string
         for part in dec:
             for dig in part:
                 if dig not in B:
                     raise InsufficientParamsError("decomposition digit %d outside %s" % (dig, B))
-        if self.base.digits_vector(reversed(dec.S + dec.C + dec.L)) != vec:
+        if base.digits_vector(reversed(dec.S + dec.C + dec.L)) != vec:
             raise AssertionError("decomposition identity failed for block %r" % (u,))
+        return dec
+
+    def _block_map(self, df, dg, dh):
+        """Phi from decomposed neighbours: digit i is C(g)_i plus digit i of L(h) S(f)."""
+        out = [c + t for c, t in zip(dg.C, dh.L + df.S)]
+        A = self.params.A
+        for dig in out:
+            if dig not in A:
+                raise AssertionError("block map produced digit %d outside %s" % (dig, A))
+        return out
 
     def phi(self, f, g, h):
         """Output block: digit i is C(g)_i + L(h)_i below 2l, C(g)_i + S(f)_{i-2l} above."""
-        k, ell, s, B, A = self.params
-        df = self.decompose(tuple(f))
-        dg = self.decompose(tuple(g))
-        dh = self.decompose(tuple(h))
-        out = []
-        for i in range(k):
-            dig = dg.C[i] + (dh.L[i] if i < 2 * ell else df.S[i - 2 * ell])
-            if dig not in A:
-                raise AssertionError("block map produced digit %d outside %s" % (dig, A))
-            out.append(dig)
-        return tuple(out)
+        return tuple(self._block_map(self.decompose(f), self.decompose(g), self.decompose(h)))
 
     # -- string-level addition ---------------------------------------------------
 
@@ -212,24 +198,25 @@ class BlockAdder:
 
         The map reads u + c at every position, c the plateau letter, and c
         is subtracted from its output again.  Far blocks are the constant-c
-        block, so finite support survives when that block is fixed.
+        block, so finite support survives when that block is fixed.  Each
+        block read is decomposed once: u + c is laid out least significant
+        digit first on the block grid, from two blocks below the support to
+        two blocks above it, and every output block takes the triples of its
+        three neighbours.
         """
         if u.is_zero():
             return DigitString()
         k = self.params.k
         c = plateau
         msd, lsd = u.support()
-
-        def block(j):
-            return tuple(u.digit_at(j * k + i) + c for i in range(k))
-
-        pairs = []
-        for j in range(lsd // k - 1, msd // k + 2):
-            v = self.phi(block(j + 1), block(j), block(j - 1))
-            for i, dig in enumerate(v):
-                if dig != c:
-                    pairs.append((j * k + i, dig - c))
-        return DigitString.from_pairs(pairs)
+        lo = (lsd // k - 2) * k  # exponent of padded[0]
+        padded = [c] * ((msd // k + 3) * k - lo)
+        padded[lsd - lo:msd - lo + 1] = [dig + c for dig in reversed(u.digits)]
+        decs = [self.decompose(padded[i:i + k]) for i in range(0, len(padded), k)]
+        out = []
+        for j in range(1, len(decs) - 1):
+            out.extend(self._block_map(decs[j + 1], decs[j], decs[j - 1]))
+        return DigitString([dig - c for dig in reversed(out)], lo + k + len(out) - 1)
 
     def fixes(self, c):
         """Whether the constant-c block is fixed: Phi(c^k, c^k, c^k) = c^k."""
@@ -269,12 +256,9 @@ def estimate_s_report(base, test_len, pair_budget=300000, sample_pairs=2000, see
     """
     if not _pf_certified(base):
         raise ValueError("estimate_s needs a base certified (F)/(PF)")
-    words_by_len = [[()]]
-    for n in range(1, test_len + 1):
-        words_by_len.append([])
+    words_by_len = [[] for _ in range(test_len + 1)]
     for w in iter_beta_integer_words(base, test_len):
-        if w:
-            words_by_len[len(w)].append(w)
+        words_by_len[len(w)].append(w)
 
     counts = list(itertools.accumulate(len(ws) for ws in words_by_len))
     exh_len = 0
@@ -285,28 +269,20 @@ def estimate_s_report(base, test_len, pair_budget=300000, sample_pairs=2000, see
         else:
             break
 
-    deg = base.degree
-    best = 0
-    checked = 0
     vals = [base.digits_vector(w) for n in range(exh_len + 1) for w in words_by_len[n]]
-    for i, x in enumerate(vals):
-        for y in vals[i:]:
-            s2 = tuple(x[t] + y[t] for t in range(deg))
-            dep = greedy_fractional_depth(base, s2)
-            checked += 1
-            if dep > best:
-                best = dep
+    pairs = ((x, y) for i, x in enumerate(vals) for y in vals[i:])
     if exh_len < test_len:
         rng = _random.Random(seed)
-        pool = [base.digits_vector(w) for n in range(test_len + 1) for w in words_by_len[n]]
-        for _ in range(sample_pairs):
-            x = pool[rng.randrange(len(pool))]
-            y = pool[rng.randrange(len(pool))]
-            s2 = tuple(x[t] + y[t] for t in range(deg))
-            dep = greedy_fractional_depth(base, s2)
-            checked += 1
-            if dep > best:
-                best = dep
+        pool = vals + [base.digits_vector(w)
+                       for n in range(exh_len + 1, test_len + 1) for w in words_by_len[n]]
+        pairs = itertools.chain(pairs, ((pool[rng.randrange(len(pool))],
+                                         pool[rng.randrange(len(pool))])
+                                        for _ in range(sample_pairs)))
+    deg = base.degree
+    best = checked = 0
+    for x, y in pairs:
+        best = max(best, greedy_fractional_depth(base, tuple(x[t] + y[t] for t in range(deg))))
+        checked += 1
     return EstimateReport(best, exh_len, test_len, checked)
 
 

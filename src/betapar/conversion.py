@@ -258,6 +258,10 @@ def verify_conversion(rule, strategy):
         label = "random(n=%d, seed=%d)" % (strategy.n, strategy.seed)
     else:
         raise TypeError("strategy must be Exhaustive or RandomStrings")
+    if strategy.maxlen < 0:
+        raise ValueError("maxlen must be non-negative, got %d" % strategy.maxlen)
+    if isinstance(strategy, RandomStrings) and strategy.n < 1:
+        raise ValueError("n must be at least 1, got %d" % strategy.n)
 
     base = rule.base
     for word in words:

@@ -387,6 +387,8 @@ def iter_beta_integer_words(base, max_len, dstar=None):
     prefixes stay inadmissible, so a DFS with pruning enumerates exactly
     the admissible words.
     """
+    if max_len < 0:
+        raise ValueError("max_len must be non-negative, got %d" % max_len)
     if dstar is None:
         d = renyi_dbeta(base)
         if d is None:
@@ -413,6 +415,6 @@ def iter_beta_integer_words(base, max_len, dstar=None):
             word.pop()
 
     for first in range(1, top + 1):
-        if ok([first]):
+        if max_len and ok([first]):
             yield from rec([first])
 

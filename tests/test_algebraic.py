@@ -169,6 +169,27 @@ class TestRefineAndFloor:
         assert qv_sign(qv_sub(v, QuotientValue.from_int(base, n + 1))) < 0
 
 
+    def test_precision_raise_refines_the_snapshot(self, monkeypatch):
+        # each doubling bisects from the snapshot's [num, num + 1], one step
+        # per new bit: 64 + 128 + ... + 2048 steps from 64 to 4096 bits
+        base = tribonacci_base()
+        sign = MinimalPolynomial.sign_at_dyadic
+        calls = []
+
+        def counted(self, num, bits):
+            calls.append(bits)
+            return sign(self, num, bits)
+
+        monkeypatch.setattr(MinimalPolynomial, "sign_at_dyadic", counted)
+        for bits in (128, 256, 512, 1024, 2048, 4096):
+            base._refine_dyadic(bits)
+        monkeypatch.undo()
+        assert len(calls) <= 4100
+        bits, num = base._dy[:2]
+        assert bits == 4096
+        assert sign(base.poly, num, bits) != sign(base.poly, num + 1, bits)  # beta inside
+
+
 class TestConcurrency:
     def test_power_caches_agree_across_threads(self, monkeypatch):
         # shift_vector yields to the other threads between cache appends, and

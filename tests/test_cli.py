@@ -118,6 +118,17 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--rule", "gde-weird:1", "--exhaustive", "2")
         assert code == 1
 
+    def test_negative_exhaustive_length_rejected(self, capsys):
+        code, out, err = run(capsys, "verify", "--rule", "gde-plus:4,2", "--exhaustive", "-1")
+        assert code == 1 and "pass" not in out
+        assert "error:" in err and "maxlen" in err
+
+    def test_nonpositive_random_count_rejected(self, capsys):
+        for n in ("-3", "0"):
+            code, out, err = run(capsys, "verify", "--rule", "gde-plus:4,2", "--random", n)
+            assert code == 1 and "pass" not in out
+            assert "error:" in err and "n must be" in err
+
 
 class TestBlockAdd:
     def test_explicit_params(self, capsys):
@@ -131,6 +142,18 @@ class TestBlockAdd:
                            "--k", "12", "--ell", "2", "--s", "5",
                            "--x", "1", "--y", "1")
         assert code == 1
+
+    def test_zero_block_length_rejected(self, capsys):
+        code, _, err = run(capsys, "block-add", "--base", "tribonacci",
+                           "--ell", "0", "--s", "0", "--x", "1", "--y", "1")
+        assert code == 1
+        assert "error:" in err and "k = 2(ell + s)" in err
+
+    def test_estimate_s_over_the_zero_word_only(self, capsys):
+        code, out, _ = run(capsys, "block-add", "--base", "fibonacci",
+                           "--estimate-s", "--test-len", "0", "--x", "1", "--y", "0")
+        assert code == 0
+        assert "estimated s = 0" in out and "value-ok" in out
 
     def test_missing_params(self, capsys):
         code, _, err = run(capsys, "block-add", "--base", "tribonacci",

@@ -7,7 +7,10 @@ replaced; any change to the fold, the layer order or the conjugation shows
 up here as a different digit string even when the value stays correct.
 The greedy strings and their ``exact`` flags were recorded from the
 QuotientValue greedy loop that ``greedy_vector_digits`` replaced, and pin
-the truncation at the digit limit.
+the truncation at the digit limit.  The two unsigned block adder strings
+were recorded from the memoized block adder that read every block once per
+neighbour; the quadratic one has k = 4, so its operands cross block edges
+and negative exponents often.
 """
 
 import random
@@ -23,7 +26,7 @@ from betapar.algebraic import (
     quadratic_plus_base,
     tribonacci_base,
 )
-from betapar.blocks import dbonacci_block_adder
+from betapar.blocks import BlockAdder, dbonacci_block_adder, make_block_params
 from betapar.digits import DigitString, format_digits
 from betapar.numeration import greedy_expand, greedy_expand_ge1
 from betapar.quadratic import shifted_adder
@@ -60,15 +63,29 @@ GOLDEN = {
         "-1,1,0,0,1,1,0,1,0,0,1,1,0,1,-1,0,1,1,1,0,1,1,0,1,0,0,1,1,-1."
         "-1,1,0,1,0,1,1,0,1,1,0,1,1,1",
     ]),
+    "tribonacci-unsigned": (404, 30, [
+        "1,1,0,0,0,1,1,0,0,1,1,0,0,0,1,1,0,1,0,2,0.2,0,1,0,1,0,1,1,0,0,0,0,0,1,1",
+        "1,0,0,0,0,0,1,0,1,0,1,0,1,0,2,1,0,1,2,1,0,0,0,1,0,1,0,1,0,0."
+        "1,1,1,0,2,1,1,1,0,1,1,0,1,1,0,0,0,1",
+        "1,0,0,1,1,0,0,1,1,0,0,1,1,0,1,0,1,1,0,0,1,0,0,1,0,0,1,2,0."
+        "1,1,0,1,0,0,1,0,1,0,0,0,1,0,0,1,1,1,1,0,1,1,0,1,0,0,0,2,2,0,0,1,1",
+    ]),
+    "quadratic-minus-3-1-block": (505, 16, [
+        "1,1,0,2,2,0,1,2.1,1,1,1,3,1,1,2,0,2,0,1,4,1,0,2",
+        "2,2,1,3,0,0,1,2.1,0,0,2,1,3,0,1,2,0,2,1,4,0,0,2,1",
+        "1,1,2,0,4,1,0,3,1.3,0,1,2,2,0,0,0,2,1,1",
+    ]),
 }
 
 
 @pytest.fixture(scope="module")
-def adders():
+def adders(tri, qm31):
     return {
         "plus-4-2-d3": shifted_adder("plus", 4, 2, d=3),
         "minus-4-2-d2": shifted_adder("minus", 4, 2, d=2),
         "tribonacci-signed": dbonacci_block_adder(3, signed=True, s=5),
+        "tribonacci-unsigned": BlockAdder(tri, make_block_params(tri, 2, 5)),
+        "quadratic-minus-3-1-block": BlockAdder(qm31, make_block_params(qm31, 1, 1)),
     }
 
 

@@ -289,6 +289,13 @@ class TestBetaIntegerWords:
         vals = {w: eval_digit_string(DigitString(w, len(w) - 1), tri).coeffs for w in words}
         assert len(set(vals.values())) == len(words)
 
+    def test_max_len_zero_is_the_zero_word(self, fib):
+        assert list(iter_beta_integer_words(fib, 0)) == [()]
+
+    def test_negative_max_len_rejected(self, fib):
+        with pytest.raises(ValueError, match="max_len"):
+            list(iter_beta_integer_words(fib, -1))
+
 
 class TestGreedyMaximality:
     def test_lex_greatest_among_representations(self, fib):
