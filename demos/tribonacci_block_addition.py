@@ -1,7 +1,7 @@
 """The flagship instance: 14-block 3-local addition in the Tribonacci base.
 
-Estimates the fractional-digit bound s empirically, derives the block
-parameters, peeks inside a block decomposition, and runs parallel
+Certifies the fractional-digit bound s exactly, compares it with the
+empirical sweep over short beta-integers, derives the block parameters, peeks inside a block decomposition, and runs parallel
 additions on the 3-letter alphabet {0,1,2} that no 1-block scheme can use
 (1-block addition in the Tribonacci base needs at least 4 digits).
 
@@ -11,14 +11,18 @@ Run:  python demos/tribonacci_block_addition.py
 import random
 
 from betapar import (
+    certify_s,
     check_sum,
     dbonacci_block_adder,
+    eval_digit_string,
     estimate_s_report,
     lower_bound_1block,
     parse_digits,
+    qv_add,
     tribonacci_base,
 )
 from betapar.digits import DigitString
+from betapar.numeration import greedy_fractional_depth
 
 
 def section(title):
@@ -30,13 +34,19 @@ def section(title):
 tri = tribonacci_base()
 
 section("How many fractional digits can a sum of beta-integers need?")
-for test_len in (1, 6, 12):
+cert = certify_s(tri)
+total = qv_add(eval_digit_string(cert.witness_x, tri), eval_digit_string(cert.witness_y, tri))
+assert greedy_fractional_depth(tri, total.coeffs) == cert.s
+print("  certified: s = %d, from %d search states" % (cert.s, cert.states))
+print("  attained by %s + %s" % (cert.witness_x, cert.witness_y))
+print("  the empirical sweep over short words only bounds it from below:")
+for test_len in (1, 4, 6):
     rep = estimate_s_report(tri, test_len)
-    print("  words up to %2d digits: max depth %d  (exhaustive through %d, %d pairs)"
+    print("  words up to %d digits: max depth %d  (exhaustive through %d, %d pairs)"
           % (test_len, rep.s, rep.exhaustive_len, rep.pairs_checked))
 
-section("Block parameters from s = 5")
-adder = dbonacci_block_adder(3, s=5)
+section("Block parameters from the certified s")
+adder = dbonacci_block_adder(3)
 p = adder.params
 print("  k = %d, ell = %d, s = %d; base alphabet %s, working alphabet %s"
       % (p.k, p.ell, p.s, p.B, p.A))
@@ -76,7 +86,7 @@ print("  200 random additions of length <= 40: all exact;"
       " deepest fractional tail %d digits" % worst)
 
 section("The signed variant on {-1, 0, 1}")
-signed = dbonacci_block_adder(3, signed=True, s=5)
+signed = dbonacci_block_adder(3, signed=True, s=p.s)
 x, y = parse_digits("1,-1,0,1"), parse_digits("-1,1.1")
 out = signed.add(x, y)
 assert check_sum(signed, x, y, out)

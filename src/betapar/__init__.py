@@ -10,9 +10,9 @@ The package implements, over real algebraic-integer bases beta > 1:
   elimination-chain adders (:mod:`betapar.conversion`);
 * the explicit greatest-digit-elimination rules for quadratic Pisot bases
   plus their full and shifted adders (:mod:`betapar.quadratic`);
-* k-block 3-local parallel addition for (PF) bases, with the Tribonacci
-  14-block adder on {0,1,2} as the flagship instance
-  (:mod:`betapar.blocks`);
+* k-block 3-local parallel addition for (PF) bases, with the block
+  parameter s certified exactly and the Tribonacci 14-block adder on
+  {0,1,2} as the flagship instance (:mod:`betapar.blocks`);
 * alphabet-cardinality bounds and the exact unit-circle impossibility
   decision (:mod:`betapar.bounds`).
 
@@ -43,7 +43,9 @@ from .blocks import (
     BlockAdder,
     BlockParams,
     InsufficientParamsError,
+    SCertificate,
     SignedBlockAdder,
+    certify_s,
     dbonacci_block_adder,
     estimate_s,
     estimate_s_report,
@@ -72,6 +74,7 @@ from .conversion import (
 )
 from .digits import Alphabet, DigitString, format_digits, parse_digits
 from .numeration import (
+    AdmissibilityAutomaton,
     EventuallyPeriodicString,
     GreedyExpansion,
     canonical_alphabet,

@@ -62,6 +62,12 @@ class MinimalPolynomial:
     def __setattr__(self, name, value):
         raise AttributeError("MinimalPolynomial is immutable")
 
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
     def eval_int(self, x):
         acc = 0
         for c in self.coefficients:
@@ -384,6 +390,12 @@ class QuotientValue:
 
     def __setattr__(self, name, value):
         raise AttributeError("QuotientValue is immutable")
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
 
     @classmethod
     def from_int(cls, base, n):

@@ -22,14 +22,18 @@ this input and :class:`InsufficientParamsError` is raised (the runtime
 fit-check standing in for the existence argument).  A conversion
 decomposes each block it reads once and keeps nothing afterwards.
 
-The parameter l is computed from the base by a certified comparison; s is
-supplied by the caller or estimated empirically by sweeping sums of
-beta-integers (the bound it estimates is Bernat's constant, which is an
-input here, not something this package derives).
+The parameter l is computed from the base by a certified comparison.  The
+parameter s is L_plus, the most fractional digits that a sum of two
+beta-integers can have: :func:`certify_s` computes it exactly by a finite
+search over the sums' greedy expansions (J. Bernat, "Computation of L_plus
+for several cubic Pisot numbers", DMTCS 2007), and :func:`estimate_s`
+keeps the older sweep over short beta-integers as a cross-check that can
+only come out lower.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 import random as _random
 from typing import NamedTuple
@@ -39,6 +43,8 @@ from .digits import Alphabet, DigitString
 from .numeration import (
     F,
     PF,
+    AdmissibilityAutomaton,
+    admissible_greedy_depth,
     canonical_alphabet,
     greedy_fractional_depth,
     greedy_vector_digits,
@@ -224,7 +230,96 @@ class BlockAdder:
         return c in self.params.A and self.phi(block, block, block) == block
 
 
-# -- empirical estimation of s -------------------------------------------------
+# -- the block parameter s: exact certificate and empirical estimate ------------
+
+
+class SCertificate(NamedTuple):
+    """The exact s of a base and a pair of beta-integers that attains it.
+
+    greedy(witness_x + witness_y) has exactly s fractional digits; states
+    counts the search states reached.
+    """
+
+    s: int
+    witness_x: DigitString
+    witness_y: DigitString
+    states: int
+
+
+def certify_s(base):
+    """The largest number of fractional digits in the greedy expansion of x + y
+    over all beta-integers x and y, with a pair that attains it.
+
+    A breadth-first search reads x, y and g digit by digit, most
+    significant first, with leading zeros, where g is to be the greedy
+    integer part of x + y.  A state is (P, q_x, q_y, q_g): P in Z[beta] is
+    the value of x + y - g read so far, so P' = beta * P + a + b - c on
+    digits a, b, c, and the q are the states of the three words in the
+    admissibility automaton.  After m more digits the final value is
+    z = beta^m * P + R, with R in (-beta^m, 2 * beta^m) because admissible
+    words of m digits are worth less than beta^m; z in [0, 1) thus needs
+    -2 < P < 1 + beta^-m, and the search drops every P outside (-2, 2),
+    each bound decided by one exact sign.  The reachable P are sums
+    e_i beta^i with |e_i| <= 2 floor(beta), so for a Pisot base, which the
+    (F)/(PF) check ensures, their conjugates are bounded too and the search
+    is finite.  A state ends a sum when 0 <= P < 1 and g followed by
+    greedy(P) is admissible, so that g . greedy(P) is the greedy expansion
+    of x + y; s is the largest greedy depth over those states.
+    """
+    if not _pf_certified(base):
+        raise ValueError("certify_s needs a base certified (F)/(PF)")
+    aut = AdmissibilityAutomaton.of_base(base)
+    top = aut.expected[0]
+    unit = base.unit_vector()
+    deg = base.degree
+    sign = base.sign_of_vector
+
+    def plus(v, n):
+        return tuple(v[i] + n * unit[i] for i in range(deg))
+
+    def inside(P):
+        return sign(plus(P, 2)) > 0 and sign(plus(P, -2)) < 0
+
+    def depth(P, qg):
+        if sign(P) < 0 or sign(plus(P, -1)) >= 0:
+            return None
+        return admissible_greedy_depth(base, aut, P, qg)
+
+    digit_triples = list(itertools.product(range(top + 1), repeat=3))
+    start = ((0,) * deg, 0, 0, 0)
+    parent = {start: None}
+    in_range = {}
+    depths = {}
+    best, best_state = 0, start
+    queue = collections.deque([start])
+    while queue:
+        state = queue.popleft()
+        P, qx, qy, qg = state
+        key = (P, qg)
+        if key not in depths:
+            depths[key] = depth(P, qg)
+        if depths[key] is not None and depths[key] > best:
+            best, best_state = depths[key], state
+        shifted = base.shift_vector(P)
+        for a, b, c in digit_triples:
+            nx, ny, ng = aut.step(qx, a), aut.step(qy, b), aut.step(qg, c)
+            if nx is None or ny is None or ng is None:
+                continue
+            nP = (shifted[0] + a + b - c,) + shifted[1:]
+            if nP not in in_range:
+                in_range[nP] = inside(nP)
+            nxt = (nP, nx, ny, ng)
+            if in_range[nP] and nxt not in parent:
+                parent[nxt] = (state, a, b)
+                queue.append(nxt)
+    xs, ys = [], []
+    state = best_state
+    while parent[state] is not None:
+        state, a, b = parent[state]
+        xs.append(a)
+        ys.append(b)
+    return SCertificate(best, DigitString(xs[::-1], len(xs) - 1),
+                        DigitString(ys[::-1], len(ys) - 1), len(parent))
 
 
 class EstimateReport(NamedTuple):
@@ -327,12 +422,11 @@ class SignedBlockAdder(ChainAdder):
                 raise AssertionError("signed block adder wrong for %s + %s" % (x, y))
 
 
-def dbonacci_block_adder(d, signed=False, s=None, test_len=12):
+def dbonacci_block_adder(d, signed=False, s=None):
     """Block adder for the d-bonacci base on {0,1,2} (or {-1,0,1} when signed).
 
-    s defaults to the empirical estimate over sums of beta-integers with at
-    most test_len digits; for the Tribonacci base this reproduces the known
-    bound 5, giving the 14-block 3-local adder.
+    s defaults to the exact bound from :func:`certify_s`; for the
+    Tribonacci base that is 5, giving the 14-block 3-local adder.
     """
     if d < 2:
         raise ValueError("d-bonacci needs d >= 2")
@@ -340,7 +434,7 @@ def dbonacci_block_adder(d, signed=False, s=None, test_len=12):
 
     base = dbonacci_base(d)
     if s is None:
-        s = estimate_s(base, test_len)
+        s = certify_s(base).s
     params = params_for_pf_base(base, s)
     if signed:
         return SignedBlockAdder(base, params)

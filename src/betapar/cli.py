@@ -15,6 +15,7 @@ import sys
 from .algebraic import base_from_spec
 from .blocks import (
     BlockAdder,
+    certify_s,
     estimate_s_report,
     make_block_params,
     params_for_pf_base,
@@ -147,16 +148,23 @@ def cmd_add(args):
 
 def cmd_block_add(args):
     base = base_from_spec(args.base)
+    witness = None
     if args.estimate_s:
         rep = estimate_s_report(base, args.test_len)
-        s = rep.s
         print("estimated s = %d (exhaustive through length %d, %d pairs)"
               % (rep.s, rep.exhaustive_len, rep.pairs_checked))
-        params = params_for_pf_base(base, s)
-    else:
-        if args.ell is None or args.s is None:
-            raise CliError("give --ell and --s (and optionally --k), or --estimate-s")
+        params = params_for_pf_base(base, rep.s)
+    elif args.ell is not None and args.s is not None:
         params = make_block_params(base, args.ell, args.s)
+    elif args.ell is None and args.s is None:
+        cert = certify_s(base)
+        witness = [format_digits(cert.witness_x), format_digits(cert.witness_y)]
+        if not args.json:
+            print("certified s = %d, attained by %s + %s (%d search states)"
+                  % ((cert.s,) + tuple(witness) + (cert.states,)))
+        params = params_for_pf_base(base, cert.s)
+    else:
+        raise CliError("give both --ell and --s, or neither to certify s, or --estimate-s")
     if args.k is not None and args.k != params.k:
         raise CliError("inconsistent --k: expected %d = 2*(ell+s)" % params.k)
     adder = BlockAdder(base, params)
@@ -170,6 +178,8 @@ def cmd_block_add(args):
     payload = {"base": args.base, "k": params.k, "ell": params.ell, "s": params.s,
                "x": format_digits(x), "y": format_digits(y),
                "result": format_digits(out), "value_ok": ok}
+    if witness is not None:
+        payload["s_witness"] = witness
     _emit(args, payload, ["%s" % format_digits(out),
                           "k=%d ell=%d s=%d alphabet %s" % (params.k, params.ell,
                                                             params.s, params.A),
@@ -251,7 +261,7 @@ def build_parser():
     p.add_argument("--ell", type=int)
     p.add_argument("--s", type=int)
     p.add_argument("--estimate-s", action="store_true",
-                   help="estimate s from sums of beta-integers first")
+                   help="estimate s from sums of beta-integers instead of certifying it")
     p.add_argument("--test-len", type=int, default=12)
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)

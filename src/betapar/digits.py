@@ -34,6 +34,12 @@ class Alphabet:
     def __setattr__(self, name, value):
         raise AttributeError("Alphabet is immutable")
 
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
     def __contains__(self, digit):
         return self.min_digit <= digit <= self.max_digit
 
@@ -100,6 +106,12 @@ class DigitString:
 
     def __setattr__(self, name, value):
         raise AttributeError("DigitString is immutable")
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
 
     @classmethod
     def from_pairs(cls, pairs):

@@ -7,7 +7,8 @@ remainders in Z[beta]; digits land in the canonical alphabet
 eventual periodicity (detected by exact remainder repetition) classifies
 beta as a simple or non-simple Parry number.  Admissibility of a digit
 sequence means every suffix is strictly lexicographically below the
-quasi-greedy expansion d*_beta(1).
+quasi-greedy expansion d*_beta(1); Parry's automaton, whose states are
+the prefixes of d*_beta(1), decides it digit by digit.
 
 Eventually periodic strings serialize as ``pre(per)``, e.g. ``2(1)``;
 digits are concatenated when all fit in 0..9 and comma-separated otherwise.
@@ -64,6 +65,12 @@ class EventuallyPeriodicString:
     def __setattr__(self, name, value):
         raise AttributeError("EventuallyPeriodicString is immutable")
 
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
     def is_finite(self):
         return not self.period
 
@@ -83,15 +90,6 @@ class EventuallyPeriodicString:
             return EventuallyPeriodicString(())
         r = (k - len(self.preperiod)) % len(self.period)
         return EventuallyPeriodicString((), self.period[r:] + self.period[:r])
-
-    def distinct_suffixes(self):
-        """All distinct suffixes: one per preperiod position plus the rotations."""
-        out = [self.suffix(k) for k in range(len(self.preperiod))]
-        if self.period:
-            out.extend(self.suffix(len(self.preperiod) + r) for r in range(len(self.period)))
-        else:
-            out.append(EventuallyPeriodicString(()))
-        return out
 
     def __eq__(self, other):
         return (isinstance(other, EventuallyPeriodicString)
@@ -274,18 +272,119 @@ def _as_sequence(s):
     raise TypeError("expected DigitString or EventuallyPeriodicString")
 
 
+class AdmissibilityAutomaton:
+    """Parry's automaton: the sequences whose every suffix is strictly below d*.
+
+    d* = t_1 t_2 ... is the quasi-greedy expansion d*_beta(1).  State i
+    says that the digits read so far end with t_1 .. t_i, and expects
+    t_{i+1}.  On digit a, a < t_{i+1} resets to state 0, a = t_{i+1} goes
+    to state i + 1 (wrapping from the end of the period back to its
+    start) and a > t_{i+1} rejects.  The reset is sound because d* is the
+    largest of its shifts: every suffix ending in the smaller digit is
+    then strictly below d*, however it goes on.  A sequence is admissible
+    iff its run never rejects and resets infinitely often; a run that stops
+    resetting reads a shift of d* from some point on, so a suffix equals
+    d*.  Finite strings are padded with 0^omega, which always resets.
+    """
+
+    __slots__ = ("dstar", "expected", "wrap")
+
+    def __init__(self, dstar):
+        n = len(dstar.preperiod) + len(dstar.period)
+        if dstar.is_finite() or any(lex_compare(dstar.suffix(k), dstar) > 0
+                                    for k in range(1, n)):
+            raise ValueError("%s is not a quasi-greedy expansion d*_beta(1)" % dstar)
+        self.dstar = dstar
+        self.expected = dstar.preperiod + dstar.period
+        self.wrap = len(dstar.preperiod)
+
+    @classmethod
+    def of_base(cls, base):
+        """The automaton of d*_beta(1); raises if d_beta(1) is not found."""
+        d = renyi_dbeta(base)
+        if d is None:
+            raise ValueError("d_beta(1) unknown; no admissibility automaton for %r" % base)
+        return cls(quasi_greedy(d))
+
+    def step(self, state, digit):
+        """The state after reading digit, or None if digit is rejected."""
+        t = self.expected[state]
+        if digit < t:
+            return 0
+        if digit > t:
+            return None
+        state += 1
+        return self.wrap if state == len(self.expected) else state
+
+    def accepts(self, seq, state=0):
+        """Whether the eventually periodic seq, read from state, stays admissible.
+
+        The period is read whole from each state it starts in until that
+        state repeats; the cycle of period runs so closed must reset.
+        """
+        for a in seq.preperiod:
+            state = self.step(state, a)
+            if state is None:
+                return False
+        if not seq.period:
+            return True
+        starts = {}
+        resets = []
+        while state not in starts:
+            starts[state] = len(resets)
+            reset = False
+            for a in seq.period:
+                reset = reset or a < self.expected[state]
+                state = self.step(state, a)
+                if state is None:
+                    return False
+            resets.append(reset)
+        return any(resets[starts[state]:])
+
+    def is_admissible(self, s):
+        """True iff every suffix of s (a DigitString or an eventually periodic
+        sequence) is strictly lexicographically below d*."""
+        return self.accepts(_as_sequence(s))
+
+    def iter_beta_integer_words(self, max_len):
+        """Yield digit tuples (msd first, no leading zero) of all beta-integers
+        with at most max_len digits, the zero word included as ().
+
+        A word is the greedy expansion of its value iff the automaton
+        accepts it; a rejected prefix has no accepted extension, so a DFS
+        that carries the state enumerates exactly the admissible words.
+        """
+        if max_len < 0:
+            raise ValueError("max_len must be non-negative, got %d" % max_len)
+        top = self.expected[0]  # every t_i <= t_1, so larger digits never pass
+        word = []
+
+        def rec(state):
+            yield tuple(word)
+            if len(word) == max_len:
+                return
+            for d in range(top, -1, -1):
+                nxt = self.step(state, d)
+                if nxt is not None:
+                    word.append(d)
+                    yield from rec(nxt)
+                    word.pop()
+
+        yield ()
+        if max_len:
+            for first in range(1, top + 1):
+                word.append(first)
+                yield from rec(self.step(0, first))
+                word.pop()
+
+
 def is_admissible(s, dstar):
     """True iff every suffix of s is strictly lexicographically below dstar.
 
-    This is Parry's characterization of greedy digit sequences.  Finite
-    strings are padded with 0^omega; eventually periodic inputs have only
-    finitely many distinct suffixes, all of which are checked.
+    This is Parry's characterization of greedy digit sequences, decided by
+    the :class:`AdmissibilityAutomaton` of dstar.
     """
-    seq = _as_sequence(s)
-    for suf in seq.distinct_suffixes():
-        if lex_compare(suf, dstar) >= 0:
-            return False
-    return True
+    return AdmissibilityAutomaton(dstar).is_admissible(s)
 
 
 def pf_sufficient(d):
@@ -376,45 +475,37 @@ def greedy_fractional_depth(base, vec):
     return len(frac)
 
 
-# -- admissible word enumeration (test and estimation support) ----------------
+def admissible_greedy_depth(base, automaton, vec, state):
+    """Fractional digits of greedy(z), z = value(vec) in [0, 1), read after state.
 
-def iter_beta_integer_words(base, max_len, dstar=None):
-    """Yield digit tuples (msd first, no leading zero) of all beta-integers
-    with at most max_len digits, the zero word included as ().
-
-    A word w is the greedy expansion of its value iff every suffix of
-    w 0^omega is strictly below d*_beta(1); extensions of inadmissible
-    prefixes stay inadmissible, so a DFS with pruning enumerates exactly
-    the admissible words.
+    Returns the number of digits when the word that led to state followed
+    by greedy(z) is admissible, and None when it is not.  A non-terminating
+    greedy(z) is decided exactly: a repeated remainder makes the digits
+    eventually periodic, and the automaton decides the periodic tail.  An
+    admissible infinite tail raises, since then the value read has no
+    finite greedy expansion, which cannot happen for an (F)/(PF) base.
     """
-    if max_len < 0:
-        raise ValueError("max_len must be non-negative, got %d" % max_len)
-    if dstar is None:
-        d = renyi_dbeta(base)
-        if d is None:
-            raise ValueError("d_beta(1) unknown; cannot enumerate beta-integers")
-        dstar = quasi_greedy(d)
-    top = canonical_alphabet(base).max_digit
+    digits = []
+    seen = {}
+    while any(vec):
+        if vec in seen:
+            i, start = seen[vec]
+            if automaton.accepts(EventuallyPeriodicString((), digits[i:]), start):
+                raise RuntimeError("greedy expansion %s(%s) is admissible and infinite: "
+                                   "the base is not (PF)"
+                                   % ("".join(map(str, digits[:i])),
+                                      "".join(map(str, digits[i:]))))
+            return None
+        seen[vec] = (len(digits), state)
+        dig, vec = _greedy_step(base, vec)
+        state = automaton.step(state, dig)
+        if state is None:
+            return None
+        digits.append(dig)
+    return len(digits)
 
-    def ok(word):
-        # only suffixes touching the appended digit need rechecking, but the
-        # words are short here; check them all
-        w = EventuallyPeriodicString(word)
-        return all(lex_compare(suf, dstar) < 0 for suf in w.distinct_suffixes())
 
-    yield ()
-
-    def rec(word):
-        yield tuple(word)
-        if len(word) == max_len:
-            return
-        for d in range(top, -1, -1):
-            word.append(d)
-            if ok(word):
-                yield from rec(word)
-            word.pop()
-
-    for first in range(1, top + 1):
-        if max_len and ok([first]):
-            yield from rec([first])
-
+def iter_beta_integer_words(base, max_len):
+    """The beta-integer words of at most max_len digits; see
+    :meth:`AdmissibilityAutomaton.iter_beta_integer_words`."""
+    return AdmissibilityAutomaton.of_base(base).iter_beta_integer_words(max_len)

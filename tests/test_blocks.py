@@ -2,15 +2,20 @@ import random
 
 import pytest
 
+from betapar import blocks
 from betapar.algebraic import (
     base_from_spec,
+    dbonacci_base,
     eval_digit_string,
+    qv_add,
+    quadratic_minus_base,
     values_equal,
 )
 from betapar.blocks import (
     BlockAdder,
     InsufficientParamsError,
     SignedBlockAdder,
+    certify_s,
     dbonacci_block_adder,
     estimate_s,
     estimate_s_report,
@@ -19,6 +24,11 @@ from betapar.blocks import (
 )
 from betapar.conversion import check_sum
 from betapar.digits import Alphabet, DigitString, parse_digits
+from betapar.numeration import (
+    AdmissibilityAutomaton,
+    admissible_greedy_depth,
+    greedy_fractional_depth,
+)
 
 
 class TestParams:
@@ -180,8 +190,7 @@ class TestBlockAdd:
 
     def test_adder_holds_no_state(self, tri):
         # a twin built from the same arguments stands for the adder as
-        # construction left it (Alphabet refuses the attribute writes that
-        # deepcopy makes); the base is shared and keeps its own caches
+        # construction left it; the base is shared and keeps its own caches
         params = make_block_params(tri, 2, 5)
         adder = BlockAdder(tri, params)
         rng = random.Random(13)
@@ -201,7 +210,7 @@ class TestEstimateS:
 
     def test_fibonacci(self, fib):
         rep = estimate_s_report(fib, 8)
-        assert rep.s == 2
+        assert rep.s == 2 == certify_s(fib).s
         assert not rep.is_estimate
 
     def test_fibonacci_single_digit(self, fib):
@@ -218,11 +227,76 @@ class TestEstimateS:
             estimate_s(base, 3)
 
 
+class TestCertifyS:
+    # (ell, s, k) of the d-bonacci block adders, d = 2..5
+    GOLDEN = {2: (3, 2, 10), 3: (2, 5, 14), 4: (2, 8, 20), 5: (2, 15, 34)}
+
+    @pytest.mark.parametrize("d", sorted(GOLDEN))
+    def test_dbonacci_golden_table(self, d):
+        base = dbonacci_base(d)
+        cert = certify_s(base)
+        p = params_for_pf_base(base, cert.s)
+        assert (p.ell, p.s, p.k) == self.GOLDEN[d]
+        # the witness pair attains s exactly
+        total = qv_add(eval_digit_string(cert.witness_x, base),
+                       eval_digit_string(cert.witness_y, base))
+        assert total.scale == 0
+        assert greedy_fractional_depth(base, total.coeffs) == cert.s
+
+    @pytest.mark.parametrize("spec,s", [("quadratic-plus:4,2", 2), ("quadratic-plus:2,2", 4),
+                                        ("quadratic-minus:3,1", 1)])
+    def test_quadratic_witnesses(self, spec, s):
+        base = base_from_spec(spec)
+        cert = certify_s(base)
+        assert cert.s == s
+        total = qv_add(eval_digit_string(cert.witness_x, base),
+                       eval_digit_string(cert.witness_y, base))
+        assert greedy_fractional_depth(base, total.coeffs) == s
+
+    @pytest.mark.parametrize("spec,test_len,exhaustive_s", [
+        ("fibonacci", 1, 2), ("fibonacci", 8, 2),
+        # exhaustive through length 4 and still below the certified 5
+        ("tribonacci", 4, 3), ("tribonacci", 6, 3),
+        ("dbonacci:4", 5, 4), ("quadratic-plus:2,2", 3, 4),
+    ])
+    def test_never_below_the_estimate(self, spec, test_len, exhaustive_s):
+        base = base_from_spec(spec)
+        rep = estimate_s_report(base, test_len)
+        assert not rep.is_estimate and rep.s == exhaustive_s
+        assert certify_s(base).s >= rep.s
+
+    def test_dbonacci_adder_never_sweeps(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("estimate_s_report called")
+
+        monkeypatch.setattr(blocks, "estimate_s_report", refuse)
+        adder = dbonacci_block_adder(3)
+        assert (adder.params.k, adder.params.ell, adder.params.s) == (14, 2, 5)
+
+    def test_non_pf_rejected(self):
+        with pytest.raises(ValueError):
+            certify_s(base_from_spec("1,-1,0,-1"))
+
+    def test_infinite_greedy_tail_is_decided(self):
+        # beta^2 = 3 beta - 1: z = beta - 2 has greedy expansion .1^omega.
+        # After a g ending in 2 the tail makes 2 1^omega = d*, never rejected
+        # in any finite prefix; the repeated remainder decides it.
+        base = quadratic_minus_base(3, 1)
+        aut = AdmissibilityAutomaton.of_base(base)
+        z = (-2, 1)
+        assert admissible_greedy_depth(base, aut, z, aut.step(0, 2)) is None
+        # read from the start state the same tail is admissible and infinite,
+        # which a (PF) sum can never produce
+        with pytest.raises(RuntimeError, match="not \\(PF\\)"):
+            admissible_greedy_depth(base, aut, z, 0)
+
+
 class TestQuadraticBlockBases:
     """The block construction is not d-bonacci specific: any (PF) base works."""
 
     def test_quadratic_plus_block_adder(self, qp42):
         s = estimate_s(qp42, 4)
+        assert s == certify_s(qp42).s
         params = params_for_pf_base(qp42, s)
         assert (params.k, params.ell, params.s) == (6, 1, 2)
         assert params.A == Alphabet(0, 8)
@@ -241,7 +315,9 @@ class TestQuadraticBlockBases:
         from betapar.algebraic import quadratic_plus_base
 
         qp22 = quadratic_plus_base(2, 2)
-        params = params_for_pf_base(qp22, estimate_s(qp22, 5))
+        s = estimate_s(qp22, 5)
+        assert s == certify_s(qp22).s
+        params = params_for_pf_base(qp22, s)
         adder = BlockAdder(qp22, params)
         rng = random.Random(8)
         for _ in range(30):
@@ -253,6 +329,7 @@ class TestQuadraticBlockBases:
 
     def test_quadratic_minus_block_adder(self, qm31):
         s = estimate_s(qm31, 6)
+        assert s == certify_s(qm31).s
         params = params_for_pf_base(qm31, s)
         assert (params.k, params.ell, params.s) == (4, 1, 1)
         adder = BlockAdder(qm31, params)

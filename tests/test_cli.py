@@ -156,9 +156,26 @@ class TestBlockAdd:
         assert "estimated s = 0" in out and "value-ok" in out
 
     def test_missing_params(self, capsys):
+        # one of --ell and --s without the other
         code, _, err = run(capsys, "block-add", "--base", "tribonacci",
-                           "--x", "1", "--y", "1")
+                           "--ell", "2", "--x", "1", "--y", "1")
         assert code == 1
+        assert "error:" in err and "--ell and --s" in err
+
+    def test_certified_params_by_default(self, capsys):
+        code, out, _ = run(capsys, "block-add", "--base", "tribonacci",
+                           "--x", "1", "--y", "1")
+        assert code == 0
+        assert "certified s = 5" in out
+        assert "k=14 ell=2 s=5" in out and "value-ok" in out
+
+    def test_certified_witness_in_json(self, capsys):
+        code, out, _ = run(capsys, "block-add", "--base", "fibonacci",
+                           "--x", "1", "--y", "1", "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["k"], payload["ell"], payload["s"]) == (10, 3, 2)
+        assert payload["s_witness"] == ["1", "1"]  # 1 + 1 = 10.01
 
     def test_estimate_s_flag(self, capsys):
         code, out, _ = run(capsys, "block-add", "--base", "fibonacci",

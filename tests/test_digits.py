@@ -63,3 +63,23 @@ def test_alphabet_contract():
 def test_malformed_parse():
     with pytest.raises(ValueError):
         parse_digits("1.2.3")
+
+
+def _immutable_values():
+    from betapar.algebraic import MinimalPolynomial, QuotientValue, tribonacci_base
+    from betapar.blocks import make_block_params
+    from betapar.numeration import EventuallyPeriodicString
+
+    tri = tribonacci_base()
+    return [Alphabet(-1, 2), parse_digits("1,0.2"), EventuallyPeriodicString((2,), (1,)),
+            MinimalPolynomial([1, -1, -1, -1]), QuotientValue(tri, (1, 2, 0), 3),
+            make_block_params(tri, 2, 5)]
+
+
+@pytest.mark.parametrize("value", _immutable_values(), ids=lambda v: type(v).__name__)
+def test_immutable_values_copy(value):
+    import copy
+
+    for dup in (copy.copy(value), copy.deepcopy(value)):
+        assert dup == value
+        assert dup is value or type(value).__name__ == "BlockParams"

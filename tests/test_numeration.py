@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -18,6 +19,7 @@ from betapar.numeration import (
     F,
     INCONCLUSIVE,
     PF,
+    AdmissibilityAutomaton,
     EventuallyPeriodicString,
     canonical_alphabet,
     classify_parry,
@@ -247,6 +249,71 @@ class TestAdmissibility:
         dstar = quasi_greedy(renyi_dbeta(fib))
         assert is_admissible(eps("(100)"), dstar)
         assert not is_admissible(eps("(110)"), dstar)
+
+
+def lex_admissible(seq, dstar):
+    """Reference: every suffix of seq strictly below dstar by lex_compare."""
+    n = len(seq.preperiod) + len(seq.period)
+    return all(lex_compare(seq.suffix(k), dstar) < 0 for k in range(n + 1))
+
+
+class TestAdmissibilityAutomaton:
+    """The automaton against the lex_compare definition, on a simple Parry
+    base (d* = (110)^omega) and a non-simple one (d* = 2 1^omega)."""
+
+    SPECS = ["tribonacci", "quadratic-minus:3,1"]
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_finite_words_match_lex_compare(self, spec):
+        aut = AdmissibilityAutomaton.of_base(base_from_spec(spec))
+        digits = range(aut.expected[0] + 1)
+        for n in range(7):
+            for w in itertools.product(digits, repeat=n):
+                seq = EventuallyPeriodicString(w)
+                assert aut.is_admissible(seq) == lex_admissible(seq, aut.dstar), w
+                assert aut.is_admissible(DigitString(w, 2)) == lex_admissible(seq, aut.dstar)
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_periodic_words_match_lex_compare(self, spec):
+        aut = AdmissibilityAutomaton.of_base(base_from_spec(spec))
+        digits = range(aut.expected[0] + 1)
+        for m in range(3):
+            for n in range(1, 4):
+                for pre in itertools.product(digits, repeat=m):
+                    for per in itertools.product(digits, repeat=n):
+                        seq = EventuallyPeriodicString(pre, per)
+                        assert aut.is_admissible(seq) == lex_admissible(seq, aut.dstar), seq
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_words_match_filtering(self, spec):
+        aut = AdmissibilityAutomaton.of_base(base_from_spec(spec))
+        digits = range(aut.expected[0] + 1)
+        brute = {()}
+        for n in range(1, 7):
+            for w in itertools.product(digits, repeat=n):
+                if w[0] and lex_admissible(EventuallyPeriodicString(w), aut.dstar):
+                    brute.add(w)
+        words = list(aut.iter_beta_integer_words(6))
+        assert len(words) == len(brute) and set(words) == brute
+
+    def test_tribonacci_periodic_examples(self, tri):
+        aut = AdmissibilityAutomaton.of_base(tri)
+        assert aut.is_admissible(eps("(100)"))
+        assert not aut.is_admissible(eps("(110)"))  # d* itself
+        assert not aut.is_admissible(eps("0(110)"))
+        assert aut.is_admissible(eps("(1100)"))
+
+    def test_nonsimple_tail(self, qm31):
+        aut = AdmissibilityAutomaton.of_base(qm31)
+        assert not aut.is_admissible(eps("2(1)"))  # d* itself
+        assert aut.is_admissible(eps("(1)"))
+        assert aut.accepts(eps("(1)"), 0)
+        assert not aut.accepts(eps("(1)"), aut.step(0, 2))
+
+    @pytest.mark.parametrize("text", ["12", "(01)", "1(2)"])
+    def test_rejects_what_is_not_quasi_greedy(self, text):
+        with pytest.raises(ValueError):
+            AdmissibilityAutomaton(eps(text))
 
 
 class TestPfSufficient:
