@@ -29,13 +29,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .digits import DigitString
+from .digits import DigitString, Immutable
 
 _SIGN_BITS_START = 64
 _SIGN_BITS_LIMIT = 1 << 14
 
 
-class MinimalPolynomial:
+class MinimalPolynomial(Immutable):
     """Monic integer polynomial, coefficients highest degree first, d >= 2.
 
     Irreducibility is asserted by the caller and only spot-checked: a
@@ -58,15 +58,6 @@ class MinimalPolynomial:
         for r in _divisors(abs(coeffs[-1])):
             if self.eval_int(r) == 0 or self.eval_int(-r) == 0:
                 raise ValueError("rational root %d; polynomial is reducible" % r)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MinimalPolynomial is immutable")
-
-    def __copy__(self):
-        return self
-
-    def __deepcopy__(self, memo):
-        return self
 
     def eval_int(self, x):
         acc = 0
@@ -358,7 +349,7 @@ def _fraction_sign(x):
     return (x > 0) - (x < 0)
 
 
-class QuotientValue:
+class QuotientValue(Immutable):
     """beta**(-scale) * (c_0 + c_1 beta + ... + c_{d-1} beta**(d-1)), scale >= 0.
 
     Canonical form: the scale is minimal (the vector is not divisible by
@@ -387,15 +378,6 @@ class QuotientValue:
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "scale", scale)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QuotientValue is immutable")
-
-    def __copy__(self):
-        return self
-
-    def __deepcopy__(self, memo):
-        return self
 
     @classmethod
     def from_int(cls, base, n):

@@ -161,7 +161,7 @@ def cmd_block_add(args):
         witness = [format_digits(cert.witness_x), format_digits(cert.witness_y)]
         if not args.json:
             print("certified s = %d, attained by %s + %s (%d search states)"
-                  % ((cert.s,) + tuple(witness) + (cert.states,)))
+                  % (cert.s, witness[0], witness[1], cert.states))
         params = params_for_pf_base(base, cert.s)
     else:
         raise CliError("give both --ell and --s, or neither to certify s, or --estimate-s")

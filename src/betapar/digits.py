@@ -20,7 +20,24 @@ All types here are immutable and hashable; operations return new objects.
 from __future__ import annotations
 
 
-class Alphabet:
+class Immutable:
+    """Base of the value types: __init__ sets each slot once through
+    object.__setattr__, every later write raises, and a copy, shallow or
+    deep, is the value itself."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
+
+class Alphabet(Immutable):
     """Contiguous integer digit set {min_digit, ..., max_digit} containing 0."""
 
     __slots__ = ("min_digit", "max_digit")
@@ -30,15 +47,6 @@ class Alphabet:
             raise ValueError("alphabet must contain 0: got [%d, %d]" % (min_digit, max_digit))
         object.__setattr__(self, "min_digit", int(min_digit))
         object.__setattr__(self, "max_digit", int(max_digit))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Alphabet is immutable")
-
-    def __copy__(self):
-        return self
-
-    def __deepcopy__(self, memo):
-        return self
 
     def __contains__(self, digit):
         return self.min_digit <= digit <= self.max_digit
@@ -79,7 +87,7 @@ class Alphabet:
         return "{%d..%d}" % (self.min_digit, self.max_digit)
 
 
-class DigitString:
+class DigitString(Immutable):
     """Finite two-sided digit sequence with a radix point.
 
     ``digits`` is MSD-first; ``digits[i]`` is the coefficient of
@@ -103,15 +111,6 @@ class DigitString:
             msd_exponent = 0
         object.__setattr__(self, "digits", digits)
         object.__setattr__(self, "msd_exponent", msd_exponent)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DigitString is immutable")
-
-    def __copy__(self):
-        return self
-
-    def __deepcopy__(self, memo):
-        return self
 
     @classmethod
     def from_pairs(cls, pairs):

@@ -28,7 +28,7 @@ from .algebraic import (
     qv_compare,
     qv_sign,
 )
-from .digits import Alphabet, DigitString
+from .digits import Alphabet, DigitString, Immutable
 
 F = "F"
 PF = "PF"
@@ -37,7 +37,7 @@ INCONCLUSIVE = "inconclusive"
 DEFAULT_MAX_STEPS = 10000
 
 
-class EventuallyPeriodicString:
+class EventuallyPeriodicString(Immutable):
     """Digit sequence pre . per^omega; empty period means a finite string.
 
     Normal form: the period is primitive (not a proper power) and the
@@ -61,15 +61,6 @@ class EventuallyPeriodicString:
                 per = [per[-1]] + per[:-1]
         object.__setattr__(self, "preperiod", tuple(pre))
         object.__setattr__(self, "period", tuple(per))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("EventuallyPeriodicString is immutable")
-
-    def __copy__(self):
-        return self
-
-    def __deepcopy__(self, memo):
-        return self
 
     def is_finite(self):
         return not self.period
