@@ -81,6 +81,7 @@ from .numeration import (
     classify_parry,
     greedy_expand,
     greedy_expand_ge1,
+    greedy_tail,
     is_admissible,
     iter_beta_integer_words,
     lex_compare,

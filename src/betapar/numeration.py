@@ -219,19 +219,30 @@ def renyi_dbeta(base, max_steps=DEFAULT_MAX_STEPS):
     """
     if max_steps < 1:
         raise ValueError("max_steps must be at least 1")
-    r = base.unit_vector()
-    seen = {r: 0}
+    return greedy_tail(base, base.unit_vector(), max_steps)
+
+
+def greedy_tail(base, r, max_steps=None):
+    """The greedy digits of beta * r, beta * r', ... for a remainder r >= 0.
+
+    For r in [0, 1) this is the greedy expansion of value(r); for r = 1 it
+    is d_beta(1).  Remainders are exact Z[beta] vectors, so a zero
+    remainder ends a finite expansion and a repeated one closes its period.
+    Returns an EventuallyPeriodicString, or None when neither happens
+    within max_steps digits (no cap when max_steps is None).
+    """
+    seen = {}
     digits = []
-    for j in range(1, max_steps + 1):
-        t, r = _greedy_step(base, r)
-        digits.append(t)
-        if not any(r):
-            return EventuallyPeriodicString(digits)
+    while any(r):
         i = seen.get(r)
         if i is not None:
             return EventuallyPeriodicString(digits[:i], digits[i:])
-        seen[r] = j
-    return None
+        if len(digits) == max_steps:
+            return None
+        seen[r] = len(digits)
+        t, r = _greedy_step(base, r)
+        digits.append(t)
+    return EventuallyPeriodicString(digits)
 
 
 def classify_parry(base, max_steps=DEFAULT_MAX_STEPS):
@@ -332,50 +343,17 @@ class AdmissibilityAutomaton:
             resets.append(reset)
         return any(resets[starts[state]:])
 
-    def is_admissible(self, s):
-        """True iff every suffix of s (a DigitString or an eventually periodic
-        sequence) is strictly lexicographically below d*."""
-        return self.accepts(_as_sequence(s))
-
-    def iter_beta_integer_words(self, max_len):
-        """Yield digit tuples (msd first, no leading zero) of all beta-integers
-        with at most max_len digits, the zero word included as ().
-
-        A word is the greedy expansion of its value iff the automaton
-        accepts it; a rejected prefix has no accepted extension, so a DFS
-        that carries the state enumerates exactly the admissible words.
-        """
-        if max_len < 0:
-            raise ValueError("max_len must be non-negative, got %d" % max_len)
-        top = self.expected[0]  # every t_i <= t_1, so larger digits never pass
-        word = []
-
-        def rec(state):
-            yield tuple(word)
-            if len(word) == max_len:
-                return
-            for d in range(top, -1, -1):
-                nxt = self.step(state, d)
-                if nxt is not None:
-                    word.append(d)
-                    yield from rec(nxt)
-                    word.pop()
-
-        yield ()
-        if max_len:
-            for first in range(1, top + 1):
-                word.append(first)
-                yield from rec(self.step(0, first))
-                word.pop()
-
 
 def is_admissible(s, dstar):
-    """True iff every suffix of s is strictly lexicographically below dstar.
+    """True iff every suffix of s (a DigitString or an eventually periodic
+    sequence) is strictly lexicographically below dstar.
 
     This is Parry's characterization of greedy digit sequences, decided by
-    the :class:`AdmissibilityAutomaton` of dstar.
+    the :class:`AdmissibilityAutomaton` of dstar; dstar must therefore be a
+    quasi-greedy expansion d*_beta(1) (infinite, and the largest of its
+    shifts), and ValueError is raised otherwise.
     """
-    return AdmissibilityAutomaton(dstar).is_admissible(s)
+    return AdmissibilityAutomaton(dstar).accepts(_as_sequence(s))
 
 
 def pf_sufficient(d):
@@ -406,9 +384,11 @@ def greedy_vector_digits(base, vec, lowest):
     Returns (int_digits, frac_digits, exact) with int_digits ascending
     (index = position; positions below lowest read 0) and frac_digits[i]
     the digit at position -(i+1); exact is False iff a nonzero digit lies
-    below lowest.  This is the one greedy digit loop: block decomposition,
-    the fractional-depth sweeps and greedy_expand all run through it, and
-    it avoids QuotientValue construction entirely.
+    below lowest.  Block decomposition, the fractional-depth sweeps and
+    greedy_expand all run through it, and it avoids QuotientValue
+    construction entirely.  Its fractional digits come from _greedy_step,
+    as do those of greedy_tail, which instead runs an expansion to its exact
+    eventually periodic end.
     """
     d = base.degree
     if not any(vec):
@@ -471,32 +451,48 @@ def admissible_greedy_depth(base, automaton, vec, state):
 
     Returns the number of digits when the word that led to state followed
     by greedy(z) is admissible, and None when it is not.  A non-terminating
-    greedy(z) is decided exactly: a repeated remainder makes the digits
-    eventually periodic, and the automaton decides the periodic tail.  An
-    admissible infinite tail raises, since then the value read has no
-    finite greedy expansion, which cannot happen for an (F)/(PF) base.
+    greedy(z) is decided exactly by :func:`greedy_tail`, which ends at a
+    repeated remainder.  An admissible infinite tail raises, since then the
+    value read has no finite greedy expansion, which cannot happen for an
+    (F)/(PF) base.
     """
-    digits = []
-    seen = {}
-    while any(vec):
-        if vec in seen:
-            i, start = seen[vec]
-            if automaton.accepts(EventuallyPeriodicString((), digits[i:]), start):
-                raise RuntimeError("greedy expansion %s(%s) is admissible and infinite: "
-                                   "the base is not (PF)"
-                                   % ("".join(map(str, digits[:i])),
-                                      "".join(map(str, digits[i:]))))
-            return None
-        seen[vec] = (len(digits), state)
-        dig, vec = _greedy_step(base, vec)
-        state = automaton.step(state, dig)
-        if state is None:
-            return None
-        digits.append(dig)
-    return len(digits)
+    tail = greedy_tail(base, vec)
+    if not automaton.accepts(tail, state):
+        return None
+    if tail.period:
+        raise RuntimeError("greedy expansion %s is admissible and infinite: "
+                           "the base is not (PF)" % tail)
+    return len(tail.preperiod)
 
 
 def iter_beta_integer_words(base, max_len):
-    """The beta-integer words of at most max_len digits; see
-    :meth:`AdmissibilityAutomaton.iter_beta_integer_words`."""
-    return AdmissibilityAutomaton.of_base(base).iter_beta_integer_words(max_len)
+    """Yield digit tuples (msd first, no leading zero) of all beta-integers
+    with at most max_len digits, the zero word included as ().
+
+    A word is the greedy expansion of its value iff Parry's automaton
+    accepts it; a rejected prefix has no accepted extension, so a DFS
+    that carries the automaton state enumerates exactly the admissible words.
+    """
+    if max_len < 0:
+        raise ValueError("max_len must be non-negative, got %d" % max_len)
+    aut = AdmissibilityAutomaton.of_base(base)
+    top = aut.expected[0]  # every t_i <= t_1, so larger digits never pass
+    word = []
+
+    def rec(state):
+        yield tuple(word)
+        if len(word) == max_len:
+            return
+        for d in range(top, -1, -1):
+            nxt = aut.step(state, d)
+            if nxt is not None:
+                word.append(d)
+                yield from rec(nxt)
+                word.pop()
+
+    yield ()
+    if max_len:
+        for first in range(1, top + 1):
+            word.append(first)
+            yield from rec(aut.step(0, first))
+            word.pop()

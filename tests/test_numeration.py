@@ -25,6 +25,7 @@ from betapar.numeration import (
     classify_parry,
     greedy_expand,
     greedy_expand_ge1,
+    greedy_tail,
     is_admissible,
     iter_beta_integer_words,
     lex_compare,
@@ -194,6 +195,12 @@ class TestRenyi:
     def test_unknown_on_tiny_budget(self, qm31):
         assert renyi_dbeta(qm31, max_steps=1) is None
 
+    def test_greedy_tail(self, tri, qm31):
+        assert greedy_tail(qm31, (0, 0)) == EventuallyPeriodicString(())
+        assert greedy_tail(qm31, (-2, 1)) == eps("(1)")  # beta - 2 = .1^omega
+        assert greedy_tail(tri, (-1, -1, 1)) == eps("1")  # beta^2 - beta - 1 = 1/beta
+        assert greedy_tail(qm31, (-2, 1), max_steps=0) is None
+
     def test_classify(self, fib, qm31):
         assert classify_parry(fib)[0] == "simple"
         kind, d = classify_parry(quadratic_minus_base(4, 2))
@@ -270,8 +277,8 @@ class TestAdmissibilityAutomaton:
         for n in range(7):
             for w in itertools.product(digits, repeat=n):
                 seq = EventuallyPeriodicString(w)
-                assert aut.is_admissible(seq) == lex_admissible(seq, aut.dstar), w
-                assert aut.is_admissible(DigitString(w, 2)) == lex_admissible(seq, aut.dstar)
+                assert is_admissible(seq, aut.dstar) == lex_admissible(seq, aut.dstar), w
+                assert is_admissible(DigitString(w, 2), aut.dstar) == lex_admissible(seq, aut.dstar)
 
     @pytest.mark.parametrize("spec", SPECS)
     def test_periodic_words_match_lex_compare(self, spec):
@@ -282,31 +289,32 @@ class TestAdmissibilityAutomaton:
                 for pre in itertools.product(digits, repeat=m):
                     for per in itertools.product(digits, repeat=n):
                         seq = EventuallyPeriodicString(pre, per)
-                        assert aut.is_admissible(seq) == lex_admissible(seq, aut.dstar), seq
+                        assert is_admissible(seq, aut.dstar) == lex_admissible(seq, aut.dstar), seq
 
     @pytest.mark.parametrize("spec", SPECS)
     def test_words_match_filtering(self, spec):
-        aut = AdmissibilityAutomaton.of_base(base_from_spec(spec))
+        base = base_from_spec(spec)
+        aut = AdmissibilityAutomaton.of_base(base)
         digits = range(aut.expected[0] + 1)
         brute = {()}
         for n in range(1, 7):
             for w in itertools.product(digits, repeat=n):
                 if w[0] and lex_admissible(EventuallyPeriodicString(w), aut.dstar):
                     brute.add(w)
-        words = list(aut.iter_beta_integer_words(6))
+        words = list(iter_beta_integer_words(base, 6))
         assert len(words) == len(brute) and set(words) == brute
 
     def test_tribonacci_periodic_examples(self, tri):
         aut = AdmissibilityAutomaton.of_base(tri)
-        assert aut.is_admissible(eps("(100)"))
-        assert not aut.is_admissible(eps("(110)"))  # d* itself
-        assert not aut.is_admissible(eps("0(110)"))
-        assert aut.is_admissible(eps("(1100)"))
+        assert is_admissible(eps("(100)"), aut.dstar)
+        assert not is_admissible(eps("(110)"), aut.dstar)  # d* itself
+        assert not is_admissible(eps("0(110)"), aut.dstar)
+        assert is_admissible(eps("(1100)"), aut.dstar)
 
     def test_nonsimple_tail(self, qm31):
         aut = AdmissibilityAutomaton.of_base(qm31)
-        assert not aut.is_admissible(eps("2(1)"))  # d* itself
-        assert aut.is_admissible(eps("(1)"))
+        assert not is_admissible(eps("2(1)"), aut.dstar)  # d* itself
+        assert is_admissible(eps("(1)"), aut.dstar)
         assert aut.accepts(eps("(1)"), 0)
         assert not aut.accepts(eps("(1)"), aut.step(0, 2))
 

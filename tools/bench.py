@@ -2,14 +2,15 @@
 
 Usage, from anywhere:
 
-    python3 tools/bench.py LABEL [--seed N] [--runs R]
+    python3 tools/bench.py LABEL
 
-Each run is one ``python3 perfbench/run.py --workload W --seed N --trace 0``
+Each run is one ``python3 perfbench/run.py --workload W --seed 1 --trace 0``
 in a fresh interpreter, from the root of the checkout that holds this
-script.  The script writes ``BENCH_<LABEL>.json`` at that root: the git
-commit, the Python version, and for every run the command and the JSON
-line the benchmark printed.  Runs of the workloads alternate, so a slow
-spell of the machine spreads over all of them.
+script; every workload runs three times.  The script writes
+``BENCH_<LABEL>.json`` at that root: the git commit, the Python version,
+and for every run the command and the JSON line the benchmark printed.
+Runs of the workloads alternate, so a slow spell of the machine spreads
+over all of them.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("gde-add", "block-add", "sweep")
+RUNS = 3
+SEED = 1
 
 
 def git_commit():
@@ -45,15 +48,11 @@ def run_workload(workload, seed):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("label", help="the file written is BENCH_<label>.json")
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--runs", type=int, default=1, help="runs of each workload")
     args = parser.parse_args(argv)
-    if args.runs < 1:
-        parser.error("--runs must be at least 1")
     runs = []
-    for _ in range(args.runs):
+    for _ in range(RUNS):
         for workload in WORKLOADS:
-            runs.append(run_workload(workload, args.seed))
+            runs.append(run_workload(workload, SEED))
             result = runs[-1]["result"]
             print("%-9s correct=%s failed=%d %s" % (
                 workload, result["correct"], result["failed"],
