@@ -43,7 +43,7 @@ class MinimalPolynomial(Immutable):
     irreducibility test up to degree 3.  Full factorization is out of scope.
     """
 
-    __slots__ = ("coefficients", "degree")
+    __slots__ = ("coefficients",)
 
     def __init__(self, coefficients):
         coeffs = tuple(int(c) for c in coefficients)
@@ -52,12 +52,15 @@ class MinimalPolynomial(Immutable):
         if coeffs[0] != 1:
             raise ValueError("polynomial must be monic")
         object.__setattr__(self, "coefficients", coeffs)
-        object.__setattr__(self, "degree", len(coeffs) - 1)
         if coeffs[-1] == 0:
             raise ValueError("X divides the polynomial; not irreducible")
         for r in _divisors(abs(coeffs[-1])):
             if self.eval_int(r) == 0 or self.eval_int(-r) == 0:
                 raise ValueError("rational root %d; polynomial is reducible" % r)
+
+    @property
+    def degree(self):
+        return len(self.coefficients) - 1
 
     def eval_int(self, x):
         acc = 0
@@ -257,9 +260,15 @@ class BetaBase:
                 self._dy = (bits, blo, plo, phi)
         return plo, phi, bits
 
-    def _value_enclosure(self, v, bits):
-        """Integer pair (L, H) with value(v) in [L, H] / 2**bits."""
-        plo, phi, bits = self._powers_dyadic(bits, len(v) - 1)
+    def value_enclosure(self, v, bits=0, n=0):
+        """(L, H, plo, phi, bits), all read from one dyadic snapshot.
+
+        value(v) lies in [L, H] / 2**bits, and beta**i in [plo[i], phi[i]] /
+        2**bits for every i <= n; the precision is at least the bits asked
+        for, and at least the base's current one.  Taking both from one
+        snapshot keeps them at one precision while another thread raises it.
+        """
+        plo, phi, bits = self._powers_dyadic(bits, max(n, len(v) - 1))
         L = H = 0
         for i, c in enumerate(v):
             if c > 0:
@@ -268,7 +277,7 @@ class BetaBase:
             elif c < 0:
                 L += c * phi[i]
                 H += c * plo[i]
-        return L, H, bits
+        return L, H, plo, phi, bits
 
     def sign_of_vector(self, v):
         """Certified sign of value(v); exact zero test first, so this terminates."""
@@ -276,7 +285,7 @@ class BetaBase:
             return 0
         bits = _SIGN_BITS_START
         while True:
-            L, H, bits = self._value_enclosure(v, bits)
+            L, H, _, _, bits = self.value_enclosure(v, bits)
             if L > 0:
                 return 1
             if H < 0:
@@ -291,8 +300,7 @@ class BetaBase:
         # (or the precision cap); the exact adjustment below certifies it
         bits = _SIGN_BITS_START
         while True:
-            L, H, bits = self._value_enclosure(v, bits)
-            plo, phi, bits = self._powers_dyadic(bits, scale)
+            L, H, plo, phi, bits = self.value_enclosure(v, bits, scale)
             n = L // phi[scale] if L >= 0 else L // plo[scale]
             top = H // plo[scale] if H >= 0 else H // phi[scale]
             if top - n <= 1 or bits >= _SIGN_BITS_LIMIT:
@@ -319,8 +327,7 @@ class BetaBase:
         Midpoints of the enclosures of value(v) and beta**scale, divided as
         integers: correctly rounded at any precision, 0.0 on underflow.
         """
-        L, H, bits = self._value_enclosure(v, 128)
-        plo, phi, bits = self._powers_dyadic(bits, scale)
+        L, H, plo, phi, _ = self.value_enclosure(v, 128, scale)
         return (L + H) / (plo[scale] + phi[scale])
 
     def beta_float(self):

@@ -15,12 +15,17 @@ in parallel because the L/C/S contributions telescope across blocks.
 Blocks already over B keep L = S = 0 and C = u, which pins the zero block
 to zero and makes every B-block a fixed point of Phi(u, u, u).
 
-Decomposition is computed on demand: the block's exact value is multiplied
-by beta^(2s) and greedily expanded; the expansion must be a beta-integer
-fitting in 2k positions, otherwise the chosen (l, s) are insufficient for
-this input and :class:`InsufficientParamsError` is raised (the runtime
-fit-check standing in for the existence argument).  A conversion
-decomposes each block it reads once and keeps nothing afterwards.
+Decomposition is computed on demand: the block's exact value times
+beta^(2s) is summed from the base's cached power vectors and greedily
+expanded; the expansion must be a beta-integer fitting in 2k positions,
+otherwise the chosen (l, s) are insufficient for this input and
+:class:`InsufficientParamsError` is raised (the runtime fit-check standing
+in for the existence argument).  The greedy digits are read from one
+dyadic enclosure of that value, with an exact test only where a digit
+boundary falls inside the enclosure (see
+:func:`betapar.numeration.greedy_vector_digits`), and the parts are checked
+against the value by the same power sums.  A conversion decomposes each
+block it reads once and keeps nothing afterwards.
 
 The parameter l is computed from the base by a certified comparison.  The
 parameter s is L_plus, the most fractional digits that a sum of two
@@ -119,6 +124,16 @@ def params_for_pf_base(base, s, allow_non_pf=False):
             raise RuntimeError("no l <= 64 satisfies the margin inequality")
 
 
+def _power_sum(base, digits, low):
+    """Vector of sum digits[i] * beta**(low + i), from the base's cached powers."""
+    vec = [0] * base.degree
+    for i, dig in enumerate(digits, low):
+        if dig:
+            pw = base.power_vector(i)
+            vec = [a + dig * p for a, p in zip(vec, pw)]
+    return tuple(vec)
+
+
 class BlockAdder:
     """k-block 3-local adder on A = B + B for a fixed base and parameters.
 
@@ -149,7 +164,7 @@ class BlockAdder:
             if dig not in inA2:
                 raise ValueError("block digit %d outside %s" % (dig, inA2))
         base = self.base
-        vec = base.mul_power(base.digits_vector(reversed(u)), 2 * s)  # u * beta^(2s)
+        vec = _power_sum(base, u, 2 * s)  # u * beta^(2s)
         if all(dig in B for dig in u):
             dec = BlockDecomposition((0,) * (2 * ell), u, (0,) * (2 * s))
         else:
@@ -166,7 +181,7 @@ class BlockAdder:
             for dig in part:
                 if dig not in B:
                     raise InsufficientParamsError("decomposition digit %d outside %s" % (dig, B))
-        if base.digits_vector(reversed(dec.S + dec.C + dec.L)) != vec:
+        if _power_sum(base, dec.S + dec.C + dec.L, 0) != vec:
             raise AssertionError("decomposition identity failed for block %r" % (u,))
         return dec
 

@@ -148,11 +148,14 @@ def cmd_add(args):
 
 def cmd_block_add(args):
     base = base_from_spec(args.base)
-    witness = None
+    witness = estimate = None
     if args.estimate_s:
         rep = estimate_s_report(base, args.test_len)
-        print("estimated s = %d (exhaustive through length %d, %d pairs)"
-              % (rep.s, rep.exhaustive_len, rep.pairs_checked))
+        estimate = {"s": rep.s, "exhaustive_len": rep.exhaustive_len,
+                    "pairs": rep.pairs_checked}
+        if not args.json:
+            print("estimated s = %d (exhaustive through length %d, %d pairs)"
+                  % (rep.s, rep.exhaustive_len, rep.pairs_checked))
         params = params_for_pf_base(base, rep.s)
     elif args.ell is not None and args.s is not None:
         params = make_block_params(base, args.ell, args.s)
@@ -180,6 +183,8 @@ def cmd_block_add(args):
                "result": format_digits(out), "value_ok": ok}
     if witness is not None:
         payload["s_witness"] = witness
+    if estimate is not None:
+        payload["s_estimate"] = estimate
     _emit(args, payload, ["%s" % format_digits(out),
                           "k=%d ell=%d s=%d alphabet %s" % (params.k, params.ell,
                                                             params.s, params.A),

@@ -23,12 +23,16 @@ from __future__ import annotations
 class Immutable:
     """Base of the value types: __init__ sets each slot once through
     object.__setattr__, every later write raises, and a copy, shallow or
-    deep, is the value itself."""
+    deep, is the value itself.  The slots are the arguments of __init__, so
+    a pickled value is rebuilt by calling __init__ on them."""
 
     __slots__ = ()
 
     def __setattr__(self, name, value):
         raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
     def __copy__(self):
         return self

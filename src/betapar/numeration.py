@@ -19,7 +19,7 @@ exact-arithmetic layer.
 
 from __future__ import annotations
 
-from math import gcd, log
+from math import gcd
 from typing import NamedTuple
 
 from .algebraic import (
@@ -386,31 +386,64 @@ def greedy_vector_digits(base, vec, lowest):
     the digit at position -(i+1); exact is False iff a nonzero digit lies
     below lowest.  Block decomposition, the fractional-depth sweeps and
     greedy_expand all run through it, and it avoids QuotientValue
-    construction entirely.  Its fractional digits come from _greedy_step,
-    as do those of greedy_tail, which instead runs an expansion to its exact
+    construction entirely.
+
+    The integer digits are read from one dyadic enclosure: value(vec) in
+    [L, H] and each beta**j in [plo_j, phi_j], all from one snapshot of the
+    base.  Walking down from a position the enclosure puts above the top
+    digit, the digit at j is certified when L // phi_j == H // plo_j, and
+    the enclosure of the remainder is then narrowed by that digit's share.
+    Otherwise the exact remainder vector, kept alongside, decides: it is
+    tested against m * beta**j for m = H // plo_j, and failing that the
+    digit is the exact floor_of_vector, after which the remainder is
+    enclosed afresh.  The walk stops once the remainder is zero, and below
+    lowest it only looks for the top digit, whose position sizes
+    int_digits.  The fractional digits come from _greedy_step, as do those
+    of greedy_tail, which instead runs an expansion to its exact
     eventually periodic end.
     """
-    d = base.degree
     if not any(vec):
         return [], [], True
-    if base.sign_of_vector(vec) < 0:
+    L, H, plo, phi, _ = base.value_enclosure(vec)
+    if L < 0 and (H < 0 or base.sign_of_vector(vec) < 0):
         raise ValueError("greedy expansion needs a non-negative value")
-    est = base.float_value(vec)
-    n = 0
-    if est > 1.0:
-        n = max(0, int(log(est) / log(base.beta_float())))
-    while base.floor_of_vector(vec, n + 1) > 0:
-        n += 1
-    while n > 0 and base.floor_of_vector(vec, n) == 0:
-        n -= 1
-    int_digits = [0] * (n + 1)
+    # m: a position with value(vec) < beta**(m + 1), so no digit lies above m
+    m = 0
+    while True:
+        while m + 1 < len(plo) and plo[m + 1] <= H:
+            m += 1
+        if m + 1 < len(plo):
+            break
+        L, H, plo, phi, _ = base.value_enclosure(vec, n=2 * m + 2)
+    d = base.degree
+    low = max(lowest, 0)
+    top = None
+    int_digits = [0]
     r = vec
-    for j in range(n, max(lowest, 0) - 1, -1):
-        dig = base.floor_of_vector(r, j)
-        if dig:
+    for j in range(m, -1, -1):
+        if j < low and top is not None:
+            break
+        dig = max(L, 0) // phi[j]  # the remainder is never negative
+        fresh = False
+        if dig != H // plo[j]:
+            dig = H // plo[j]
+            pw = base.power_vector(j)
+            if any(r[i] != dig * pw[i] for i in range(d)):
+                dig = base.floor_of_vector(r, j)
+                fresh = True
+        if dig and top is None:
+            top = j
+            int_digits = [0] * (j + 1)
+        if dig and j >= low:
+            int_digits[j] = dig
             pw = base.power_vector(j)
             r = tuple(r[i] - dig * pw[i] for i in range(d))
-        int_digits[j] = dig
+            if not any(r):
+                break
+            L -= dig * phi[j]
+            H -= dig * plo[j]
+        if fresh:
+            L, H, plo, phi, _ = base.value_enclosure(r, n=m)
     frac = []
     exact = not any(r)
     while not exact and len(frac) < -lowest:

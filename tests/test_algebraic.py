@@ -169,6 +169,39 @@ class TestRefineAndFloor:
         assert qv_sign(qv_sub(v, QuotientValue.from_int(base, n + 1))) < 0
 
 
+    def test_floor_reads_one_snapshot(self, monkeypatch):
+        # another thread may raise the precision between two reads of the
+        # dyadic snapshot; here the raise to 256 bits comes right after the
+        # first read.  Value and power enclosures at two precisions would
+        # put the estimate off by 2^192, and the exact correction would then
+        # walk up one unit per sign call
+        class Raising(BetaBase):
+            def _powers_dyadic(self, bits, n):
+                out = super()._powers_dyadic(bits, n)
+                if self.raise_once:
+                    self.raise_once = False
+                    self._refine_dyadic(256)
+                return out
+
+        sign = BetaBase.sign_of_vector
+        calls = []
+
+        def counted(self, w):
+            calls.append(w)
+            assert len(calls) <= 50, "floor walks one unit per sign call"
+            return sign(self, w)
+
+        want = [certified_floor(QuotientValue.beta_power(quadratic_plus_base(4, 2), n))
+                for n in (6, 12)]
+        monkeypatch.setattr(BetaBase, "sign_of_vector", counted)
+        for n, floor in zip((6, 12), want):
+            base = Raising([1, -4, -2], (Fraction(4), Fraction(6)))  # quadratic-plus:4,2
+            base.raise_once = True
+            calls.clear()
+            assert certified_floor(QuotientValue.beta_power(base, n)) == floor
+            assert len(calls) <= 4
+            assert base._dy[0] == 256
+
     def test_precision_raise_refines_the_snapshot(self, monkeypatch):
         # each doubling bisects from the snapshot's [num, num + 1], one step
         # per new bit: 64 + 128 + ... + 2048 steps from 64 to 4096 bits

@@ -4,6 +4,7 @@ import pytest
 
 from betapar import blocks
 from betapar.algebraic import (
+    BetaBase,
     base_from_spec,
     dbonacci_base,
     eval_digit_string,
@@ -100,6 +101,34 @@ class TestDecompose:
 
             rhs = qv_add(qv_add(val(L, k), val(C, 0)), val(S, -2 * s))
             assert values_equal(lhs, rhs)
+
+    def test_block_read_from_one_enclosure(self, monkeypatch):
+        # the value comes from cached powers, not a Horner pass, and the
+        # greedy digits from one dyadic enclosure, with at most a couple of
+        # exact floors where a digit boundary falls inside it
+        base = dbonacci_base(3)
+        adder = BlockAdder(base, make_block_params(base, 2, 5))
+        calls = []
+
+        def counted(name):
+            method = getattr(BetaBase, name)
+
+            def wrapper(self, *args):
+                calls.append(name)
+                return method(self, *args)
+            return wrapper
+
+        rng = random.Random(23)
+        blocks_ = [tuple(rng.randint(0, 4) for _ in range(14)) for _ in range(50)]
+        blocks_ += [(4,) * 14, (3,) + (0,) * 13, (0,) * 13 + (4,)]
+        for name in ("floor_of_vector", "digits_vector"):
+            monkeypatch.setattr(BetaBase, name, counted(name))
+        for u in blocks_:
+            assert any(dig > 2 for dig in u)
+            calls.clear()
+            adder.decompose(u)
+            assert calls.count("floor_of_vector") <= 2, u
+            assert "digits_vector" not in calls
 
     def test_insufficient_params_error_names_block(self, fib):
         adder = BlockAdder(fib, make_block_params(fib, 3, 0))

@@ -184,6 +184,15 @@ class TestBlockAdd:
         assert code == 0
         assert "estimated s = 2" in out and "value-ok" in out
 
+    def test_estimate_s_in_json(self, capsys):
+        code, out, _ = run(capsys, "block-add", "--base", "fibonacci",
+                           "--estimate-s", "--test-len", "3",
+                           "--x", "1", "--y", "1", "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["s_estimate"] == {"s": 2, "exhaustive_len": 3, "pairs": 15}
+        assert payload["s"] == 2 and payload["value_ok"]
+
 
 class TestBounds:
     def test_dbonacci3(self, capsys):

@@ -83,3 +83,38 @@ def test_immutable_values_copy(value):
     for dup in (copy.copy(value), copy.deepcopy(value)):
         assert dup == value
         assert dup is value or type(value).__name__ == "BlockParams"
+
+
+def _pickled_values():
+    from betapar.algebraic import MinimalPolynomial, QuotientValue, tribonacci_base
+    from betapar.numeration import EventuallyPeriodicString
+
+    tri = tribonacci_base()
+    return [Alphabet(-1, 2), parse_digits("1,0.2"), EventuallyPeriodicString((2,), (1,)),
+            MinimalPolynomial([1, -1, -1, -1]), QuotientValue(tri, (1, 2, 0), 3), tri]
+
+
+@pytest.mark.parametrize("value", _pickled_values(), ids=lambda v: type(v).__name__)
+def test_values_pickle(value):
+    import pickle
+
+    dup = pickle.loads(pickle.dumps(value))
+    assert type(dup) is type(value) and dup == value
+    assert repr(dup) == repr(value)
+
+
+def test_pickled_block_adder_adds_as_the_original():
+    import pickle
+    import random
+
+    from betapar.blocks import dbonacci_block_adder
+
+    adder = dbonacci_block_adder(3)
+    dup = pickle.loads(pickle.dumps(adder))
+    assert dup.params == adder.params and dup.base == adder.base
+    rng = random.Random(11)
+    for _ in range(20):
+        n, m = rng.randint(0, 40), rng.randint(0, 40)
+        x = DigitString([rng.randint(0, 2) for _ in range(n)], n - 1 - rng.randint(0, 5))
+        y = DigitString([rng.randint(0, 2) for _ in range(m)], m - 1)
+        assert dup.add(x, y) == adder.add(x, y)

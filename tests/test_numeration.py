@@ -26,6 +26,7 @@ from betapar.numeration import (
     greedy_expand,
     greedy_expand_ge1,
     greedy_tail,
+    greedy_vector_digits,
     is_admissible,
     iter_beta_integer_words,
     lex_compare,
@@ -144,6 +145,71 @@ class TestGreedyExpand:
         monkeypatch.undo()
         assert len(calls) <= 10
         assert res.string == parse_digits("0.4") and not res.exact
+
+
+def _exact_floor_digits(base, vec, lowest):
+    """greedy_vector_digits as one exact floor per position, for reference."""
+    d = base.degree
+    if not any(vec):
+        return [], [], True
+    if base.sign_of_vector(vec) < 0:
+        raise ValueError("greedy expansion needs a non-negative value")
+    n = 0
+    while base.floor_of_vector(vec, n + 1) > 0:
+        n += 1
+    int_digits = [0] * (n + 1)
+    r = vec
+    for j in range(n, max(lowest, 0) - 1, -1):
+        dig = base.floor_of_vector(r, j)
+        if dig:
+            pw = base.power_vector(j)
+            r = tuple(r[i] - dig * pw[i] for i in range(d))
+        int_digits[j] = dig
+    frac = []
+    exact = not any(r)
+    while not exact and len(frac) < -lowest:
+        r = base.shift_vector(r)
+        dig = base.floor_of_vector(r)
+        r = (r[0] - dig,) + r[1:]
+        frac.append(dig)
+        exact = not any(r)
+    return int_digits, frac, exact
+
+
+class TestGreedyVectorDigits:
+    @pytest.mark.parametrize("spec", ["fibonacci", "tribonacci", "dbonacci:4",
+                                      "quadratic-plus:4,2", "quadratic-minus:3,1",
+                                      "quadratic-minus:4,2"])
+    def test_matches_exact_floor_per_position(self, spec):
+        # digit strings (whose remainders often end exactly on a power),
+        # multiples of single powers, and arbitrary small vectors, cut at
+        # positions above, at and below the radix point
+        base = base_from_spec(spec)
+        rng = random.Random(spec)
+        cases = 0
+        for _ in range(340):
+            kind = rng.randrange(3)
+            if kind == 0:
+                vec = [0] * base.degree
+                for j in range(rng.randint(1, 30)):
+                    dig = rng.randint(0, 4)
+                    vec = [a + dig * p for a, p in zip(vec, base.power_vector(j))]
+                vec = tuple(vec)
+            elif kind == 1:
+                vec = tuple(rng.randint(1, 5) * c for c in base.power_vector(rng.randint(0, 40)))
+            else:
+                vec = tuple(rng.randint(-60, 200) for _ in range(base.degree))
+                if base.sign_of_vector(vec) < 0:
+                    vec = tuple(-c for c in vec)
+            for lowest in (3, 0, -5, -30):
+                assert (greedy_vector_digits(base, vec, lowest)
+                        == _exact_floor_digits(base, vec, lowest)), (vec, lowest)
+                cases += 1
+        assert cases == 4 * 340  # 340 vectors per base, 2,040 over the six
+
+    def test_negative_value_rejected(self, fib):
+        with pytest.raises(ValueError):
+            greedy_vector_digits(fib, (1, -1), 0)  # 1 - beta < 0
 
 
 class TestGreedyGe1:

@@ -4,13 +4,15 @@ Usage, from anywhere:
 
     python3 tools/bench.py LABEL
 
-Each run is one ``python3 perfbench/run.py --workload W --seed 1 --trace 0``
+Each run is one ``python3 perfbench/run.py --workload W --seed 1 --trace T``
 in a fresh interpreter, from the root of the checkout that holds this
-script; every workload runs three times.  The script writes
-``BENCH_<LABEL>.json`` at that root: the git commit, the Python version,
-and for every run the command and the JSON line the benchmark printed.
-Runs of the workloads alternate, so a slow spell of the machine spreads
-over all of them.
+script.  Every workload runs three times with ``--trace 0``, which reports
+the end-to-end metrics, and then once with ``--trace 1``, which reports the
+per-layer metrics (call counts, per-call times) of a traced pass.  The
+script writes ``BENCH_<LABEL>.json`` at that root: the git commit, the
+Python version, and for every run the command and the JSON line the
+benchmark printed.  Runs of the workloads alternate, so a slow spell of the
+machine spreads over all of them.
 """
 
 from __future__ import annotations
@@ -34,9 +36,9 @@ def git_commit():
     return out.stdout.strip()
 
 
-def run_workload(workload, seed):
-    cmd = ["python3", "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--trace", "0"]
+def run_workload(workload, trace):
+    cmd = ["python3", "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
+           "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit("bench: %s failed with exit code %d:\n%s"
@@ -50,9 +52,9 @@ def main(argv=None):
     parser.add_argument("label", help="the file written is BENCH_<label>.json")
     args = parser.parse_args(argv)
     runs = []
-    for _ in range(RUNS):
+    for trace in [0] * RUNS + [1]:
         for workload in WORKLOADS:
-            runs.append(run_workload(workload, SEED))
+            runs.append(run_workload(workload, trace))
             result = runs[-1]["result"]
             print("%-9s correct=%s failed=%d %s" % (
                 workload, result["correct"], result["failed"],
