@@ -9,14 +9,17 @@ values is equality of vectors.
 
 A :class:`QuotientValue` represents beta**(-e) * (c_0 + c_1 beta + ... +
 c_{d-1} beta**(d-1)) with a non-negative integer scale e.  Every digit
-string evaluates to such a value, and exact equality of two values is
-decided by cross-multiplying the scales and comparing vectors.  This is the
-oracle every conversion in the package is verified against.
+string evaluates to such a value through :meth:`BetaBase.digits_vector`,
+the one routine that sums digits against powers of beta, and exact
+equality of two values is decided by cross-multiplying the scales and
+comparing vectors.  Since beta != 0, two digit strings have equal values
+iff their digitwise difference evaluates to the zero vector: the oracle
+check every conversion in the package is verified with.
 
 Certified comparisons (floors, signs) use dyadic interval enclosures of the
 powers of beta obtained by bisection of f, with precision escalated until
-the enclosure decides the question; exact vector tests settle the boundary
-cases, so floors always terminate.
+the enclosure decides the question; a floor the enclosure leaves open is
+bisected by exact signs, so floors always terminate.
 
 Values are immutable.  A base's power caches grow by building each
 extension privately and publishing it in one assignment, and its dyadic
@@ -189,19 +192,18 @@ class BetaBase:
             self._powvecs = pv  # one assignment: no thread sees a partial extension
         return pv[n]
 
-    def mul_power(self, v, n):
-        for _ in range(n):
-            v = self.shift_vector(v)
-        return v
+    def digits_vector(self, digits, low=0):
+        """Vector of sum digits[i] * beta**(low + i), the digits least significant first.
 
-    def digits_vector(self, digits):
-        """Vector of the MSD-first digits with the last one at beta**0 (Horner)."""
-        v = (0,) * self.degree
-        for dig in digits:
-            v = self.shift_vector(v)
-            if dig:
-                v = (v[0] + dig,) + v[1:]
-        return v
+        The one evaluation of digits in Z[beta]: a digit string, a block, or
+        a vector times beta**low (its coefficients are the digits of the
+        power basis), each summed against the cached power vectors.
+        """
+        digits = tuple(digits)
+        self.power_vector(low + len(digits) - 1)
+        pv = self._powvecs  # only ever replaced by a longer list
+        terms = [(dig, pv[i]) for i, dig in enumerate(digits, low) if dig]
+        return tuple([sum([dig * pw[c] for dig, pw in terms]) for c in range(self.degree)])
 
     def divide_by_beta(self, v):
         """Vector w with beta * value(w) = value(v), or None if not in Z[beta]."""
@@ -295,9 +297,12 @@ class BetaBase:
                 raise RuntimeError("sign undecided at precision limit: %r" % (v,))
 
     def floor_of_vector(self, v, scale=0):
-        """Exact floor of beta**(-scale) * value(v)."""
-        # dyadic estimate first, refined until it pins the floor to one unit
-        # (or the precision cap); the exact adjustment below certifies it
+        """Exact floor of beta**(-scale) * value(v).
+
+        Every enclosure proves n <= floor <= top; it is refined until the
+        two are at most one unit apart (or the precision cap), and exact
+        signs bisect what is left, so a pinned floor takes no sign call.
+        """
         bits = _SIGN_BITS_START
         while True:
             L, H, plo, phi, bits = self.value_enclosure(v, bits, scale)
@@ -307,19 +312,13 @@ class BetaBase:
                 break
             bits *= 2
         pw = self.power_vector(scale)
-        while True:
-            diff = tuple(v[i] - (n + 1) * pw[i] for i in range(self.degree))
-            s = self.sign_of_vector(diff)
-            if s < 0:
-                break
-            n += 1
-            if s == 0:
-                return n
-        while True:
-            diff = tuple(v[i] - n * pw[i] for i in range(self.degree))
-            if self.sign_of_vector(diff) >= 0:
-                return n
-            n -= 1
+        while n < top:
+            mid = (n + top + 1) // 2
+            if self.sign_of_vector(tuple(a - mid * p for a, p in zip(v, pw))) >= 0:
+                n = mid
+            else:
+                top = mid - 1
+        return n
 
     def float_value(self, v, scale=0):
         """Double-precision approximation of beta**(-scale)*value(v) (reporting only).
@@ -329,10 +328,6 @@ class BetaBase:
         """
         L, H, plo, phi, _ = self.value_enclosure(v, 128, scale)
         return (L + H) / (plo[scale] + phi[scale])
-
-    def beta_float(self):
-        bits, num, _, _ = self._refine_dyadic(_SIGN_BITS_START)
-        return (2 * num + 1) / (2 << bits)
 
     def __eq__(self, other):
         # same polynomial AND overlapping isolating intervals: a polynomial
@@ -424,8 +419,8 @@ def qv_add(a, b):
     _check_same_base(a, b)
     base = a.base
     e = max(a.scale, b.scale)
-    va = base.mul_power(a.coeffs, e - a.scale)
-    vb = base.mul_power(b.coeffs, e - b.scale)
+    va = base.digits_vector(a.coeffs, e - a.scale)
+    vb = base.digits_vector(b.coeffs, e - b.scale)
     return QuotientValue(base, tuple(x + y for x, y in zip(va, vb)), e)
 
 
@@ -445,12 +440,8 @@ def qv_mul_beta_pow(a, n):
     """Exact product value(a) * beta**n; negative n increases the scale."""
     if n == 0:
         return a
-    if n > 0:
-        if n <= a.scale:
-            return QuotientValue(a.base, a.coeffs, a.scale - n)
-        v = a.base.mul_power(a.coeffs, n - a.scale)
-        return QuotientValue(a.base, v, 0)
-    return QuotientValue(a.base, a.coeffs, a.scale - n)
+    shift = max(n - a.scale, 0)
+    return QuotientValue(a.base, a.base.digits_vector(a.coeffs, shift), a.scale - n + shift)
 
 
 def values_equal(a, b):
@@ -462,9 +453,7 @@ def values_equal(a, b):
     """
     _check_same_base(a, b)
     base = a.base
-    va = base.mul_power(a.coeffs, b.scale)
-    vb = base.mul_power(b.coeffs, a.scale)
-    return va == vb
+    return base.digits_vector(a.coeffs, b.scale) == base.digits_vector(b.coeffs, a.scale)
 
 
 def qv_sign(a):
@@ -485,19 +474,16 @@ def eval_digit_string(s, base):
     """
     if not isinstance(s, DigitString):
         raise TypeError("expected DigitString")
-    v = base.digits_vector(s.digits)
     lsd = s.lsd_exponent
-    if lsd >= 0:
-        return QuotientValue(base, base.mul_power(v, lsd))
-    return QuotientValue(base, v, -lsd)
+    return QuotientValue(base, base.digits_vector(reversed(s.digits), max(lsd, 0)), max(-lsd, 0))
 
 
 def certified_floor(v, base=None):
     """Exact floor of the real value of v.
 
     Interval arithmetic is tightened until the enclosure of value(v)
-    contains no integer in its interior; exact integer detection (vector
-    comparison against n * beta**scale) settles boundary cases, so the
+    leaves at most two candidates; exact signs, whose zero test is a vector
+    comparison against n * beta**scale, decide between them, so the
     procedure always terminates.
     """
     if base is not None and v.base != base:

@@ -16,15 +16,15 @@ Blocks already over B keep L = S = 0 and C = u, which pins the zero block
 to zero and makes every B-block a fixed point of Phi(u, u, u).
 
 Decomposition is computed on demand: the block's exact value times
-beta^(2s) is summed from the base's cached power vectors and greedily
-expanded; the expansion must be a beta-integer fitting in 2k positions,
-otherwise the chosen (l, s) are insufficient for this input and
-:class:`InsufficientParamsError` is raised (the runtime fit-check standing
-in for the existence argument).  The greedy digits are read from one
+beta^(2s) is evaluated by :meth:`BetaBase.digits_vector`, a sum of the
+base's cached power vectors, and greedily expanded; the expansion must be
+a beta-integer fitting in 2k positions, otherwise the chosen (l, s) are
+insufficient for this input and :class:`InsufficientParamsError` is raised
+(the runtime fit-check standing in for the existence argument).  The greedy digits are read from one
 dyadic enclosure of that value, with an exact test only where a digit
 boundary falls inside the enclosure (see
 :func:`betapar.numeration.greedy_vector_digits`), and the parts are checked
-against the value by the same power sums.  A conversion decomposes each
+against the value by the same evaluation.  A conversion decomposes each
 block it reads once and keeps nothing afterwards.
 
 The parameter l is computed from the base by a certified comparison.  The
@@ -124,16 +124,6 @@ def params_for_pf_base(base, s, allow_non_pf=False):
             raise RuntimeError("no l <= 64 satisfies the margin inequality")
 
 
-def _power_sum(base, digits, low):
-    """Vector of sum digits[i] * beta**(low + i), from the base's cached powers."""
-    vec = [0] * base.degree
-    for i, dig in enumerate(digits, low):
-        if dig:
-            pw = base.power_vector(i)
-            vec = [a + dig * p for a, p in zip(vec, pw)]
-    return tuple(vec)
-
-
 class BlockAdder:
     """k-block 3-local adder on A = B + B for a fixed base and parameters.
 
@@ -164,7 +154,7 @@ class BlockAdder:
             if dig not in inA2:
                 raise ValueError("block digit %d outside %s" % (dig, inA2))
         base = self.base
-        vec = _power_sum(base, u, 2 * s)  # u * beta^(2s)
+        vec = base.digits_vector(u, 2 * s)  # u * beta^(2s)
         if all(dig in B for dig in u):
             dec = BlockDecomposition((0,) * (2 * ell), u, (0,) * (2 * s))
         else:
@@ -181,7 +171,7 @@ class BlockAdder:
             for dig in part:
                 if dig not in B:
                     raise InsufficientParamsError("decomposition digit %d outside %s" % (dig, B))
-        if _power_sum(base, dec.S + dec.C + dec.L, 0) != vec:
+        if base.digits_vector(dec.S + dec.C + dec.L) != vec:
             raise AssertionError("decomposition identity failed for block %r" % (u,))
         return dec
 
@@ -379,11 +369,11 @@ def estimate_s_report(base, test_len, pair_budget=300000, sample_pairs=2000, see
         else:
             break
 
-    vals = [base.digits_vector(w) for n in range(exh_len + 1) for w in words_by_len[n]]
+    vals = [base.digits_vector(w[::-1]) for n in range(exh_len + 1) for w in words_by_len[n]]
     pairs = ((x, y) for i, x in enumerate(vals) for y in vals[i:])
     if exh_len < test_len:
         rng = _random.Random(seed)
-        pool = vals + [base.digits_vector(w)
+        pool = vals + [base.digits_vector(w[::-1])
                        for n in range(exh_len + 1, test_len + 1) for w in words_by_len[n]]
         pairs = itertools.chain(pairs, ((pool[rng.randrange(len(pool))],
                                          pool[rng.randrange(len(pool))])

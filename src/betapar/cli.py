@@ -150,6 +150,8 @@ def cmd_block_add(args):
     base = base_from_spec(args.base)
     witness = estimate = None
     if args.estimate_s:
+        if args.ell is not None or args.s is not None:
+            raise CliError("--estimate-s conflicts with --ell and --s: it chooses both")
         rep = estimate_s_report(base, args.test_len)
         estimate = {"s": rep.s, "exhaustive_len": rep.exhaustive_len,
                     "pairs": rep.pairs_checked}

@@ -9,7 +9,10 @@ in parallel.
 
 Value preservation is never assumed here: :func:`verify_conversion` checks
 rules against the exact Z[beta] oracle, exhaustively over short strings or
-on seeded random strings, and reports the first counterexamples.
+on seeded random strings, and reports the first counterexamples.  It and
+:func:`check_sum` share one exact test, :func:`_same_value`: two digit
+strings have equal values iff their digitwise difference evaluates to the
+zero vector.
 
 Adders are built by greatest-digit-elimination chains: to add x and y over
 {0..M}, split y into indicator layers y(i) with y(i)_j = 1 iff y_j >= i and
@@ -42,7 +45,6 @@ import json
 import random as _random
 from typing import NamedTuple
 
-from .algebraic import eval_digit_string, values_equal
 from .digits import Alphabet, DigitString, format_digits
 
 TABULATE_THRESHOLD = 10 ** 6
@@ -150,14 +152,23 @@ def fixed_letters(rule):
     return {h for h in rule.input_alphabet if rule.fixes(h)}
 
 
+def _same_value(base, u, v):
+    """Whether the digit strings u and v have the same value, decided exactly.
+
+    value(u) - value(v) is beta**lsd times the digitwise difference u - v
+    read from its lowest digit, and beta != 0, so the values agree iff that
+    difference evaluates to the zero vector, the only vector of value 0
+    because f is the minimal polynomial of beta.
+    """
+    return not any(base.digits_vector(reversed((u - v).digits)))
+
+
 def check_sum(adder, x, y, out):
     """Whether out, a sum of x and y, lies in adder.alphabet with the exact value of x + y.
 
-    The value is compared in Z[beta] through the oracle, never in floating point.
+    The value is compared in Z[beta] by :func:`_same_value`, never in floating point.
     """
-    base = adder.base
-    return out.alphabet_ok(adder.alphabet) and values_equal(
-        eval_digit_string(out, base), eval_digit_string(x + y, base))
+    return out.alphabet_ok(adder.alphabet) and _same_value(adder.base, out, x + y)
 
 
 # -- verification harness ------------------------------------------------------
@@ -274,7 +285,7 @@ def verify_conversion(rule, strategy):
         else:
             if not v.alphabet_ok(rule.output_alphabet):
                 failures.append((format_digits(u), format_digits(v), "digit outside output alphabet"))
-            elif not values_equal(eval_digit_string(u, base), eval_digit_string(v, base)):
+            elif not _same_value(base, v, u):
                 failures.append((format_digits(u), format_digits(v), "value mismatch"))
         if len(failures) >= _MAX_FAILURES:
             break

@@ -190,6 +190,8 @@ def greedy_expand_ge1(x, base, max_frac=64):
 
     The digit sequence of the result is beta-admissible by construction.
     """
+    if max_frac < 0:
+        raise ValueError("max_frac must be non-negative, got %d" % max_frac)
     if qv_sign(x) < 0:
         raise ValueError("greedy_expand_ge1 needs x >= 0")
     return _greedy_down_to(x, base, -max_frac)
@@ -400,7 +402,9 @@ def greedy_vector_digits(base, vec, lowest):
     lowest it only looks for the top digit, whose position sizes
     int_digits.  The fractional digits come from _greedy_step, as do those
     of greedy_tail, which instead runs an expansion to its exact
-    eventually periodic end.
+    eventually periodic end.  Each is a floor_of_vector at scale 0, which
+    needs an exact sign only when its enclosure of beta * r straddles an
+    integer; an integer value itself is enclosed exactly.
     """
     if not any(vec):
         return [], [], True

@@ -1,3 +1,4 @@
+import random
 import sys
 import threading
 import time
@@ -19,6 +20,7 @@ from betapar.algebraic import (
     qv_mul_beta_pow,
     qv_sign,
     qv_sub,
+    quadratic_minus_base,
     quadratic_plus_base,
     self_reciprocal,
     tribonacci_base,
@@ -142,11 +144,37 @@ class TestRefineAndFloor:
         assert certified_floor(QuotientValue.beta_power(fib, 2)) == 2
 
     def test_floor_bracket_property(self, fib):
+        def floor_bracketed(base, coeffs, scale):
+            n = base.floor_of_vector(coeffs, scale)
+            pw = base.power_vector(scale)
+            assert base.sign_of_vector(tuple(c - n * p for c, p in zip(coeffs, pw))) >= 0
+            assert base.sign_of_vector(tuple(c - (n + 1) * p for c, p in zip(coeffs, pw))) < 0
+            assert certified_floor(QuotientValue(base, coeffs, scale)) == n
+            return n
+
         for coeffs, scale in [((3, -1), 0), ((-5, 4), 1), ((7, 2), 3), ((0, 1), 2)]:
-            v = QuotientValue(fib, coeffs, scale)
-            n = certified_floor(v)
-            assert qv_sign(qv_sub(v, QuotientValue.from_int(fib, n))) >= 0
-            assert qv_sign(qv_sub(v, QuotientValue.from_int(fib, n + 1))) < 0
+            floor_bracketed(fib, coeffs, scale)
+        rng = random.Random(41)
+        bases = (fib, tribonacci_base(), dbonacci_base(4), quadratic_plus_base(4, 2),
+                 quadratic_minus_base(3, 1), base_from_spec("1,-1,0,-1"))
+        for base in bases:
+            d = base.degree
+            for scale in (0, 1, 3, 8, 20):
+                for bound in (3, 1000, 10 ** 9):
+                    for _ in range(5):
+                        floor_bracketed(base, [rng.randint(-bound, bound) for _ in range(d)],
+                                        scale)
+            # m * beta^j at scale j sits on a unit boundary; adding or removing
+            # 1 moves the value by beta^-j, just above or just below it
+            for j in (1, 4, 15):
+                pw = base.power_vector(j)
+                for m in (-3, 0, 1, 2, 17):
+                    exact = [m * p for p in pw]
+                    assert floor_bracketed(base, exact, j) == m
+                    above = [exact[0] + 1] + exact[1:]
+                    assert floor_bracketed(base, above, j) == m
+                    below = [exact[0] - 1] + exact[1:]
+                    assert floor_bracketed(base, below, j) == m - 1
 
     def test_floor_of_a_large_value_takes_few_sign_calls(self, monkeypatch):
         # the 64-bit enclosure of beta^40 is about 2^20 units wide; refined
@@ -302,16 +330,16 @@ class TestConcurrency:
 
 class TestFloats:
     def test_beta_float_fibonacci(self, fib):
-        assert abs(fib.beta_float() - 1.6180) < 1e-3
+        assert abs(float(QuotientValue.beta_power(fib, 1)) - 1.6180) < 1e-3
 
     def test_beta_float_tribonacci(self, tri):
-        assert abs(tri.beta_float() - 1.8393) < 1e-3
+        assert abs(float(QuotientValue.beta_power(tri, 1)) - 1.8393) < 1e-3
 
     def test_floats_after_a_hard_comparison(self):
         # signing beta^-800 raises the base's dyadic precision to thousands of bits
         tri = tribonacci_base()
         assert qv_sign(QuotientValue.beta_power(tri, -800)) == 1
-        assert abs(tri.beta_float() - 1.8392868) < 1e-7
+        assert abs(float(QuotientValue.beta_power(tri, 1)) - 1.8392868) < 1e-7
         assert abs(float(QuotientValue.beta_power(tri, 3)) - 1.8392868 ** 3) < 1e-6
         adder = BlockAdder(tri, make_block_params(tri, 2, 5))
         x, y = parse_digits("2,1,2,0,1"), parse_digits("1,2,2.0,1")
@@ -321,7 +349,7 @@ class TestFloats:
         assert float(QuotientValue.beta_power(quadratic_plus_base(4, 2), -800)) == 0.0
 
     def test_float_of_a_scaled_value(self, qp42):
-        beta = qp42.beta_float()
+        beta = float(QuotientValue.beta_power(qp42, 1))
         x = QuotientValue(qp42, (3, 5), 7)
         assert x.scale == 7
         assert abs(float(x) - (3 + 5 * beta) / beta ** 7) < 1e-15

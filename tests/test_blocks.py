@@ -103,11 +103,14 @@ class TestDecompose:
             assert values_equal(lhs, rhs)
 
     def test_block_read_from_one_enclosure(self, monkeypatch):
-        # the value comes from cached powers, not a Horner pass, and the
-        # greedy digits from one dyadic enclosure, with at most a couple of
-        # exact floors where a digit boundary falls inside it
+        # with the power cache filled to 2k, the value and the identity
+        # check are sums of cached powers, with no Horner pass or other
+        # shift_vector call, and the greedy digits come from one dyadic
+        # enclosure, with at most a couple of exact floors where a digit
+        # boundary falls inside it
         base = dbonacci_base(3)
         adder = BlockAdder(base, make_block_params(base, 2, 5))
+        base.power_vector(2 * adder.params.k)
         calls = []
 
         def counted(name):
@@ -121,14 +124,14 @@ class TestDecompose:
         rng = random.Random(23)
         blocks_ = [tuple(rng.randint(0, 4) for _ in range(14)) for _ in range(50)]
         blocks_ += [(4,) * 14, (3,) + (0,) * 13, (0,) * 13 + (4,)]
-        for name in ("floor_of_vector", "digits_vector"):
+        for name in ("floor_of_vector", "shift_vector"):
             monkeypatch.setattr(BetaBase, name, counted(name))
         for u in blocks_:
             assert any(dig > 2 for dig in u)
             calls.clear()
             adder.decompose(u)
             assert calls.count("floor_of_vector") <= 2, u
-            assert "digits_vector" not in calls
+            assert "shift_vector" not in calls
 
     def test_insufficient_params_error_names_block(self, fib):
         adder = BlockAdder(fib, make_block_params(fib, 3, 0))
@@ -244,6 +247,23 @@ class TestEstimateS:
 
     def test_fibonacci_single_digit(self, fib):
         assert estimate_s(fib, 1) == 2  # 1+1 = 10.01
+
+    def test_fractional_digits_take_no_exact_sign(self, monkeypatch):
+        # every fractional greedy digit is a floor at scale 0 that the
+        # 64-bit enclosure pins, so the sweep decides no sign exactly
+        base = dbonacci_base(3)
+        sign = BetaBase.sign_of_vector
+        calls = []
+
+        def counted(self, v):
+            calls.append(v)
+            return sign(self, v)
+
+        monkeypatch.setattr(BetaBase, "sign_of_vector", counted)
+        rep = estimate_s_report(base, 6)
+        monkeypatch.undo()
+        assert rep.s == 3 and not rep.is_estimate
+        assert calls == []
 
     def test_budget_marks_estimate(self, tri):
         rep = estimate_s_report(tri, 6, pair_budget=10, sample_pairs=50)

@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import betapar
 from betapar.cli import main
 
@@ -154,6 +156,13 @@ class TestBlockAdd:
                            "--estimate-s", "--test-len", "0", "--x", "1", "--y", "0")
         assert code == 0
         assert "estimated s = 0" in out and "value-ok" in out
+
+    @pytest.mark.parametrize("flags", [("--ell", "1", "--s", "1"), ("--ell", "1"), ("--s", "1")])
+    def test_estimate_s_conflicts_with_explicit_params(self, capsys, flags):
+        code, out, err = run(capsys, "block-add", "--base", "tribonacci", "--estimate-s",
+                             "--test-len", "3", *flags, "--x", "1", "--y", "1")
+        assert code == 1 and out == ""
+        assert "error:" in err and "--estimate-s" in err and "--ell" in err
 
     def test_missing_params(self, capsys):
         # one of --ell and --s without the other

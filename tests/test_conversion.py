@@ -244,6 +244,29 @@ class TestCheckSum:
         x, y = parse_digits("6"), parse_digits("6")
         assert not check_sum(adder, x, y, parse_digits("2,3.0,1"))
 
+    def test_difference_with_fractional_digits(self, rule_plus42):
+        # 6 + 6 = 2,3.0,2: the difference from the digitwise sum 12 reaches
+        # beta^-2, below the lowest digit of either operand
+        adder = ChainAdder(rule_plus42, Alphabet(0, 6))
+        x, y = parse_digits("6"), parse_digits("6")
+        out = parse_digits("2,3.0,2")
+        assert (out - (x + y)).lsd_exponent == -2
+        assert check_sum(adder, x, y, out)
+        x, y = parse_digits("3,6.0,5"), parse_digits("4.6,6,1")
+        out = adder.add(x, y)
+        assert (out - (x + y)).fractional_depth > 0
+        assert check_sum(adder, x, y, out)
+
+    def test_rejects_a_single_unit_error(self, rule_plus42):
+        # one unit k places below the lowest digit of a correct sum
+        adder = ChainAdder(rule_plus42, Alphabet(0, 6))
+        x, y = parse_digits("3,6.0,5"), parse_digits("4.6,6,1")
+        out = adder.add(x, y)
+        for k in (1, 5, 40):
+            wrong = out + DigitString((1,), out.lsd_exponent - k)
+            assert wrong.alphabet_ok(adder.alphabet)
+            assert not check_sum(adder, x, y, wrong)
+
     def test_rejects_digits_outside_the_alphabet(self, rule_plus42):
         # 12 has the right value but is no digit of {0..6}
         adder = ChainAdder(rule_plus42, Alphabet(0, 6))

@@ -232,6 +232,13 @@ class TestGreedyGe1:
             res = greedy_expand_ge1(QuotientValue.beta_power(base, power), base, max_frac=0)
             assert res.string.is_zero() and not res.exact
 
+    @pytest.mark.parametrize("max_frac", [-1, -3])
+    def test_negative_max_frac_rejected(self, tri, max_frac):
+        # a negative cut would drop integer digits: 3 = 11.001 in Tribonacci
+        # would come back as 1,0... or 0...
+        with pytest.raises(ValueError, match="max_frac"):
+            greedy_expand_ge1(QuotientValue.from_int(tri, 3), tri, max_frac=max_frac)
+
     def test_output_admissible(self, fib):
         dstar = quasi_greedy(renyi_dbeta(fib))
         rng = random.Random(11)

@@ -1,18 +1,23 @@
-"""Run the three perfbench workloads end to end and record the results.
+"""Run the three perfbench workloads, tier-1 and the README CLI commands, and record the results.
 
 Usage, from anywhere:
 
     python3 tools/bench.py LABEL
 
-Each run is one ``python3 perfbench/run.py --workload W --seed 1 --trace T``
-in a fresh interpreter, from the root of the checkout that holds this
-script.  Every workload runs three times with ``--trace 0``, which reports
-the end-to-end metrics, and then once with ``--trace 1``, which reports the
-per-layer metrics (call counts, per-call times) of a traced pass.  The
-script writes ``BENCH_<LABEL>.json`` at that root: the git commit, the
-Python version, and for every run the command and the JSON line the
-benchmark printed.  Runs of the workloads alternate, so a slow spell of the
-machine spreads over all of them.
+Each workload run is one ``python3 perfbench/run.py --workload W --seed 1
+--trace T`` in a fresh interpreter, from the root of the checkout that holds
+this script.  Every workload runs three times with ``--trace 0``, which
+reports the end-to-end metrics, and then once with ``--trace 1``, which
+reports the per-layer metrics (call counts, per-call times) of a traced
+pass.  Runs of the workloads alternate, so a slow spell of the machine
+spreads over all of them.  Then tier-1 runs once with ``--durations=20``,
+and every ``betapar`` command of the README's CLI quick start runs once as
+``python3 -m betapar.cli ...`` in a fresh process, timed from outside.
+
+The script writes ``BENCH_<LABEL>.json`` at that root: the git commit, the
+Python version, and for every run the command and its result: the JSON
+line the benchmark printed, tier-1's wall time, summary line and slowest
+tests, or a CLI command's wall time and exit code.
 """
 
 from __future__ import annotations
@@ -21,8 +26,11 @@ import argparse
 import json
 import os
 import platform
+import re
+import shlex
 import subprocess
 import sys
+import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("gde-add", "block-add", "sweep")
@@ -47,6 +55,46 @@ def run_workload(workload, trace):
             "result": json.loads(proc.stdout.strip().splitlines()[-1])}
 
 
+def timed(cmd):
+    """Run cmd from the root with src/ on the path; the process and its wall time in s."""
+    path = os.pathsep.join(filter(None, [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")]))
+    start = time.perf_counter()
+    proc = subprocess.run(cmd, cwd=ROOT, env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True)
+    return proc, time.perf_counter() - start
+
+
+def run_tier1():
+    cmd = ["python3", "-m", "pytest", "-q", "--continue-on-collection-errors",
+           "--durations=20"]
+    proc, wall = timed(cmd)
+    lines = proc.stdout.strip().splitlines()
+    durations = []
+    for line in lines:
+        m = re.match(r"([0-9.]+)s (setup|call|teardown) +(.+)$", line)
+        if m:
+            durations.append({"seconds": float(m.group(1)), "phase": m.group(2),
+                              "test": m.group(3)})
+    return {"command": "PYTHONPATH=src " + " ".join(cmd), "returncode": proc.returncode,
+            "wall_s": round(wall, 2), "summary": lines[-1] if lines else "",
+            "durations": durations}
+
+
+def readme_cli_commands():
+    """The betapar command lines of the README's CLI quick start, in order."""
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        text = fh.read()
+    block = text.split("## Quick start (CLI)", 1)[1].split("```")[1]
+    return [line.strip() for line in block.splitlines() if line.strip().startswith("betapar ")]
+
+
+def run_cli(line):
+    cmd = ["python3", "-m", "betapar.cli"] + shlex.split(line)[1:]
+    proc, wall = timed(cmd)
+    return {"command": line, "run_as": "PYTHONPATH=src " + " ".join(cmd),
+            "returncode": proc.returncode, "wall_s": round(wall, 3)}
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("label", help="the file written is BENCH_<label>.json")
@@ -60,9 +108,17 @@ def main(argv=None):
                 workload, result["correct"], result["failed"],
                 " ".join("%s=%.4g" % (name, m["value"]) for name, m in result["metrics"].items())),
                 file=sys.stderr)
+    tier1 = run_tier1()
+    print("tier-1    %s in %.1f s" % (tier1["summary"], tier1["wall_s"]), file=sys.stderr)
+    cli = []
+    for line in readme_cli_commands():
+        cli.append(run_cli(line))
+        print("cli       exit=%d %.3f s  %s" % (cli[-1]["returncode"], cli[-1]["wall_s"], line),
+              file=sys.stderr)
     record = {"label": args.label, "commit": git_commit(),
               "python": platform.python_version(), "machine": platform.processor() or
-              platform.machine(), "cpus": os.cpu_count(), "runs": runs}
+              platform.machine(), "cpus": os.cpu_count(), "runs": runs, "tier1": tier1,
+              "cli": cli}
     path = os.path.join(ROOT, "BENCH_%s.json" % args.label)
     with open(path, "w") as fh:
         json.dump(record, fh, indent=1)
