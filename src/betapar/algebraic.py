@@ -182,28 +182,35 @@ class BetaBase:
             return (c * red[0],) + tuple([a + c * r for a, r in zip(v, red[1:])])
         return (0,) + v[:-1]
 
-    def power_vector(self, n):
-        """Reduced vector of beta**n, n >= 0; cached."""
+    def _powers(self, n):
+        """The cached power vectors through beta**n; callers read only the list returned."""
         pv = self._powvecs
         if len(pv) <= n:
             pv = list(pv)
             while len(pv) <= n:
                 pv.append(self.shift_vector(pv[-1]))
             self._powvecs = pv  # one assignment: no thread sees a partial extension
-        return pv[n]
+        return pv
+
+    def power_vector(self, n):
+        """Reduced vector of beta**n, n >= 0; cached."""
+        return self._powers(n)[n]
 
     def digits_vector(self, digits, low=0):
         """Vector of sum digits[i] * beta**(low + i), the digits least significant first.
 
         The one evaluation of digits in Z[beta]: a digit string, a block, or
-        a vector times beta**low (its coefficients are the digits of the
-        power basis), each summed against the cached power vectors.
+        a vector times beta**low, summed against the cached power vectors;
+        the part of low beyond the cache shifts the sum instead of growing it.
         """
         digits = tuple(digits)
-        self.power_vector(low + len(digits) - 1)
-        pv = self._powvecs  # only ever replaced by a longer list
-        terms = [(dig, pv[i]) for i, dig in enumerate(digits, low) if dig]
-        return tuple([sum([dig * pw[c] for dig, pw in terms]) for c in range(self.degree)])
+        pv = self._powers(len(digits) - 1)
+        cached = min(low, len(pv) - len(digits))
+        terms = [(dig, pv[i]) for i, dig in enumerate(digits, cached) if dig]
+        v = tuple([sum([dig * pw[c] for dig, pw in terms]) for c in range(self.degree)])
+        for _ in range(low - cached):
+            v = self.shift_vector(v)
+        return v
 
     def divide_by_beta(self, v):
         """Vector w with beta * value(w) = value(v), or None if not in Z[beta]."""
@@ -479,13 +486,7 @@ def eval_digit_string(s, base):
 
 
 def certified_floor(v, base=None):
-    """Exact floor of the real value of v.
-
-    Interval arithmetic is tightened until the enclosure of value(v)
-    leaves at most two candidates; exact signs, whose zero test is a vector
-    comparison against n * beta**scale, decide between them, so the
-    procedure always terminates.
-    """
+    """Exact floor of the real value of v (see :meth:`BetaBase.floor_of_vector`)."""
     if base is not None and v.base != base:
         raise ValueError("value does not live over the given base")
     return v.base.floor_of_vector(v.coeffs, v.scale)

@@ -134,6 +134,17 @@ class TestEvalDigitString:
         v = eval_digit_string(parse_digits("0.0,1"), fib)
         assert values_equal(v, QuotientValue.beta_power(fib, -2))
 
+    def test_a_high_offset_leaves_the_power_cache_at_the_string_length(self):
+        # the offset beyond the cache is applied by shifting the sum, so a
+        # one-off evaluation at beta^3000 caches no power above the digits
+        base = dbonacci_base(2)
+        digits = (1, 0, -2, 1)
+        v = base.digits_vector(digits, 3000)
+        assert len(base._powvecs) == len(digits)
+        assert v == tuple(sum(dig * p for dig, p in zip(digits, col))
+                          for col in zip(*(base.power_vector(3000 + i) for i in range(4))))
+        assert base.digits_vector(digits, 3000) == v  # now read from the cache
+
 
 class TestRefineAndFloor:
     def test_floor_exact_integer(self, fib):
@@ -287,6 +298,52 @@ class TestConcurrency:
                 assert got == [want] * 8
         finally:
             sys.setswitchinterval(interval)
+
+    def test_digit_evaluations_of_different_lengths_agree_across_threads(self, monkeypatch):
+        # eight threads evaluate strings of different lengths on one fresh
+        # base; shift_vector is slowest in the threads with the shortest
+        # strings, so short extensions of the power cache are published
+        # after long ones, and every publication pauses, so other threads
+        # publish between it and the caller's next read.  Each thread must
+        # read what a base of its own computes
+        class Pausing(BetaBase):
+            def __setattr__(self, name, value):
+                super().__setattr__(name, value)
+                if name == "_powvecs":
+                    time.sleep(0.002)
+
+        lengths = [10 + 13 * i for i in range(8)]
+        strings = [[(3 * j + i) % 3 for j in range(n)] for i, n in enumerate(lengths)]
+        fresh = tribonacci_base()
+        want = [[fresh.digits_vector(s, low) for low in (0, 7)] for s in strings]
+        shift = BetaBase.shift_vector
+        pace = threading.local()
+
+        def paced(self, v):
+            time.sleep(getattr(pace, "delay", 0))
+            return shift(self, v)
+
+        monkeypatch.setattr(BetaBase, "shift_vector", paced)
+        for _ in range(3):
+            base = Pausing([1, -1, -1, -1], (Fraction(3, 2), 2))
+            barrier = threading.Barrier(8, timeout=10)
+            got = [None] * 8
+
+            def work(i):
+                pace.delay = 2e-3 / (i + 1) ** 2
+                barrier.wait()
+                try:
+                    got[i] = [base.digits_vector(strings[i], low) for low in (0, 7)]
+                except Exception as exc:
+                    got[i] = exc
+
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+                assert not t.is_alive()
+            assert got == want
 
     def test_precision_raise_is_never_seen_half_done(self):
         # every attribute write sleeps first, so readers run between the

@@ -84,8 +84,14 @@ def readme_cli_commands():
     """The betapar command lines of the README's CLI quick start, in order."""
     with open(os.path.join(ROOT, "README.md")) as fh:
         text = fh.read()
-    block = text.split("## Quick start (CLI)", 1)[1].split("```")[1]
-    return [line.strip() for line in block.splitlines() if line.strip().startswith("betapar ")]
+    _, heading, rest = text.partition("## Quick start (CLI)")
+    parts = rest.split("```")
+    block = parts[1] if heading and len(parts) >= 3 else ""
+    commands = [line.strip() for line in block.splitlines() if line.strip().startswith("betapar ")]
+    if not commands:
+        raise SystemExit("bench: README.md has no code block of betapar commands "
+                         "under '## Quick start (CLI)'")
+    return commands
 
 
 def run_cli(line):
@@ -99,6 +105,7 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("label", help="the file written is BENCH_<label>.json")
     args = parser.parse_args(argv)
+    commands = readme_cli_commands()  # before the runs, so a missing section fails fast
     runs = []
     for trace in [0] * RUNS + [1]:
         for workload in WORKLOADS:
@@ -111,7 +118,7 @@ def main(argv=None):
     tier1 = run_tier1()
     print("tier-1    %s in %.1f s" % (tier1["summary"], tier1["wall_s"]), file=sys.stderr)
     cli = []
-    for line in readme_cli_commands():
+    for line in commands:
         cli.append(run_cli(line))
         print("cli       exit=%d %.3f s  %s" % (cli[-1]["returncode"], cli[-1]["wall_s"], line),
               file=sys.stderr)
