@@ -485,10 +485,8 @@ def eval_digit_string(s, base):
     return QuotientValue(base, base.digits_vector(reversed(s.digits), max(lsd, 0)), max(-lsd, 0))
 
 
-def certified_floor(v, base=None):
+def certified_floor(v):
     """Exact floor of the real value of v (see :meth:`BetaBase.floor_of_vector`)."""
-    if base is not None and v.base != base:
-        raise ValueError("value does not live over the given base")
     return v.base.floor_of_vector(v.coeffs, v.scale)
 
 

@@ -99,18 +99,18 @@ def _pf_certified(base):
     return d is not None and pf_sufficient(d) in (F, PF)
 
 
-def params_for_pf_base(base, s, allow_non_pf=False):
+def params_for_pf_base(base, s):
     """Block parameters with the smallest l such that 2*floor(beta)/(beta-1) < beta^l.
 
     The comparison is certified: l is the smallest integer with
     beta^(l+1) - beta^l - 2*floor(beta) > 0, decided by exact sign in
     Z[beta].  The base must look (F) or (PF) by the sufficient-condition
-    check unless the caller overrides (the check is not a negative
-    certificate, so overriding can be legitimate).
+    check; that check is not a negative certificate, and
+    :func:`make_block_params` builds parameters for any base unchecked.
     """
-    if not allow_non_pf and not _pf_certified(base):
+    if not _pf_certified(base):
         raise ValueError("base not certified (F)/(PF) by the sufficient condition; "
-                         "pass allow_non_pf=True to proceed at your own risk")
+                         "make_block_params builds unchecked parameters")
     t1 = canonical_alphabet(base).max_digit
     unit = base.unit_vector()
     ell = 0
@@ -209,11 +209,12 @@ class BlockAdder:
 
         The map reads u + c at every position, c the plateau letter, and c
         is subtracted from its output again.  Far blocks are the constant-c
-        block, so finite support survives when that block is fixed.  Each
-        block read is decomposed once: u + c is laid out least significant
-        digit first on the block grid, from two blocks below the support to
-        two blocks above it, and every output block takes the triples of its
-        three neighbours.
+        block, so finite support survives because that block is fixed; any
+        other c != 0 raises ValueError (the zero block is fixed by
+        construction).  Each block read is decomposed once: u + c is laid
+        out least significant digit first on the block grid, from two
+        blocks below the support to two blocks above it, and every output
+        block takes the triples of its three neighbours.
         """
         if u.is_zero():
             return DigitString()
@@ -224,6 +225,8 @@ class BlockAdder:
         padded = [c] * ((msd // k + 3) * k - lo)
         padded[lsd - lo:msd - lo + 1] = [dig + c for dig in reversed(u.digits)]
         decs = [self.decompose(padded[i:i + k]) for i in range(0, len(padded), k)]
+        if c and self._block_map(decs[0], decs[0], decs[0]) != [c] * k:  # decs[0] is c^k
+            raise ValueError("plateau %d is not a fixed letter of %s" % (c, self.name))
         out = []
         for j in range(1, len(decs) - 1):
             out.extend(self._block_map(decs[j + 1], decs[j], decs[j - 1]))
@@ -346,13 +349,19 @@ class EstimateReport(NamedTuple):
         return self.exhaustive_len < self.test_len
 
 
-def estimate_s_report(base, test_len, pair_budget=300000, sample_pairs=2000, seed=7):
+_PAIR_BUDGET = 300000
+_SAMPLE_PAIRS = 2000
+_SAMPLE_SEED = 7
+
+
+def estimate_s_report(base, test_len):
     """Max number of fractional digits in greedy expansions of x + y.
 
     x and y range over the beta-integers with at most test_len digits:
-    exhaustively over all pairs while their count stays within pair_budget,
-    then over seeded random pairs drawn from the longer words.  The
-    returned value is a lower estimate of the true bound.
+    exhaustively over all pairs while their count stays within
+    _PAIR_BUDGET, then over _SAMPLE_PAIRS seeded random pairs drawn from
+    the longer words.  The returned value is a lower estimate of the true
+    bound.
     """
     if not _pf_certified(base):
         raise ValueError("estimate_s needs a base certified (F)/(PF)")
@@ -364,7 +373,7 @@ def estimate_s_report(base, test_len, pair_budget=300000, sample_pairs=2000, see
     exh_len = 0
     for n in range(1, test_len + 1):
         total = counts[n]
-        if total * (total + 1) // 2 <= pair_budget:
+        if total * (total + 1) // 2 <= _PAIR_BUDGET:
             exh_len = n
         else:
             break
@@ -372,12 +381,12 @@ def estimate_s_report(base, test_len, pair_budget=300000, sample_pairs=2000, see
     vals = [base.digits_vector(w[::-1]) for n in range(exh_len + 1) for w in words_by_len[n]]
     pairs = ((x, y) for i, x in enumerate(vals) for y in vals[i:])
     if exh_len < test_len:
-        rng = _random.Random(seed)
+        rng = _random.Random(_SAMPLE_SEED)
         pool = vals + [base.digits_vector(w[::-1])
                        for n in range(exh_len + 1, test_len + 1) for w in words_by_len[n]]
         pairs = itertools.chain(pairs, ((pool[rng.randrange(len(pool))],
                                          pool[rng.randrange(len(pool))])
-                                        for _ in range(sample_pairs)))
+                                        for _ in range(_SAMPLE_PAIRS)))
     deg = base.degree
     best = checked = 0
     for x, y in pairs:
@@ -386,9 +395,9 @@ def estimate_s_report(base, test_len, pair_budget=300000, sample_pairs=2000, see
     return EstimateReport(best, exh_len, test_len, checked)
 
 
-def estimate_s(base, test_len, pair_budget=300000, sample_pairs=2000, seed=7):
+def estimate_s(base, test_len):
     """Smallest s consistent with the swept pairs; see estimate_s_report."""
-    return estimate_s_report(base, test_len, pair_budget, sample_pairs, seed).s
+    return estimate_s_report(base, test_len).s
 
 
 # -- d-bonacci instantiations ----------------------------------------------------
@@ -425,6 +434,12 @@ class SignedBlockAdder(ChainAdder):
             y = DigitString(tuple(rng.randint(-t1, t1) for _ in range(m)), m - 1)
             if not check_sum(self, x, y, self.add(x, y)):
                 raise AssertionError("signed block adder wrong for %s + %s" % (x, y))
+
+    @property
+    def effective_window(self):
+        """Window width in digits: on the fixed k-block grid an output block
+        reads the input blocks within hi_layers + lo_layers of its own."""
+        return (2 * (self.hi_layers + self.lo_layers) + 1) * self.params.k
 
 
 def dbonacci_block_adder(d, signed=False, s=None):

@@ -16,7 +16,6 @@ from .algebraic import base_from_spec
 from .blocks import (
     BlockAdder,
     certify_s,
-    estimate_s_report,
     make_block_params,
     params_for_pf_base,
 )
@@ -148,18 +147,8 @@ def cmd_add(args):
 
 def cmd_block_add(args):
     base = base_from_spec(args.base)
-    witness = estimate = None
-    if args.estimate_s:
-        if args.ell is not None or args.s is not None:
-            raise CliError("--estimate-s conflicts with --ell and --s: it chooses both")
-        rep = estimate_s_report(base, args.test_len)
-        estimate = {"s": rep.s, "exhaustive_len": rep.exhaustive_len,
-                    "pairs": rep.pairs_checked}
-        if not args.json:
-            print("estimated s = %d (exhaustive through length %d, %d pairs)"
-                  % (rep.s, rep.exhaustive_len, rep.pairs_checked))
-        params = params_for_pf_base(base, rep.s)
-    elif args.ell is not None and args.s is not None:
+    witness = None
+    if args.ell is not None and args.s is not None:
         params = make_block_params(base, args.ell, args.s)
     elif args.ell is None and args.s is None:
         cert = certify_s(base)
@@ -169,9 +158,7 @@ def cmd_block_add(args):
                   % (cert.s, witness[0], witness[1], cert.states))
         params = params_for_pf_base(base, cert.s)
     else:
-        raise CliError("give both --ell and --s, or neither to certify s, or --estimate-s")
-    if args.k is not None and args.k != params.k:
-        raise CliError("inconsistent --k: expected %d = 2*(ell+s)" % params.k)
+        raise CliError("give both --ell and --s, or neither to certify s")
     adder = BlockAdder(base, params)
     x = parse_digits(args.x)
     y = parse_digits(args.y)
@@ -185,8 +172,6 @@ def cmd_block_add(args):
                "result": format_digits(out), "value_ok": ok}
     if witness is not None:
         payload["s_witness"] = witness
-    if estimate is not None:
-        payload["s_estimate"] = estimate
     _emit(args, payload, ["%s" % format_digits(out),
                           "k=%d ell=%d s=%d alphabet %s" % (params.k, params.ell,
                                                             params.s, params.A),
@@ -264,12 +249,8 @@ def build_parser():
 
     p = sub.add_parser("block-add", help="k-block parallel addition")
     p.add_argument("--base", required=True)
-    p.add_argument("--k", type=int)
     p.add_argument("--ell", type=int)
     p.add_argument("--s", type=int)
-    p.add_argument("--estimate-s", action="store_true",
-                   help="estimate s from sums of beta-integers instead of certifying it")
-    p.add_argument("--test-len", type=int, default=12)
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
     p.add_argument("--json", action="store_true")

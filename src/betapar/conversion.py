@@ -126,14 +126,17 @@ def apply_local(rule, u, plateau=0):
     subtracted from each output digit, so u must lie in the input alphabet
     shifted down by c.  Outside the support the input is the constant c.
     Output positions j with the window disjoint from the support are 0
-    because c must be a fixed letter, Phi(c^p) = c (ChainAdder checks this
-    at construction), so only j in [lsd - t, msd + r] is computed.
+    because c is a fixed letter, Phi(c^p) = c, so only j in
+    [lsd - t, msd + r] is computed; any other c != 0 raises ValueError
+    (c = 0 is fixed by construction).
     """
     c = plateau
     if not u.alphabet_ok(rule.input_alphabet.shifted(c)):
         raise ValueError("digit out of alphabet %s in %s" % (rule.input_alphabet.shifted(c), u))
     if u.is_zero():
         return DigitString()
+    if c and not rule.fixes(c):
+        raise ValueError("plateau %d is not a fixed letter of %s" % (c, rule.name))
     r = rule.memory
     t = rule.anticipation
     p = r + t + 1

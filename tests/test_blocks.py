@@ -55,8 +55,8 @@ class TestParams:
         base = base_from_spec("1,-1,0,-1")  # d_beta(1) = 101: inconclusive
         with pytest.raises(ValueError):
             params_for_pf_base(base, s=1)
-        p = params_for_pf_base(base, s=1, allow_non_pf=True)
-        assert p.k == 2 * (p.ell + 1)
+        p = make_block_params(base, 2, 1)  # the unchecked route
+        assert (p.k, p.ell, p.s) == (6, 2, 1)
 
 
 class TestDecompose:
@@ -265,8 +265,10 @@ class TestEstimateS:
         assert rep.s == 3 and not rep.is_estimate
         assert calls == []
 
-    def test_budget_marks_estimate(self, tri):
-        rep = estimate_s_report(tri, 6, pair_budget=10, sample_pairs=50)
+    def test_budget_marks_estimate(self, tri, monkeypatch):
+        monkeypatch.setattr(blocks, "_PAIR_BUDGET", 10)
+        monkeypatch.setattr(blocks, "_SAMPLE_PAIRS", 50)
+        rep = estimate_s_report(tri, 6)
         assert rep.is_estimate
         assert rep.exhaustive_len < 6
 
@@ -414,6 +416,36 @@ class TestDbonacci:
             m = rng.randint(0, 30)
             y = DigitString(tuple(rng.randint(-1, 1) for _ in range(m)), m - 1)
             assert check_sum(adder, x, y, adder.add(x, y))
+
+    def test_signed_effective_window(self):
+        # L = 2 layers on 14-digit blocks: an output block reads 2L + 1 input blocks
+        adder = dbonacci_block_adder(3, signed=True, s=5)
+        assert adder.effective_window == 70
+
+    def test_signed_locality(self):
+        adder = dbonacci_block_adder(3, signed=True, s=5)
+        k = adder.params.k
+        radius = (adder.effective_window // k - 1) // 2  # in blocks
+        rng = random.Random(11)
+        for _ in range(20):
+            x = DigitString(tuple(rng.randint(-1, 1) for _ in range(6 * k)), 3 * k - 1)
+            y = DigitString(tuple(rng.randint(-1, 1) for _ in range(6 * k)), 3 * k - 1)
+            i = rng.randrange(len(y.digits))
+            digits = list(y.digits)
+            digits[i] = rng.choice([d for d in (-1, 0, 1) if d != digits[i]])
+            m = (y.msd_exponent - i) // k  # block of the changed digit
+            out = adder.add(x, y)
+            changed = adder.add(x, DigitString(tuple(digits), y.msd_exponent)) - out
+            msd = changed.msd_exponent
+            for j, dig in enumerate(changed.digits):
+                if dig:
+                    assert m - radius <= (msd - j) // k <= m + radius
+
+    def test_unfixed_plateau_rejected_by_convert(self):
+        # the block map fixes only 0^k and 1^k, so 2^k plateaus do not cancel far out
+        adder = dbonacci_block_adder(3, s=5)
+        with pytest.raises(ValueError, match="plateau 2 is not a fixed letter of block:14,2,5"):
+            adder.convert(parse_digits("1"), 2)
 
     def test_signed_fibonacci_constructs(self):
         # construction self-verifies on 200 seeded pairs

@@ -46,7 +46,7 @@ class TestAdd:
 
     def test_block(self, capsys):
         code, out, _ = run(capsys, "block-add", "--base", "tribonacci",
-                           "--k", "14", "--ell", "2", "--s", "5", "--x", "1", "--y", "1")
+                           "--ell", "2", "--s", "5", "--x", "1", "--y", "1")
         assert code == 0 and "value-ok" in out
 
     def test_zero(self, capsys):
@@ -135,34 +135,14 @@ class TestVerify:
 class TestBlockAdd:
     def test_explicit_params(self, capsys):
         code, out, _ = run(capsys, "block-add", "--base", "tribonacci",
-                           "--k", "14", "--ell", "2", "--s", "5",
-                           "--x", "2,1,2", "--y", "1,0,2")
+                           "--ell", "2", "--s", "5", "--x", "2,1,2", "--y", "1,0,2")
         assert code == 0 and "value-ok" in out
-
-    def test_inconsistent_k(self, capsys):
-        code, _, err = run(capsys, "block-add", "--base", "tribonacci",
-                           "--k", "12", "--ell", "2", "--s", "5",
-                           "--x", "1", "--y", "1")
-        assert code == 1
 
     def test_zero_block_length_rejected(self, capsys):
         code, _, err = run(capsys, "block-add", "--base", "tribonacci",
                            "--ell", "0", "--s", "0", "--x", "1", "--y", "1")
         assert code == 1
         assert "error:" in err and "k = 2(ell + s)" in err
-
-    def test_estimate_s_over_the_zero_word_only(self, capsys):
-        code, out, _ = run(capsys, "block-add", "--base", "fibonacci",
-                           "--estimate-s", "--test-len", "0", "--x", "1", "--y", "0")
-        assert code == 0
-        assert "estimated s = 0" in out and "value-ok" in out
-
-    @pytest.mark.parametrize("flags", [("--ell", "1", "--s", "1"), ("--ell", "1"), ("--s", "1")])
-    def test_estimate_s_conflicts_with_explicit_params(self, capsys, flags):
-        code, out, err = run(capsys, "block-add", "--base", "tribonacci", "--estimate-s",
-                             "--test-len", "3", *flags, "--x", "1", "--y", "1")
-        assert code == 1 and out == ""
-        assert "error:" in err and "--estimate-s" in err and "--ell" in err
 
     def test_missing_params(self, capsys):
         # one of --ell and --s without the other
@@ -186,21 +166,21 @@ class TestBlockAdd:
         assert (payload["k"], payload["ell"], payload["s"]) == (10, 3, 2)
         assert payload["s_witness"] == ["1", "1"]  # 1 + 1 = 10.01
 
-    def test_estimate_s_flag(self, capsys):
-        code, out, _ = run(capsys, "block-add", "--base", "fibonacci",
-                           "--estimate-s", "--test-len", "6",
-                           "--x", "2,1", "--y", "1,2")
-        assert code == 0
-        assert "estimated s = 2" in out and "value-ok" in out
+    @pytest.mark.parametrize("flags", [("--estimate-s",), ("--test-len", "6"), ("--k", "14")])
+    def test_removed_options_rejected(self, capsys, flags):
+        with pytest.raises(SystemExit) as exc:
+            main(["block-add", "--base", "tribonacci", *flags, "--x", "1", "--y", "1"])
+        assert exc.value.code == 2
+        _, err = capsys.readouterr()
+        assert "unrecognized arguments: %s" % " ".join(flags) in err
 
-    def test_estimate_s_in_json(self, capsys):
-        code, out, _ = run(capsys, "block-add", "--base", "fibonacci",
-                           "--estimate-s", "--test-len", "3",
-                           "--x", "1", "--y", "1", "--json")
-        assert code == 0
-        payload = json.loads(out)
-        assert payload["s_estimate"] == {"s": 2, "exhaustive_len": 3, "pairs": 15}
-        assert payload["s"] == 2 and payload["value_ok"]
+    def test_help_lists_no_removed_option(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["block-add", "--help"])
+        out, _ = capsys.readouterr()
+        assert "--ell" in out
+        for flag in ("--estimate-s", "--test-len", "--k"):
+            assert flag not in out
 
 
 class TestBounds:
@@ -243,7 +223,7 @@ class TestBounds:
     def test_digit_string_roundtrip_in_json(self, capsys):
         from betapar.digits import parse_digits
 
-        code, out, _ = run(capsys, "block-add", "--base", "tribonacci", "--k", "14", "--ell", "2",
+        code, out, _ = run(capsys, "block-add", "--base", "tribonacci", "--ell", "2",
                            "--s", "5", "--x", "2,0.1", "--y", "1,1", "--json")
         assert code == 0
         data = json.loads(out)

@@ -105,6 +105,11 @@ class TestShiftRule:
         with pytest.raises(ValueError, match="3 is not a fixed letter"):
             ChainAdder(gde_minus(4, 2), Alphabet(-3, 1))
 
+    def test_unfixed_plateau_rejected_by_apply_local(self):
+        # computing only near the support would give -1,-1,-1,0.-1,-1,-1, worth not 1
+        with pytest.raises(ValueError, match="plateau 3 is not a fixed letter of gde-minus:4,2"):
+            apply_local(gde_minus(4, 2), parse_digits("1"), 3)
+
     def test_shifted_rule_verifies(self, rule_plus42):
         base = rule_plus42.base
         for u in _seeded_strings(Alphabet(-3, 4), 300, seed=9):
