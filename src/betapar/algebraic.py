@@ -58,22 +58,16 @@ class MinimalPolynomial(Immutable):
         if coeffs[-1] == 0:
             raise ValueError("X divides the polynomial; not irreducible")
         for r in _divisors(abs(coeffs[-1])):
-            if self.eval_int(r) == 0 or self.eval_int(-r) == 0:
+            if self.evaluate(r) == 0 or self.evaluate(-r) == 0:
                 raise ValueError("rational root %d; polynomial is reducible" % r)
 
     @property
     def degree(self):
         return len(self.coefficients) - 1
 
-    def eval_int(self, x):
+    def evaluate(self, x):
+        """f(x) by Horner's rule; exact for an int or a Fraction x."""
         acc = 0
-        for c in self.coefficients:
-            acc = acc * x + c
-        return acc
-
-    def eval_fraction(self, x):
-        x = Fraction(x)
-        acc = Fraction(0)
         for c in self.coefficients:
             acc = acc * x + c
         return acc
@@ -153,8 +147,8 @@ class BetaBase:
             raise ValueError("empty interval")
         if not lo > 1:
             raise ValueError("isolating interval must have lo > 1")
-        slo = _fraction_sign(poly.eval_fraction(lo))
-        shi = _fraction_sign(poly.eval_fraction(hi))
+        slo = _fraction_sign(poly.evaluate(lo))
+        shi = _fraction_sign(poly.evaluate(hi))
         if slo == 0 or shi == 0 or slo == shi:
             raise ValueError("isolating interval endpoints must straddle a root")
         self.poly = poly
@@ -575,10 +569,10 @@ def _bracket_dominant_root(poly):
     step = Fraction(1)
     for _ in range(12):
         x = Fraction(bound)
-        fx = poly.eval_fraction(x)
+        fx = poly.evaluate(x)
         while x - step > 1:
             y = x - step
-            fy = poly.eval_fraction(y)
+            fy = poly.evaluate(y)
             if fy == 0:
                 break
             if (fy > 0) != (fx > 0):

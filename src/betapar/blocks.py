@@ -120,8 +120,6 @@ def params_for_pf_base(base, s):
         if base.sign_of_vector(vec) > 0:
             return make_block_params(base, ell, s)
         ell += 1
-        if ell > 64:
-            raise RuntimeError("no l <= 64 satisfies the margin inequality")
 
 
 class BlockAdder:
@@ -130,12 +128,18 @@ class BlockAdder:
     As a digit set conversion it maps A + A to A (``convert``).
     """
 
+    p = 3  # an output block reads its own input block and both neighbours
+
     def __init__(self, base, params):
         self.base = base
         self.params = params
         self.alphabet = self.output_alphabet = params.A
         self.input_alphabet = params.A.plus(params.A)
         self.name = "block:%d,%d,%d" % (params.k, params.ell, params.s)
+
+    @property
+    def k(self):
+        return self.params.k
 
     # -- block-level operations ------------------------------------------------
 
@@ -434,12 +438,6 @@ class SignedBlockAdder(ChainAdder):
             y = DigitString(tuple(rng.randint(-t1, t1) for _ in range(m)), m - 1)
             if not check_sum(self, x, y, self.add(x, y)):
                 raise AssertionError("signed block adder wrong for %s + %s" % (x, y))
-
-    @property
-    def effective_window(self):
-        """Window width in digits: on the fixed k-block grid an output block
-        reads the input blocks within hi_layers + lo_layers of its own."""
-        return (2 * (self.hi_layers + self.lo_layers) + 1) * self.params.k
 
 
 def dbonacci_block_adder(d, signed=False, s=None):

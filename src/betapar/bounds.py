@@ -30,7 +30,7 @@ def lower_bound_1block(poly, is_real_gt1=True):
     """
     if not isinstance(poly, MinimalPolynomial):
         poly = MinimalPolynomial(poly)
-    bound = abs(poly.eval_int(1))
+    bound = abs(poly.evaluate(1))
     return bound + 2 if is_real_gt1 else bound
 
 

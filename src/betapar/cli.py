@@ -29,14 +29,7 @@ from .bounds import (
 from .conversion import LocalRule, check_sum, exhaustive, random_strings, verify_conversion
 from .digits import Alphabet, format_digits, parse_digits
 from .numeration import classify_parry, pf_sufficient
-from .quadratic import (
-    gde_minus,
-    gde_plus,
-    gde_plus_special,
-    quadratic_adder,
-    quadratic_family,
-    shifted_adder,
-)
+from .quadratic import gde_rule, quadratic_family, shifted_adder
 
 
 class CliError(Exception):
@@ -65,23 +58,6 @@ def cmd_dbeta(args):
     return 0
 
 
-def _rule_from_spec(spec):
-    spec = spec.strip().lower()
-    try:
-        if spec.startswith("gde-plus-special:"):
-            return gde_plus_special(int(spec.split(":", 1)[1]))
-        if spec.startswith("gde-plus:"):
-            a, b = (int(t) for t in spec.split(":", 1)[1].split(","))
-            return gde_plus(a, b)
-        if spec.startswith("gde-minus:"):
-            a, b = (int(t) for t in spec.split(":", 1)[1].split(","))
-            return gde_minus(a, b)
-    except ValueError as exc:
-        raise CliError("bad rule spec %r: %s" % (spec, exc)) from None
-    raise CliError("unknown rule spec %r (try gde-plus:a,b, gde-plus-special:a, gde-minus:a,b)"
-                   % spec)
-
-
 def _corrupt_rule(rule):
     """Perturb one window output by +1: a deliberately broken rule (testing hook).
 
@@ -102,7 +78,7 @@ def _corrupt_rule(rule):
 
 
 def cmd_verify(args):
-    rule = _rule_from_spec(args.rule)
+    rule = gde_rule(*quadratic_family(base_from_spec(args.base)))
     if args.corrupt:
         rule = _corrupt_rule(rule)
     if args.exhaustive is not None:
@@ -126,11 +102,7 @@ def cmd_add(args):
     base = base_from_spec(args.base)
     x = parse_digits(args.x)
     y = parse_digits(args.y)
-    kind, a, b = quadratic_family(base)
-    if args.shift:
-        adder = shifted_adder(kind, a, b, args.shift)
-    else:
-        adder = quadratic_adder(kind, a, b)
+    adder = shifted_adder(*quadratic_family(base), args.shift)
     try:
         out = adder.add(x, y)
     except ValueError as exc:
@@ -236,9 +208,8 @@ def build_parser():
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_add)
 
-    p = sub.add_parser("verify", help="verify a conversion rule against the exact oracle")
-    p.add_argument("--rule", required=True,
-                   help="gde-plus:a,b | gde-plus-special:a | gde-minus:a,b")
+    p = sub.add_parser("verify", help="verify a base's GDE rule against the exact oracle")
+    p.add_argument("--base", required=True, help="a quadratic base")
     p.add_argument("--exhaustive", type=int, metavar="MAXLEN")
     p.add_argument("--random", type=int, metavar="N")
     p.add_argument("--seed", type=int, default=0)

@@ -48,6 +48,7 @@ from typing import NamedTuple
 from .digits import Alphabet, DigitString, format_digits
 
 TABULATE_THRESHOLD = 10 ** 6
+RANDOM_MAXLEN = 12  # random_strings draws strings of 0 .. RANDOM_MAXLEN digits
 
 
 class LocalRule:
@@ -59,6 +60,8 @@ class LocalRule:
     table is built eagerly, which doubles as a proof that every window
     output lies in the declared output alphabet.
     """
+
+    k = 1  # a 1-block map: each window position is one digit
 
     def __init__(self, base, memory, anticipation, input_alphabet, output_alphabet,
                  window_fn, name=None, tabulate_threshold=TABULATE_THRESHOLD):
@@ -184,7 +187,6 @@ class Exhaustive(NamedTuple):
 class RandomStrings(NamedTuple):
     n: int
     seed: int
-    maxlen: int = 12
 
 
 exhaustive = Exhaustive
@@ -237,12 +239,12 @@ def _iter_exhaustive(alphabet, maxlen):
                 yield (first,) + rest
 
 
-def _iter_random(alphabet, n, seed, maxlen):
+def _iter_random(alphabet, n, seed):
     rng = _random.Random(seed)
     lo = alphabet.min_digit
     hi = alphabet.max_digit
     for _ in range(n):
-        length = rng.randint(0, maxlen)
+        length = rng.randint(0, RANDOM_MAXLEN)
         yield tuple(rng.randint(lo, hi) for _ in range(length))
 
 
@@ -265,17 +267,17 @@ def verify_conversion(rule, strategy):
     failures = []
     checked = 0
     if isinstance(strategy, Exhaustive):
+        if strategy.maxlen < 0:
+            raise ValueError("maxlen must be non-negative, got %d" % strategy.maxlen)
         words = _iter_exhaustive(rule.input_alphabet, strategy.maxlen)
         label = "exhaustive(%d)" % strategy.maxlen
     elif isinstance(strategy, RandomStrings):
-        words = _iter_random(rule.input_alphabet, strategy.n, strategy.seed, strategy.maxlen)
+        if strategy.n < 1:
+            raise ValueError("n must be at least 1, got %d" % strategy.n)
+        words = _iter_random(rule.input_alphabet, strategy.n, strategy.seed)
         label = "random(n=%d, seed=%d)" % (strategy.n, strategy.seed)
     else:
         raise TypeError("strategy must be Exhaustive or RandomStrings")
-    if strategy.maxlen < 0:
-        raise ValueError("maxlen must be non-negative, got %d" % strategy.maxlen)
-    if isinstance(strategy, RandomStrings) and strategy.n < 1:
-        raise ValueError("n must be at least 1, got %d" % strategy.n)
 
     base = rule.base
     for word in words:
@@ -331,8 +333,10 @@ class ChainAdder:
 
     @property
     def effective_window(self):
-        """Window width of the composite map over a local-rule layer."""
-        return 1 + (self.hi_layers + self.lo_layers) * (self.layer.p - 1)
+        """Window width in digits: each layer pass of a k-block p-local map
+        (a local rule has k = 1) widens the window by p - 1 blocks."""
+        layer = self.layer
+        return (1 + (self.hi_layers + self.lo_layers) * (layer.p - 1)) * layer.k
 
     def add(self, x, y):
         for s in (x, y):

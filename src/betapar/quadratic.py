@@ -173,28 +173,27 @@ def quadratic_adder(kind, a, b=None):
 
     Target alphabets: plus {0..a+b}, plus_special {0..2a-1}, minus
     {0..a+b-2}; these cardinalities meet the corresponding lower bounds.
+    It is :func:`shifted_adder` at d = 0.
     """
-    rule = gde_rule(kind, a, b)
-    return ChainAdder(rule, rule.output_alphabet)
+    return shifted_adder(kind, a, b)
 
 
 def shifted_adder(kind, a, b=None, d=0):
     """Adder on the shifted alphabet {-d .. M-d} for the given family.
 
     M is the top digit of the rule's output alphabet.  Allowed shifts:
-    0 <= d <= M for the plus families (any contiguous alphabet of the
-    attained cardinality containing 0), and b <= d <= a-2 for the minus
-    family.  The construction conjugates the elimination rule
-    by fixed letters; the adder, as its own A+A -> A conversion, is
-    oracle-verified right here on 200 strings with a fixed seed;
-    a verification failure is a bug, not a recoverable condition.
+    d = 0 for every family (the unshifted adder), 0 < d <= M for the plus
+    families (any contiguous alphabet of the attained cardinality
+    containing 0), and b <= d <= a-2 for the minus family.  A shifted
+    adder conjugates the elimination rule by fixed letters; as its own
+    A+A -> A conversion it is oracle-verified right here on 200 strings
+    with a fixed seed; a verification failure is a bug, not a
+    recoverable condition.
     """
     rule = gde_rule(kind, a, b)
     M = rule.output_alphabet.max_digit
-    if kind == "minus" and not (b <= d <= a - 2):
-        raise ValueError("minus-family shift needs b <= d <= a-2, got d=%d" % d)
-    if not (0 <= d <= M):
-        raise ValueError("shift out of range: 0 <= d <= %d, got d=%d" % (M, d))
+    if d and kind == "minus" and not (b <= d <= a - 2):
+        raise ValueError("minus-family shift needs d = 0 or b <= d <= a-2, got d=%d" % d)
     adder = ChainAdder(rule, Alphabet(-d, M - d))
     if d:
         report = verify_conversion(adder, random_strings(_SHIFT_VERIFY_STRINGS,

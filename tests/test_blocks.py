@@ -23,7 +23,7 @@ from betapar.blocks import (
     make_block_params,
     params_for_pf_base,
 )
-from betapar.conversion import check_sum
+from betapar.conversion import ChainAdder, check_sum
 from betapar.digits import Alphabet, DigitString, parse_digits
 from betapar.numeration import (
     AdmissibilityAutomaton,
@@ -420,6 +420,11 @@ class TestDbonacci:
     def test_signed_effective_window(self):
         # L = 2 layers on 14-digit blocks: an output block reads 2L + 1 input blocks
         adder = dbonacci_block_adder(3, signed=True, s=5)
+        assert adder.effective_window == 70
+
+    def test_unsigned_chain_effective_window(self, tri):
+        # {0,1,2}: two positive layers of the 14-block 3-local map, (1 + 2 * 2) * 14
+        adder = ChainAdder(BlockAdder(tri, make_block_params(tri, 2, 5)), Alphabet(0, 2))
         assert adder.effective_window == 70
 
     def test_signed_locality(self):

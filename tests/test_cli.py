@@ -92,42 +92,58 @@ class TestAdd:
 
 class TestVerify:
     def test_exhaustive_pass(self, capsys):
-        code, out, _ = run(capsys, "verify", "--rule", "gde-plus:4,2", "--exhaustive", "3")
+        code, out, _ = run(capsys, "verify", "--base", "quadratic-plus:4,2", "--exhaustive", "3")
         assert code == 0 and "pass" in out
 
     def test_random_pass(self, capsys):
-        code, out, _ = run(capsys, "verify", "--rule", "gde-minus:4,1",
+        code, out, _ = run(capsys, "verify", "--base", "quadratic-minus:4,1",
                            "--random", "300", "--seed", "7")
         assert code == 0 and "pass" in out
 
     def test_corrupt_fails_exit2(self, capsys):
-        code, out, _ = run(capsys, "verify", "--rule", "gde-plus:4,2",
+        code, out, _ = run(capsys, "verify", "--base", "quadratic-plus:4,2",
                            "--exhaustive", "2", "--corrupt")
         assert code == 2 and "counterexample" in out
 
     def test_corrupt_json(self, capsys):
-        code, out, _ = run(capsys, "verify", "--rule", "gde-minus:3,1",
+        code, out, _ = run(capsys, "verify", "--base", "quadratic-minus:3,1",
                            "--random", "100", "--seed", "3", "--corrupt", "--json")
         assert code == 2
         data = json.loads(out)
         assert data["verdict"] == "fail" and data["failures"]
 
     def test_needs_strategy(self, capsys):
-        code, _, err = run(capsys, "verify", "--rule", "gde-plus:4,2")
+        code, _, err = run(capsys, "verify", "--base", "quadratic-plus:4,2")
         assert code == 1
 
     def test_bad_rule(self, capsys):
-        code, _, err = run(capsys, "verify", "--rule", "gde-weird:1", "--exhaustive", "2")
-        assert code == 1
+        code, _, err = run(capsys, "verify", "--base", "tribonacci", "--exhaustive", "2")
+        assert code == 1 and "quadratic" in err
+        # beta^2 = beta + 1 is a plus-family base outside gde_plus's hypotheses
+        code, _, err = run(capsys, "verify", "--base", "fibonacci", "--exhaustive", "2")
+        assert code == 1 and "gde_plus needs a >= b+2 and b >= 2" in err
+
+    def test_rule_option_removed(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--base", "quadratic-plus:4,2", "--rule", "gde-plus:4,2",
+                  "--exhaustive", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_special_family_from_base(self, capsys):
+        # beta^2 = 3 beta + 2 has b = a - 1, so its rule is gde-plus-special:3
+        code, out, _ = run(capsys, "verify", "--base", "quadratic-plus:3,2", "--exhaustive", "3")
+        assert code == 0
+        assert out.startswith("gde-plus-special:3 over exhaustive(3): pass")
 
     def test_negative_exhaustive_length_rejected(self, capsys):
-        code, out, err = run(capsys, "verify", "--rule", "gde-plus:4,2", "--exhaustive", "-1")
+        code, out, err = run(capsys, "verify", "--base", "quadratic-plus:4,2", "--exhaustive", "-1")
         assert code == 1 and "pass" not in out
         assert "error:" in err and "maxlen" in err
 
     def test_nonpositive_random_count_rejected(self, capsys):
         for n in ("-3", "0"):
-            code, out, err = run(capsys, "verify", "--rule", "gde-plus:4,2", "--random", n)
+            code, out, err = run(capsys, "verify", "--base", "quadratic-plus:4,2", "--random", n)
             assert code == 1 and "pass" not in out
             assert "error:" in err and "n must be" in err
 
@@ -233,7 +249,7 @@ class TestBounds:
 
 class TestDeterminism:
     def test_seeded_verify_is_reproducible(self, capsys):
-        argv = ["verify", "--rule", "gde-minus:4,1", "--random", "150",
+        argv = ["verify", "--base", "quadratic-minus:4,1", "--random", "150",
                 "--seed", "12", "--json"]
         code1, out1, _ = run(capsys, *argv)
         code2, out2, _ = run(capsys, *argv)

@@ -215,11 +215,13 @@ class TestShiftedAdder:
             shifted_adder("plus", 4, 2, d=7)  # 7 > a+b
 
     def test_d0_matches_plain(self):
-        plain = quadratic_adder("plus", 4, 2)
-        sh = shifted_adder("plus", 4, 2, d=0)
-        x = parse_digits("5,1")
-        y = parse_digits("6,0.3")
-        assert plain.add(x, y) == sh.add(x, y)
+        # d = 0 is the unshifted adder for every family, the minus family too
+        for kind, x, y in (("plus", "5,1", "6,0.3"), ("minus", "4,3.1", "2,4.4,1")):
+            plain = quadratic_adder(kind, 4, 2)
+            sh = shifted_adder(kind, 4, 2)  # d defaults to 0
+            x, y = parse_digits(x), parse_digits(y)
+            assert sh.alphabet == plain.alphabet
+            assert plain.add(x, y) == sh.add(x, y)
 
     def test_plus_d3_random(self):
         adder = shifted_adder("plus", 4, 2, d=3)
