@@ -77,8 +77,22 @@ def _corrupt_rule(rule):
                      wider, broken, name=rule.name + "-corrupt")
 
 
+def _for_family(build, base, *args):
+    """build(kind, a, b, *args) for the quadratic family of base.
+
+    A ValueError of build, such as a base outside the elimination's
+    hypotheses, is reported with the base's equation, family and (a, b).
+    """
+    kind, a, b = quadratic_family(base)
+    try:
+        return build(kind, a, b, *args)
+    except ValueError as exc:
+        raise CliError("beta^2 = %d beta %s %d (%s family, a = %d, b = %d): %s"
+                       % (a, "-" if kind == "minus" else "+", b, kind, a, b, exc)) from None
+
+
 def cmd_verify(args):
-    rule = gde_rule(*quadratic_family(base_from_spec(args.base)))
+    rule = _for_family(gde_rule, base_from_spec(args.base))
     if args.corrupt:
         rule = _corrupt_rule(rule)
     if args.exhaustive is not None:
@@ -102,7 +116,7 @@ def cmd_add(args):
     base = base_from_spec(args.base)
     x = parse_digits(args.x)
     y = parse_digits(args.y)
-    adder = shifted_adder(*quadratic_family(base), args.shift)
+    adder = _for_family(shifted_adder, base, args.shift)
     try:
         out = adder.add(x, y)
     except ValueError as exc:

@@ -9,10 +9,18 @@ in parallel.
 
 Value preservation is never assumed here: :func:`verify_conversion` checks
 rules against the exact Z[beta] oracle, exhaustively over short strings or
-on seeded random strings, and reports the first counterexamples.  It and
-:func:`check_sum` share one exact test, :func:`_same_value`: two digit
-strings have equal values iff their digitwise difference evaluates to the
-zero vector.
+on seeded random strings, and reports the first counterexamples.  Its
+random sweeps and :func:`check_sum` share one exact test,
+:func:`_same_value`: two digit strings have equal values iff their
+digitwise difference evaluates to the zero vector.  An exhaustive sweep
+takes a :class:`LocalRule` and tests the same identity without converting
+a string whole.  Pad u with h = r + t zeros on each side; then
+e_m = Phi(window m) - (window m)[t] is digit m of v - u, most significant
+first, so v keeps the value of u iff the Horner sum of the e_m is the zero
+vector.  Window m reads only the first m + 1 digits of u, so the sweep is
+one walk over prefixes that carries the partial Horner sum and reads each
+window once per prefix; the last h windows read only u's last h digits and
+are summed once per suffix.
 
 Adders are built by greatest-digit-elimination chains: to add x and y over
 {0..M}, split y into indicator layers y(i) with y(i)_j = 1 iff y_j >= i and
@@ -225,20 +233,6 @@ class ConversionReport:
             self.rule_name, self.checked_count, self.verdict)
 
 
-def _iter_exhaustive(alphabet, maxlen):
-    digits = list(alphabet)
-    nonzero = [d for d in digits if d != 0]
-    yield ()
-    for length in range(1, maxlen + 1):
-        if length == 1:
-            for d in nonzero:
-                yield (d,)
-            continue
-        for first in nonzero:
-            for rest in itertools.product(digits, repeat=length - 1):
-                yield (first,) + rest
-
-
 def _iter_random(alphabet, n, seed):
     rng = _random.Random(seed)
     lo = alphabet.min_digit
@@ -251,36 +245,132 @@ def _iter_random(alphabet, n, seed):
 _MAX_FAILURES = 5
 
 
+def _residue_walk(rule, maxlen):
+    """(checked, failures) of the exhaustive sweep of a local rule through maxlen digits.
+
+    Strings come by length, then lexicographically, the first digit nonzero.
+    With h = r + t, one depth-first walk per length carries
+    T_i = beta^h * Horner(e_0 .. e_{i-1}) down the prefixes, T_{i+1} =
+    beta T_i + e_i beta^h.  The last h windows read only the last h padded
+    digits s, and their Horner sum is K(s) = e(s + 0^(p - |s|))
+    beta^(|s| - 1) + K(s[1:]), K(()) = 0, memoised per suffix for this call
+    only.  A string of length n passes iff T_n = -K(s).
+
+    A window that raises ValueError fails every string that reads it, as in
+    apply_local, which reads the windows in the same order: the prefix
+    windows, then the flush windows from the top down.  v is rebuilt by
+    ``rule.convert`` only to report a value mismatch.  ``rule.window`` never
+    returns a digit outside the output alphabet (a table is checked whole
+    when built, an untabulated window raises), so no alphabet is checked.
+    """
+    base = rule.base
+    t = rule.anticipation
+    h = rule.memory + t
+    window = rule.window
+    shift = base.shift_vector
+    powers = [base.power_vector(i) for i in range(h + 1)]
+    top = powers[h]
+    zero = (0,) * base.degree
+    digits = tuple(rule.input_alphabet)
+    nonzero = tuple(d for d in digits if d)
+    cancel = {(): zero}  # -K(s), or the ValueError of the first flush window of s that raises
+    failures = []
+    checked = 1  # the empty string, mapped to itself
+
+    def flush(s):
+        f = cancel.get(s)
+        if f is None:
+            w = s + (0,) * (h + 1 - len(s))
+            try:
+                e = window(w) - w[t]
+            except ValueError as exc:
+                f = exc
+            else:
+                f = flush(s[1:])
+                if e and not isinstance(f, ValueError):
+                    f = tuple([a - e * b for a, b in zip(f, powers[len(s) - 1])])
+            cancel[s] = f
+        return f
+
+    def fail(word, output, reason):
+        failures.append((format_digits(DigitString(word, len(word) - 1)), output, reason))
+        return len(failures) >= _MAX_FAILURES
+
+    def walk(word, i, tail, carry):
+        """Visit the strings of length len(word) that extend word[:i]; True once the
+        failures are full.  tail is the last h padded digits, carry T_i."""
+        nonlocal checked
+        n = len(word)
+        lifted = shift(carry)
+        for d in digits if i else nonzero:
+            word[i] = d
+            w = tail + (d,)
+            try:
+                e = window(w) - w[t]
+            except ValueError as exc:
+                for rest in itertools.product(digits, repeat=n - i - 1):
+                    checked += 1
+                    if fail(tuple(word[:i + 1]) + rest, "", "error: %s" % exc):
+                        return True
+                continue
+            c = tuple([a + e * b for a, b in zip(lifted, top)]) if e else lifted
+            if i + 1 < n:
+                if walk(word, i + 1, w[1:], c):
+                    return True
+                continue
+            checked += 1
+            f = flush(w[1:])
+            if c == f:
+                continue
+            u = tuple(word)
+            if isinstance(f, ValueError):
+                stop = fail(u, "", "error: %s" % f)
+            else:
+                v = rule.convert(DigitString(u, n - 1))
+                stop = fail(u, format_digits(v), "value mismatch")
+            if stop:
+                return True
+        return False
+
+    for n in range(1, maxlen + 1):
+        if walk([0] * n, 0, (0,) * h, zero):
+            break
+    return checked, failures
+
+
 def verify_conversion(rule, strategy):
     """Check alphabet containment and exact value preservation of a conversion.
 
-    ``rule`` is anything with ``base``, ``name``, ``input_alphabet``,
-    ``output_alphabet`` and ``convert(u)``: a local rule or an adder used as
-    its A+A -> A conversion.
+    Exhaustive mode takes a :class:`LocalRule` and checks every string over
+    its input alphabet up to the given length (leading zeros skipped; they
+    only duplicate shorter strings) in one residue walk over the prefixes,
+    :func:`_residue_walk`: digit m of v - u is e_m = Phi(window m) minus the
+    window's centre digit, and the value is kept iff the Horner sum of the
+    e_m is the zero vector, so no string is converted or evaluated whole.
 
-    Exhaustive mode enumerates every string over the input alphabet up to
-    the given length (leading zeros skipped; they only duplicate shorter
-    strings).  Random mode draws seeded strings.  Each input is applied
-    through the rule and the input and output values are compared with the
-    exact oracle; failures are serialized into the report.
+    Random mode draws seeded strings and takes anything with ``base``,
+    ``name``, ``input_alphabet``, ``output_alphabet`` and ``convert(u)``: a
+    local rule or an adder used as its A+A -> A conversion.  Each input is
+    applied through ``convert`` and the input and output values are
+    compared with the exact oracle.  Failures, at most five, are
+    serialized into the report.
     """
-    failures = []
-    checked = 0
     if isinstance(strategy, Exhaustive):
         if strategy.maxlen < 0:
             raise ValueError("maxlen must be non-negative, got %d" % strategy.maxlen)
-        words = _iter_exhaustive(rule.input_alphabet, strategy.maxlen)
-        label = "exhaustive(%d)" % strategy.maxlen
-    elif isinstance(strategy, RandomStrings):
-        if strategy.n < 1:
-            raise ValueError("n must be at least 1, got %d" % strategy.n)
-        words = _iter_random(rule.input_alphabet, strategy.n, strategy.seed)
-        label = "random(n=%d, seed=%d)" % (strategy.n, strategy.seed)
-    else:
+        if not isinstance(rule, LocalRule):
+            raise TypeError("exhaustive sweeps take a LocalRule, got %s" % type(rule).__name__)
+        checked, failures = _residue_walk(rule, strategy.maxlen)
+        return ConversionReport(rule.name, "exhaustive(%d)" % strategy.maxlen, checked, failures)
+    if not isinstance(strategy, RandomStrings):
         raise TypeError("strategy must be Exhaustive or RandomStrings")
+    if strategy.n < 1:
+        raise ValueError("n must be at least 1, got %d" % strategy.n)
 
+    failures = []
+    checked = 0
     base = rule.base
-    for word in words:
+    for word in _iter_random(rule.input_alphabet, strategy.n, strategy.seed):
         checked += 1
         u = DigitString(word, len(word) - 1)
         try:
@@ -294,6 +384,7 @@ def verify_conversion(rule, strategy):
                 failures.append((format_digits(u), format_digits(v), "value mismatch"))
         if len(failures) >= _MAX_FAILURES:
             break
+    label = "random(n=%d, seed=%d)" % (strategy.n, strategy.seed)
     return ConversionReport(rule.name, label, checked, failures)
 
 

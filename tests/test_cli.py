@@ -122,6 +122,11 @@ class TestVerify:
         # beta^2 = beta + 1 is a plus-family base outside gde_plus's hypotheses
         code, _, err = run(capsys, "verify", "--base", "fibonacci", "--exhaustive", "2")
         assert code == 1 and "gde_plus needs a >= b+2 and b >= 2" in err
+        # the error names the base's equation, family and (a, b), on both commands
+        family = "beta^2 = 1 beta + 1 (plus family, a = 1, b = 1): gde_plus needs"
+        assert family in err
+        code, _, err = run(capsys, "add", "--base", "fibonacci", "--x", "1", "--y", "1")
+        assert code == 1 and family in err
 
     def test_rule_option_removed(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,8 +1,13 @@
+import itertools
 import random
+import sys
+import threading
 
 import pytest
 
+from betapar import conversion
 from betapar.algebraic import eval_digit_string, values_equal
+from betapar.cli import _corrupt_rule
 from betapar.conversion import (
     ChainAdder,
     LocalRule,
@@ -13,8 +18,8 @@ from betapar.conversion import (
     random_strings,
     verify_conversion,
 )
-from betapar.digits import Alphabet, DigitString, parse_digits
-from betapar.quadratic import gde_minus
+from betapar.digits import Alphabet, DigitString, format_digits, parse_digits
+from betapar.quadratic import gde_minus, gde_rule
 
 
 def _seeded_strings(alphabet, n, seed, maxlen=12):
@@ -90,6 +95,137 @@ class TestVerifyConversion:
         rep = verify_conversion(rule_minus41, exhaustive(2))
         data = json.loads(rep.to_json())
         assert data["verdict"] == "pass" and data["checked"] == rep.checked_count
+
+
+def _per_string_report(rule, maxlen):
+    """The exhaustive report as the strings one by one give it: each string is
+    converted whole by rule.convert and checked with conversion._same_value."""
+    digits = list(rule.input_alphabet)
+    words = [()] + [(first,) + rest for n in range(1, maxlen + 1) for first in digits if first
+                    for rest in itertools.product(digits, repeat=n - 1)]
+    failures = []
+    checked = 0
+    for word in words:
+        checked += 1
+        u = DigitString(word, len(word) - 1)
+        try:
+            v = rule.convert(u)
+        except ValueError as exc:
+            failures.append((format_digits(u), "", "error: %s" % exc))
+        else:
+            if not v.alphabet_ok(rule.output_alphabet):
+                failures.append((format_digits(u), format_digits(v), "digit outside output alphabet"))
+            elif not conversion._same_value(rule.base, v, u):
+                failures.append((format_digits(u), format_digits(v), "value mismatch"))
+        if len(failures) >= conversion._MAX_FAILURES:
+            break
+    label = "exhaustive(%d)" % maxlen
+    return conversion.ConversionReport(rule.name, label, checked, failures).to_dict()
+
+
+def _untabulated_corruption(rule):
+    """The rule with its lone-1 window raised by 1, left untabulated (the
+    benchmark's negative control)."""
+    lone = tuple(1 if i == rule.anticipation else 0 for i in range(rule.p))
+    fn = rule.window_fn
+    return LocalRule(rule.base, rule.memory, rule.anticipation, rule.input_alphabet,
+                     rule.output_alphabet, lambda w: fn(w) + (w == lone),
+                     name=rule.name + "-untabulated", tabulate_threshold=0)
+
+
+# the presets of acceptance criterion 2
+PRESETS = [("plus", 4, 2), ("plus", 5, 3), ("plus_special", 3, None),
+           ("plus_special", 4, None), ("minus", 3, 1), ("minus", 4, 2)]
+
+
+@pytest.fixture(scope="module", params=PRESETS, ids=lambda spec: "%s:%s,%s" % spec)
+def preset(request):
+    return gde_rule(*request.param)
+
+
+class TestResidueWalk:
+    """The exhaustive sweep walks prefixes; its reports equal the per-string sweep's."""
+
+    @pytest.mark.parametrize("form", ["plain", "untabulated-corrupted", "cli-corrupted"])
+    def test_presets_match_per_string_sweep(self, preset, form):
+        rule = {"plain": preset, "untabulated-corrupted": _untabulated_corruption(preset),
+                "cli-corrupted": _corrupt_rule(preset)}[form]
+        for n in range(5):
+            report = verify_conversion(rule, exhaustive(n)).to_dict()
+            assert report == _per_string_report(rule, n)
+        assert (report["verdict"] == "pass") == (form == "plain")
+
+    def test_one_local_rules(self, fib):
+        # h = r + t = 0: no flush windows, every window a single digit
+        A = Alphabet(0, 2)
+        identity = LocalRule(fib, 0, 0, A, A, lambda w: w[0], name="identity")
+        broken = LocalRule(fib, 0, 0, Alphabet(0, 1), Alphabet(0, 2),
+                           lambda w: w[0] + 1 if w == (1,) else w[0], name="broken")
+        for rule in (identity, broken):
+            for n in range(5):
+                assert verify_conversion(rule, exhaustive(n)).to_dict() == _per_string_report(rule, n)
+        assert verify_conversion(identity, exhaustive(4)).checked_count == 1 + 2 + 6 + 18 + 54
+
+    def test_raising_windows_give_the_per_string_errors(self, qp42):
+        # a 2 followed by a 0 maps outside {0..2}: prefix windows raise for a
+        # 2 inside the string, flush windows for a trailing 2; a lone 1 is a
+        # value mismatch, so both kinds of failure interleave in order
+        def fn(w):
+            if w[1] == 2 and w[2] == 0:
+                return 3
+            return 2 if w == (0, 1, 0) else w[1]
+
+        rule = LocalRule(qp42, 1, 1, Alphabet(0, 2), Alphabet(0, 2), fn, name="raising",
+                         tabulate_threshold=0)
+        for n in range(5):
+            assert verify_conversion(rule, exhaustive(n)).to_dict() == _per_string_report(rule, n)
+        failures = verify_conversion(rule, exhaustive(4)).failures
+        error = "error: raising: window (%d, 2, 0) maps to 3 outside {0..2}"
+        # "2" raises in a flush window, "2,0" in a prefix window
+        assert [(f[0], f[2]) for f in failures] == [
+            ("1", "value mismatch"), ("2", error % 0), ("1,0", "value mismatch"),
+            ("1,2", error % 1), ("2,0", error % 0)]
+
+    def test_failures_stop_at_the_fifth(self, fib):
+        # every string holding a 1 fails; the sweep stops at the fifth failure
+        rule = LocalRule(fib, 1, 1, Alphabet(0, 1), Alphabet(0, 2),
+                         lambda w: w[1] + (w[1] == 1), name="doubling")
+        rep = verify_conversion(rule, exhaustive(6))
+        assert len(rep.failures) == conversion._MAX_FAILURES
+        assert rep.to_dict() == _per_string_report(rule, 6)
+        assert rep.checked_count == 6  # "", "1", "1,0", "1,1", "1,0,0", "1,0,1"
+
+    def test_exhaustive_takes_a_local_rule(self, rule_plus42):
+        adder = ChainAdder(rule_plus42, Alphabet(0, 6))
+        with pytest.raises(TypeError, match="exhaustive sweeps take a LocalRule, got ChainAdder"):
+            verify_conversion(adder, exhaustive(2))
+
+    def test_shared_rule_sweeps_agree_across_threads(self):
+        # rules are immutable and shareable: the walk keeps its state to itself
+        rule = gde_minus(4, 2)
+        before = dict(vars(rule))
+        expected = verify_conversion(rule, exhaustive(3)).to_dict()
+        barrier = threading.Barrier(8)
+        reports = []
+
+        def sweep():
+            barrier.wait(timeout=60)
+            reports.append(verify_conversion(rule, exhaustive(3)).to_dict())
+
+        threads = [threading.Thread(target=sweep, daemon=True) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert len(reports) == 8 and all(rep == expected for rep in reports)
+        assert expected["verdict"] == "pass"
+        assert vars(rule) == before
 
 
 class TestShiftRule:
