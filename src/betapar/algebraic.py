@@ -8,13 +8,14 @@ minimal polynomial, the vector representation is unique, so equality of
 values is equality of vectors.
 
 A :class:`QuotientValue` represents beta**(-e) * (c_0 + c_1 beta + ... +
-c_{d-1} beta**(d-1)) with a non-negative integer scale e.  Every digit
-string evaluates to such a value through :meth:`BetaBase.digits_vector`,
-the one routine that sums digits against powers of beta, and exact
-equality of two values is decided by cross-multiplying the scales and
-comparing vectors.  Since beta != 0, two digit strings have equal values
-iff their digitwise difference evaluates to the zero vector: the oracle
-check every conversion in the package is verified with.
+c_{d-1} beta**(d-1)) with the non-negative integer scale e it is built
+with.  Every digit string evaluates to such a value through
+:meth:`BetaBase.digits_vector`, the one routine that sums digits against
+powers of beta, and exact equality of two values is decided by raising
+the smaller scale to the larger and comparing vectors.  Since beta != 0,
+two digit strings have equal values iff their digitwise difference
+evaluates to the zero vector: the oracle check every conversion in the
+package is verified with.
 
 Certified comparisons (floors, signs) use dyadic interval enclosures of the
 powers of beta obtained by bisection of f, with precision escalated until
@@ -35,6 +36,9 @@ from fractions import Fraction
 from .digits import DigitString, Immutable
 
 _SIGN_BITS_START = 64
+# Guards caller-asserted irreducibility: over X^4 - 3X^2 + 1 =
+# (X^2 - X - 1)(X^2 + X - 1), which passes the rational-root check, the
+# nonzero vector (-1, -1, 1, 0) is worth 0, and no precision decides its sign.
 _SIGN_BITS_LIMIT = 1 << 14
 
 
@@ -206,20 +210,6 @@ class BetaBase:
             v = self.shift_vector(v)
         return v
 
-    def divide_by_beta(self, v):
-        """Vector w with beta * value(w) = value(v), or None if not in Z[beta]."""
-        red = self._red
-        d = self.degree
-        a0 = red[0]
-        top, rem = divmod(v[0], a0)
-        if rem:
-            return None
-        w = [0] * d
-        w[d - 1] = top
-        for i in range(1, d):
-            w[i - 1] = v[i] - top * red[i]
-        return tuple(w)
-
     # -- dyadic enclosures ---------------------------------------------------
 
     def _refine_dyadic(self, bits):
@@ -282,20 +272,22 @@ class BetaBase:
                 H += c * plo[i]
         return L, H, plo, phi, bits
 
+    def _enclosure_until(self, v, bits, n, done):
+        """The first value_enclosure(v, bits, n), doubling bits, whose [L, H] is done."""
+        while True:
+            enc = self.value_enclosure(v, bits, n)
+            if done(enc[0], enc[1]):
+                return enc
+            bits = 2 * enc[4]
+            if bits > _SIGN_BITS_LIMIT:
+                raise RuntimeError("sign undecided at precision limit: %r" % (v,))
+
     def sign_of_vector(self, v):
         """Certified sign of value(v); exact zero test first, so this terminates."""
         if not any(v):
             return 0
-        bits = _SIGN_BITS_START
-        while True:
-            L, H, _, _, bits = self.value_enclosure(v, bits)
-            if L > 0:
-                return 1
-            if H < 0:
-                return -1
-            bits *= 2
-            if bits > _SIGN_BITS_LIMIT:  # minimal polynomial guarantees value != 0
-                raise RuntimeError("sign undecided at precision limit: %r" % (v,))
+        L = self._enclosure_until(v, _SIGN_BITS_START, 0, lambda L, H: L > 0 or H < 0)[0]
+        return 1 if L > 0 else -1
 
     def floor_of_vector(self, v, scale=0):
         """Exact floor of beta**(-scale) * value(v).
@@ -325,9 +317,15 @@ class BetaBase:
         """Double-precision approximation of beta**(-scale)*value(v) (reporting only).
 
         Midpoints of the enclosures of value(v) and beta**scale, divided as
-        integers: correctly rounded at any precision, 0.0 on underflow.
+        integers, from 128 bits doubled until the enclosure of value(v)
+        excludes 0 and is narrower than 2**-60 of its size, however large
+        the coefficients: within a few units in the last place, 0.0 for the
+        zero vector and on underflow.
         """
-        L, H, plo, phi, _ = self.value_enclosure(v, 128, scale)
+        if not any(v):
+            return 0.0
+        L, H, plo, phi, _ = self._enclosure_until(
+            v, 128, scale, lambda L, H: (L > 0 or H < 0) and (H - L) << 60 < min(abs(L), abs(H)))
         return (L + H) / (plo[scale] + phi[scale])
 
     def __eq__(self, other):
@@ -355,10 +353,10 @@ def _fraction_sign(x):
 class QuotientValue(Immutable):
     """beta**(-scale) * (c_0 + c_1 beta + ... + c_{d-1} beta**(d-1)), scale >= 0.
 
-    Canonical form: the scale is minimal (the vector is not divisible by
-    beta while the scale is positive) and zero has scale 0.  With the scale
-    canonical, equal values have equal (coeffs, scale) pairs, but
-    :func:`values_equal` decides equality by cross-multiplication anyway.
+    A value keeps the (coeffs, scale) it is built with: no division by beta
+    folds beta**(-n) into coefficients that grow with n on a unit base.
+    ``==`` is value equality (:func:`values_equal`), false across bases,
+    and the hash is the base's, so equal values hash alike.
     """
 
     __slots__ = ("base", "coeffs", "scale")
@@ -369,15 +367,6 @@ class QuotientValue(Immutable):
             raise ValueError("coefficient vector must have length %d" % base.degree)
         if scale < 0:
             raise ValueError("scale must be non-negative")
-        if not any(coeffs):
-            scale = 0
-        else:
-            while scale > 0:
-                w = base.divide_by_beta(coeffs)
-                if w is None:
-                    break
-                coeffs = w
-                scale -= 1
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "scale", scale)
@@ -398,10 +387,10 @@ class QuotientValue(Immutable):
 
     def __eq__(self, other):
         return (isinstance(other, QuotientValue) and self.base == other.base
-                and self.coeffs == other.coeffs and self.scale == other.scale)
+                and values_equal(self, other))
 
     def __hash__(self):
-        return hash((self.coeffs, self.scale))
+        return hash(self.base)
 
     def __repr__(self):
         return "QuotientValue(%r, scale=%d)" % (list(self.coeffs), self.scale)
@@ -416,7 +405,7 @@ def _check_same_base(a, b):
 
 
 def qv_add(a, b):
-    """Exact sum; the result is canonical over the common base."""
+    """Exact sum over the common base, at the larger of the two scales."""
     _check_same_base(a, b)
     base = a.base
     e = max(a.scale, b.scale)
@@ -448,13 +437,14 @@ def qv_mul_beta_pow(a, n):
 def values_equal(a, b):
     """True iff value(a) = value(b), decided exactly.
 
-    Cross-multiplying the scales reduces the question to equality of two
-    integer vectors, which is valid because f is the minimal polynomial of
-    beta (the power basis is Q-linearly independent).
+    Raising the smaller scale to the larger reduces the question to equality
+    of two integer vectors, which is valid because f is the minimal
+    polynomial of beta (the power basis is Q-linearly independent).
     """
     _check_same_base(a, b)
-    base = a.base
-    return base.digits_vector(a.coeffs, b.scale) == base.digits_vector(b.coeffs, a.scale)
+    if a.scale < b.scale:
+        a, b = b, a
+    return a.coeffs == a.base.digits_vector(b.coeffs, a.scale - b.scale)
 
 
 def qv_sign(a):
@@ -470,8 +460,7 @@ def qv_compare(a, b):
 def eval_digit_string(s, base):
     """Exact value of sum s_j beta**j as a QuotientValue.
 
-    The scale of the result equals the number of fractional positions of s
-    (before canonical reduction).
+    The scale of the result is the number of fractional positions of s.
     """
     if not isinstance(s, DigitString):
         raise TypeError("expected DigitString")

@@ -180,7 +180,7 @@ def greedy_expand(x, base, max_digits):
     """
     if max_digits < 1:
         raise ValueError("max_digits must be at least 1")
-    if qv_sign(x) < 0 or qv_compare(x, QuotientValue.from_int(base, 1)) >= 0:
+    if qv_sign(x) < 0 or qv_compare(x, QuotientValue.from_int(x.base, 1)) >= 0:
         raise ValueError("greedy_expand needs 0 <= x < 1")
     return _greedy_down_to(x, base, -max_digits)
 
@@ -204,6 +204,8 @@ def _greedy_down_to(x, base, lowest):
     with multiplication by powers of beta, so the digits of coeffs are
     shifted down by the scale.
     """
+    if x.base != base:
+        raise ValueError("x is a value over %r, not over %r" % (x.base, base))
     e = x.scale
     ints, frac, exact = greedy_vector_digits(base, x.coeffs, lowest + e)
     keep = max(0, len(ints) - e - lowest)

@@ -63,6 +63,40 @@ class TestQuotientArithmetic:
             qv_add(QuotientValue.from_int(fib, 1), QuotientValue.from_int(tri, 1))
 
 
+class TestValuesKeepTheirScale:
+    def test_a_value_keeps_the_coeffs_and_scale_it_is_built_with(self, fib, tri):
+        for x, kept in [(qv(fib, 1, 1, scale=2), ((1, 1), 2)), (qv(fib, 0, 0, scale=3), ((0, 0), 3)),
+                        (qv(tri, 4, 0, -6, scale=9), ((4, 0, -6), 9))]:
+            assert (x.coeffs, x.scale) == kept
+        assert QuotientValue.beta_power(tri, -50).coeffs == (1, 0, 0)
+
+    def test_equality_is_value_equality(self, fib):
+        one = QuotientValue.from_int(fib, 1)
+        assert qv(fib, 1, 1, scale=2) == one  # beta^2 / beta^2
+        assert hash(qv(fib, 1, 1, scale=2)) == hash(one)
+        assert qv(fib, 0, 0, scale=3) == qv(fib, 0, 0)
+        assert qv(fib, 1, 1, scale=3) != one
+
+    def test_values_over_different_bases_are_unequal(self, fib, tri):
+        assert QuotientValue.from_int(fib, 1) != QuotientValue.from_int(tri, 1)
+        assert QuotientValue.from_int(fib, 0) != QuotientValue.from_int(tri, 0)
+
+    @pytest.mark.parametrize("d,n", [(2, 13000), (2, 20000), (3, 4000), (3, 20000)])
+    @pytest.mark.parametrize("build", ["beta_power", "one_digit"])
+    def test_a_deep_negative_power_signs_at_the_starting_precision(self, d, n, build):
+        # folded into a scale-0 vector, beta^-13000 on Fibonacci hit the
+        # precision cap; kept at its scale it is the unit vector
+        base = dbonacci_base(d)
+        if build == "beta_power":
+            x = QuotientValue.beta_power(base, -n)
+        else:
+            x = eval_digit_string(DigitString((1,), -n), base)
+        start = time.perf_counter()
+        assert qv_sign(x) == 1
+        assert time.perf_counter() - start < 0.1
+        assert base._dy[0] == 64
+
+
 class TestValuesEqual:
     def test_worked_conversion_case(self, qp42):
         a = eval_digit_string(parse_digits("1,2,2.2"), qp42)
@@ -404,6 +438,20 @@ class TestFloats:
 
     def test_float_of_a_large_scale_underflows(self):
         assert float(QuotientValue.beta_power(quadratic_plus_base(4, 2), -800)) == 0.0
+
+    @pytest.mark.parametrize("n", [100, 600])
+    def test_float_of_a_folded_vector(self, n):
+        # the vector of beta^-n at scale 0: coefficients near 0.74^-n, value
+        # 1.84^-n, built by n multiplications by beta^-1 = beta^2 - beta - 1
+        tri = tribonacci_base()
+        v = tri.unit_vector()
+        for _ in range(n):
+            s1 = tri.shift_vector(v)
+            v = tuple(c - a - b for a, b, c in zip(v, s1, tri.shift_vector(s1)))
+        got = float(QuotientValue(tri, v, 0))
+        beta = Fraction("1.8392867552141611325518525646532866004242")
+        want = float(beta ** -n)
+        assert got > 0 and abs(got - want) <= 1e-15 * want
 
     def test_float_of_a_scaled_value(self, qp42):
         beta = float(QuotientValue.beta_power(qp42, 1))

@@ -121,6 +121,18 @@ class TestGreedyExpand:
         with pytest.raises(ValueError):
             greedy_expand(QuotientValue.from_int(fib, -1), fib, 5)
 
+    @pytest.mark.parametrize("spec", ["quadratic-plus:4,2", "tribonacci"])
+    def test_a_value_over_another_base_is_rejected(self, fib, spec):
+        # phi - 1 = 0.618... over Fibonacci; read in quadratic-plus:4,2 the
+        # same vector is worth about 3.45, and tribonacci has another degree
+        base = base_from_spec(spec)
+        x = QuotientValue(fib, (-1, 1))
+        msg = r"over BetaBase\(fibonacci\), not over BetaBase\(%s\)" % spec
+        with pytest.raises(ValueError, match=msg):
+            greedy_expand(x, base, 6)
+        with pytest.raises(ValueError, match=msg):
+            greedy_expand_ge1(QuotientValue(fib, (0, 1)), base, 6)
+
     def test_truncation_marker(self, fib):
         # 1/beta + 1/beta has no finite greedy expansion prefix of length 1
         x = qv_mul_beta_pow(QuotientValue.from_int(fib, 2), -2)
