@@ -42,8 +42,8 @@ print("  attained by %s + %s" % (cert.witness_x, cert.witness_y))
 print("  the empirical sweep over short words only bounds it from below:")
 for test_len in (1, 4, 6):
     rep = estimate_s_report(tri, test_len)
-    print("  words up to %d digits: max depth %d  (exhaustive through %d, %d pairs)"
-          % (test_len, rep.s, rep.exhaustive_len, rep.pairs_checked))
+    print("  words up to %d digits: max depth %d  (all %d pairs)"
+          % (test_len, rep.s, rep.pairs_checked))
 
 section("Block parameters from the certified s")
 adder = dbonacci_block_adder(3)

@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 
+from . import numeration
 from .algebraic import base_from_spec
 from .blocks import (
     BlockAdder,
@@ -27,13 +28,9 @@ from .bounds import (
     upper_bound_corollaries,
 )
 from .conversion import LocalRule, check_sum, exhaustive, random_strings, verify_conversion
-from .digits import Alphabet, format_digits, parse_digits
+from .digits import format_digits, parse_digits
 from .numeration import classify_parry, pf_sufficient
 from .quadratic import gde_rule, quadratic_family, shifted_adder
-
-
-class CliError(Exception):
-    pass
 
 
 def _emit(args, payload, lines):
@@ -46,10 +43,10 @@ def _emit(args, payload, lines):
 
 def cmd_dbeta(args):
     base = base_from_spec(args.base)
-    kind, d = classify_parry(base, args.max_steps)
+    kind, d = classify_parry(base)
     if d is None:
         _emit(args, {"base": args.base, "classification": "unknown"},
-              ["d_beta(1): unknown after %d steps" % args.max_steps])
+              ["d_beta(1): unknown after %d steps" % numeration._MAX_STEPS])
         return 0
     pf = pf_sufficient(d)
     payload = {"base": args.base, "dbeta1": str(d), "classification": kind, "pf_class": pf}
@@ -63,18 +60,14 @@ def _corrupt_rule(rule):
 
     The victim is the isolated-1 window (a single 1 surrounded by zeros),
     which almost every input string contains somewhere, so both exhaustive
-    and random sweeps find the forced value mismatch quickly.
+    and random sweeps find the forced value mismatch quickly.  The rule is
+    left untabulated: a sweep reads only the windows it meets.
     """
     fn = rule.window_fn
     victim = tuple(1 if i == rule.anticipation else 0 for i in range(rule.p))
-
-    def broken(w, _fn=fn, _victim=victim):
-        out = _fn(w)
-        return out + 1 if w == _victim else out
-
-    wider = Alphabet(rule.output_alphabet.min_digit, rule.output_alphabet.max_digit + 1)
     return LocalRule(rule.base, rule.memory, rule.anticipation, rule.input_alphabet,
-                     wider, broken, name=rule.name + "-corrupt")
+                     rule.output_alphabet, lambda w: fn(w) + (w == victim),
+                     name=rule.name + "-corrupt", tabulate_threshold=0)
 
 
 def _for_family(build, base, *args):
@@ -87,8 +80,8 @@ def _for_family(build, base, *args):
     try:
         return build(kind, a, b, *args)
     except ValueError as exc:
-        raise CliError("beta^2 = %d beta %s %d (%s family, a = %d, b = %d): %s"
-                       % (a, "-" if kind == "minus" else "+", b, kind, a, b, exc)) from None
+        raise ValueError("beta^2 = %d beta %s %d (%s family, a = %d, b = %d): %s"
+                         % (a, "-" if kind == "minus" else "+", b, kind, a, b, exc)) from None
 
 
 def cmd_verify(args):
@@ -100,7 +93,7 @@ def cmd_verify(args):
     elif args.random is not None:
         strategy = random_strings(args.random, args.seed)
     else:
-        raise CliError("choose --exhaustive L or --random N")
+        raise ValueError("choose --exhaustive L or --random N")
     report = verify_conversion(rule, strategy)
     if args.json:
         print(report.to_json(indent=2))
@@ -117,10 +110,7 @@ def cmd_add(args):
     x = parse_digits(args.x)
     y = parse_digits(args.y)
     adder = _for_family(shifted_adder, base, args.shift)
-    try:
-        out = adder.add(x, y)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    out = adder.add(x, y)
     ok = check_sum(adder, x, y, out)
     payload = {"base": args.base, "x": format_digits(x),
                "y": format_digits(y), "result": format_digits(out),
@@ -144,14 +134,11 @@ def cmd_block_add(args):
                   % (cert.s, witness[0], witness[1], cert.states))
         params = params_for_pf_base(base, cert.s)
     else:
-        raise CliError("give both --ell and --s, or neither to certify s")
+        raise ValueError("give both --ell and --s, or neither to certify s")
     adder = BlockAdder(base, params)
     x = parse_digits(args.x)
     y = parse_digits(args.y)
-    try:
-        out = adder.add(x, y)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    out = adder.add(x, y)
     ok = check_sum(adder, x, y, out)
     payload = {"base": args.base, "k": params.k, "ell": params.ell, "s": params.s,
                "x": format_digits(x), "y": format_digits(y),
@@ -167,7 +154,7 @@ def cmd_block_add(args):
 
 def cmd_bounds(args):
     base = base_from_spec(args.base)
-    kind, d = classify_parry(base, args.max_steps)
+    kind, d = classify_parry(base)
     one_block = lower_bound_1block(base.poly, is_real_gt1=True)
     impossibility = block_impossible_unit_conjugate(base.poly)
     payload = {
@@ -180,7 +167,7 @@ def cmd_bounds(args):
     }
     lines = ["minimal polynomial: %s" % base.poly,
              "d_beta(1) = %s (%s Parry)" % (d, kind) if d is not None
-             else "d_beta(1) unknown after %d steps" % args.max_steps,
+             else "d_beta(1) unknown after %d steps" % numeration._MAX_STEPS,
              "1-block alphabet cardinality >= %d" % one_block,
              "unit-circle conjugate: %s" % impossibility]
     if d is not None:
@@ -210,7 +197,6 @@ def build_parser():
 
     p = sub.add_parser("dbeta", help="Renyi expansion of 1 and Parry classification")
     p.add_argument("--base", required=True)
-    p.add_argument("--max-steps", type=int, default=10000)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_dbeta)
 
@@ -243,7 +229,6 @@ def build_parser():
 
     p = sub.add_parser("bounds", help="bound report for a base")
     p.add_argument("--base", required=True)
-    p.add_argument("--max-steps", type=int, default=10000)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_bounds)
 
@@ -255,7 +240,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ValueError) as exc:
+    except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

@@ -34,7 +34,7 @@ F = "F"
 PF = "PF"
 INCONCLUSIVE = "inconclusive"
 
-DEFAULT_MAX_STEPS = 10000
+_MAX_STEPS = 10000  # the greedy digits renyi_dbeta computes before answering None
 
 
 class EventuallyPeriodicString(Immutable):
@@ -212,18 +212,16 @@ def _greedy_down_to(x, base, lowest):
     return GreedyExpansion(DigitString((ints[::-1] + frac)[:keep], len(ints) - 1 - e), exact)
 
 
-def renyi_dbeta(base, max_steps=DEFAULT_MAX_STEPS):
+def renyi_dbeta(base):
     """d_beta(1) by the greedy algorithm with exact remainders in Z[beta].
 
     A zero remainder gives a finite d_beta(1) (simple Parry number); a
     repeated remainder vector gives the eventually periodic form (Parry
-    number).  Returns None when neither happens within max_steps: the
-    honest third answer, since preperiod and period of d_beta(1) are not
-    bounded for a general base.
+    number).  Returns None when neither happens within _MAX_STEPS digits:
+    the honest third answer, since preperiod and period of d_beta(1) are
+    not bounded for a general base.
     """
-    if max_steps < 1:
-        raise ValueError("max_steps must be at least 1")
-    return greedy_tail(base, base.unit_vector(), max_steps)
+    return greedy_tail(base, base.unit_vector(), _MAX_STEPS)
 
 
 def greedy_tail(base, r, max_steps=None):
@@ -249,9 +247,9 @@ def greedy_tail(base, r, max_steps=None):
     return EventuallyPeriodicString(digits)
 
 
-def classify_parry(base, max_steps=DEFAULT_MAX_STEPS):
+def classify_parry(base):
     """('simple' | 'non-simple' | 'unknown', d_beta(1) or None)."""
-    d = renyi_dbeta(base, max_steps)
+    d = renyi_dbeta(base)
     if d is None:
         return ("unknown", None)
     return ("simple" if d.is_finite() else "non-simple", d)

@@ -29,6 +29,7 @@ from betapar.numeration import (
     AdmissibilityAutomaton,
     admissible_greedy_depth,
     greedy_fractional_depth,
+    iter_beta_integer_words,
 )
 
 
@@ -243,7 +244,6 @@ class TestEstimateS:
     def test_fibonacci(self, fib):
         rep = estimate_s_report(fib, 8)
         assert rep.s == 2 == certify_s(fib).s
-        assert not rep.is_estimate
 
     def test_fibonacci_single_digit(self, fib):
         assert estimate_s(fib, 1) == 2  # 1+1 = 10.01
@@ -262,15 +262,24 @@ class TestEstimateS:
         monkeypatch.setattr(BetaBase, "sign_of_vector", counted)
         rep = estimate_s_report(base, 6)
         monkeypatch.undo()
-        assert rep.s == 3 and not rep.is_estimate
+        assert rep.s == 3
         assert calls == []
 
-    def test_budget_marks_estimate(self, tri, monkeypatch):
-        monkeypatch.setattr(blocks, "_PAIR_BUDGET", 10)
-        monkeypatch.setattr(blocks, "_SAMPLE_PAIRS", 50)
-        rep = estimate_s_report(tri, 6)
-        assert rep.is_estimate
-        assert rep.exhaustive_len < 6
+    @pytest.mark.parametrize("spec,test_len", [
+        ("fibonacci", 8), ("tribonacci", 6), ("quadratic-plus:2,2", 3), ("quadratic-minus:3,1", 4),
+    ])
+    def test_matches_per_pair_sweep(self, spec, test_len):
+        # the reference expands the sum of every pair on its own
+        base = base_from_spec(spec)
+        values = [eval_digit_string(DigitString(w, len(w) - 1), base)
+                  for w in iter_beta_integer_words(base, test_len)]
+        depths = [greedy_fractional_depth(base, qv_add(x, y).coeffs)
+                  for i, x in enumerate(values) for y in values[i:]]
+        assert estimate_s_report(base, test_len) == (max(depths), len(depths))
+
+    def test_covers_every_pair(self, tri):
+        # 927 words of at most 11 digits, all 927 * 928 / 2 pairs
+        assert estimate_s_report(tri, 11).pairs_checked == 430128
 
     def test_non_pf_rejected(self):
         base = base_from_spec("1,-1,0,-1")
@@ -313,7 +322,7 @@ class TestCertifyS:
     def test_never_below_the_estimate(self, spec, test_len, exhaustive_s):
         base = base_from_spec(spec)
         rep = estimate_s_report(base, test_len)
-        assert not rep.is_estimate and rep.s == exhaustive_s
+        assert rep.s == exhaustive_s
         assert certify_s(base).s >= rep.s
 
     def test_dbonacci_adder_never_sweeps(self, monkeypatch):

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import betapar
+from betapar import numeration
 from betapar.cli import main
 
 
@@ -36,6 +37,19 @@ class TestDbeta:
     def test_bad_base(self, capsys):
         code, _, err = run(capsys, "dbeta", "--base", "gibberish")
         assert code == 1 and "error" in err
+
+    def test_unknown_after_the_step_bound(self, capsys, monkeypatch):
+        # d_beta(1) = 2(1) for beta^2 = 3 beta - 1: one step leaves it undecided
+        monkeypatch.setattr(numeration, "_MAX_STEPS", 1)
+        code, out, _ = run(capsys, "dbeta", "--base", "quadratic-minus:3,1")
+        assert code == 0 and "unknown after 1 steps" in out
+
+    @pytest.mark.parametrize("command", ["dbeta", "bounds"])
+    def test_max_steps_option_removed(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--base", "tribonacci", "--max-steps", "5"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --max-steps 5" in capsys.readouterr().err
 
 
 class TestAdd:

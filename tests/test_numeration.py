@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from betapar import numeration
 from betapar.algebraic import (
     BetaBase,
     QuotientValue,
@@ -277,8 +278,9 @@ class TestRenyi:
         got = renyi_dbeta(quadratic_minus_base(a, b))
         assert got == EventuallyPeriodicString((a - 1,), (a - b - 1,))
 
-    def test_unknown_on_tiny_budget(self, qm31):
-        assert renyi_dbeta(qm31, max_steps=1) is None
+    def test_unknown_on_tiny_budget(self, qm31, monkeypatch):
+        monkeypatch.setattr(numeration, "_MAX_STEPS", 1)
+        assert renyi_dbeta(qm31) is None
 
     def test_greedy_tail(self, tri, qm31):
         assert greedy_tail(qm31, (0, 0)) == EventuallyPeriodicString(())
@@ -286,11 +288,12 @@ class TestRenyi:
         assert greedy_tail(tri, (-1, -1, 1)) == eps("1")  # beta^2 - beta - 1 = 1/beta
         assert greedy_tail(qm31, (-2, 1), max_steps=0) is None
 
-    def test_classify(self, fib, qm31):
+    def test_classify(self, fib, qm31, monkeypatch):
         assert classify_parry(fib)[0] == "simple"
         kind, d = classify_parry(quadratic_minus_base(4, 2))
         assert kind == "non-simple" and str(d) == "3(1)"
-        assert classify_parry(qm31, max_steps=1) == ("unknown", None)
+        monkeypatch.setattr(numeration, "_MAX_STEPS", 1)
+        assert classify_parry(qm31) == ("unknown", None)
 
 
 class TestQuasiGreedy:
