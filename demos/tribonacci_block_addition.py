@@ -93,4 +93,3 @@ assert check_sum(signed, x, y, out)
 print("  1,-1,0,1 + -1,1.1 =", out)
 print("  the unsigned block map, conjugated by the plateau letter 1, folds the")
 print("  indicator layers of y as the GDE chains do")
-print("  (verified itself on 200 seeded pairs at construction)")

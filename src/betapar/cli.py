@@ -56,17 +56,20 @@ def cmd_dbeta(args):
 
 
 def _corrupt_rule(rule):
-    """Perturb one window output by +1: a deliberately broken rule (testing hook).
+    """A deliberately broken rule (testing hook): every window whose centre digit is 1
+    has its output raised by 1.
 
-    The victim is the isolated-1 window (a single 1 surrounded by zeros),
-    which almost every input string contains somewhere, so both exhaustive
-    and random sweeps find the forced value mismatch quickly.  The rule is
-    left untabulated: a sweep reads only the windows it meets.
+    On a string that holds a 1 the output then exceeds the rule's by the sum
+    of beta^j over the positions j of its 1s, which is positive, or a window
+    leaves the output alphabet and raises; either way the sweep reports a
+    counterexample.  Every exhaustive sweep of length 1 or more meets the
+    string 1, and a random string misses the digit 1 only rarely.  The rule
+    is left untabulated: a sweep reads only the windows it meets.
     """
     fn = rule.window_fn
-    victim = tuple(1 if i == rule.anticipation else 0 for i in range(rule.p))
-    return LocalRule(rule.base, rule.memory, rule.anticipation, rule.input_alphabet,
-                     rule.output_alphabet, lambda w: fn(w) + (w == victim),
+    t = rule.anticipation
+    return LocalRule(rule.base, rule.memory, t, rule.input_alphabet,
+                     rule.output_alphabet, lambda w: fn(w) + (w[t] == 1),
                      name=rule.name + "-corrupt", tabulate_threshold=0)
 
 
@@ -214,7 +217,7 @@ def build_parser():
     p.add_argument("--random", type=int, metavar="N")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--corrupt", action="store_true",
-                   help="perturb one window output by +1 (forces a counterexample)")
+                   help="raise every window output centred on a 1 by 1 (forces a counterexample)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
 

@@ -462,9 +462,14 @@ class TestDbonacci:
             adder.convert(parse_digits("1"), 2)
 
     def test_signed_fibonacci_constructs(self):
-        # construction self-verifies on 200 seeded pairs
         adder = dbonacci_block_adder(2, signed=True, s=2)
         assert isinstance(adder, SignedBlockAdder)
+        k = adder.params.k
+        rng = random.Random(2357)
+        for _ in range(200):
+            x, y = (DigitString(tuple(rng.randint(-1, 1) for _ in range(n)), n - 1)
+                    for n in (rng.randint(0, 3 * k), rng.randint(0, 3 * k)))
+            assert check_sum(adder, x, y, adder.add(x, y)), (x, y)
 
     def test_d_too_small(self):
         with pytest.raises(ValueError):

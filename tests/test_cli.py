@@ -126,6 +126,14 @@ class TestVerify:
         data = json.loads(out)
         assert data["verdict"] == "fail" and data["failures"]
 
+    @pytest.mark.parametrize("base", ["quadratic-plus:4,2", "quadratic-plus:5,3",
+                                      "quadratic-plus:3,2", "quadratic-plus:4,3",
+                                      "quadratic-minus:3,1", "quadratic-minus:4,2"])
+    def test_corrupt_fails_every_preset(self, capsys, base):
+        code, out, _ = run(capsys, "verify", "--base", base,
+                           "--random", "100", "--seed", "7", "--corrupt")
+        assert code == 2 and "counterexample" in out
+
     def test_needs_strategy(self, capsys):
         code, _, err = run(capsys, "verify", "--base", "quadratic-plus:4,2")
         assert code == 1

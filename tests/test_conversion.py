@@ -7,6 +7,7 @@ import pytest
 
 from betapar import conversion
 from betapar.algebraic import eval_digit_string, values_equal
+from betapar.blocks import dbonacci_block_adder
 from betapar.cli import _corrupt_rule
 from betapar.conversion import (
     ChainAdder,
@@ -19,7 +20,7 @@ from betapar.conversion import (
     verify_conversion,
 )
 from betapar.digits import Alphabet, DigitString, format_digits, parse_digits
-from betapar.quadratic import gde_minus, gde_rule
+from betapar.quadratic import gde_minus, gde_rule, shifted_adder
 
 
 def _seeded_strings(alphabet, n, seed, maxlen=12):
@@ -88,6 +89,13 @@ class TestVerifyConversion:
         short = verify_conversion(rule_minus41, exhaustive(2))
         assert long.verdict == "pass" and short.verdict == "pass"
         assert short.checked_count < long.checked_count
+
+    @pytest.mark.parametrize("strategy", [exhaustive(2), random_strings(10, seed=1)],
+                             ids=["exhaustive", "random"])
+    def test_sweeps_take_a_local_rule(self, rule_plus42, strategy):
+        adder = ChainAdder(rule_plus42, Alphabet(0, 6))
+        with pytest.raises(TypeError, match="verify_conversion takes a LocalRule, got ChainAdder"):
+            verify_conversion(adder, strategy)
 
     def test_report_json_roundtrip(self, rule_minus41):
         import json
@@ -195,11 +203,6 @@ class TestResidueWalk:
         assert rep.to_dict() == _per_string_report(rule, 6)
         assert rep.checked_count == 6  # "", "1", "1,0", "1,1", "1,0,0", "1,0,1"
 
-    def test_exhaustive_takes_a_local_rule(self, rule_plus42):
-        adder = ChainAdder(rule_plus42, Alphabet(0, 6))
-        with pytest.raises(TypeError, match="exhaustive sweeps take a LocalRule, got ChainAdder"):
-            verify_conversion(adder, exhaustive(2))
-
     def test_shared_rule_sweeps_agree_across_threads(self):
         # rules are immutable and shareable: the walk keeps its state to itself
         rule = gde_minus(4, 2)
@@ -281,44 +284,38 @@ class TestEliminationAdder:
         adder = ChainAdder(rule_plus42, Alphabet(0, 6))
         assert adder.effective_window == 6 * (rule_plus42.p - 1) + 1
 
-    def test_conversion_rule_view_value_correct(self, rule_plus42):
-        # the A+A -> A conversion view re-splits the digitwise sum, so its
-        # output string may differ from add(x, y); the values must agree
-        adder = ChainAdder(rule_plus42, Alphabet(0, 6))
-        assert adder.input_alphabet == Alphabet(0, 12)
-        assert adder.output_alphabet == Alphabet(0, 6)
-        base = adder.base
-        rng = random.Random(2)
-        for _ in range(20):
-            n = rng.randint(0, 8)
-            x = DigitString(tuple(rng.randint(0, 6) for _ in range(n)), n - 1)
-            m = rng.randint(0, 8)
-            y = DigitString(tuple(rng.randint(0, 6) for _ in range(m)), m - 1)
-            via_rule = adder.convert(x + y)
-            via_adder = adder.add(x, y)
-            assert check_sum(adder, x, y, via_adder)
-            assert via_rule.alphabet_ok(adder.alphabet)
-            assert values_equal(eval_digit_string(via_rule, base),
-                                eval_digit_string(via_adder, base))
-
-    def test_composite_rule_windows_consistent(self, rule_minus41):
-        # window-by-window evaluation must agree with whole-string evaluation
-        adder = ChainAdder(rule_minus41, Alphabet(0, 3))
-        # three layers of a (3, 3)-local rule: the composite is (9, 9)-local
-        mem = 3 * rule_minus41.memory
-        ant = 3 * rule_minus41.anticipation
+    def test_composite_rule_windows_consistent(self):
+        # output digit j of add(x, y) reads x and y only on [j - mem, j + ant],
+        # the effective window: every layer, positive or negative, is the
+        # rule's (r, t)-local map, so a changed digit i moves only j in [i - ant, i + mem]
         rng = random.Random(4)
-        for _ in range(5):
-            n = rng.randint(1, 6)
-            u = DigitString(tuple(rng.randint(0, 6) for _ in range(n)), n - 1)
-            fast = adder.convert(u)
-            slow_digits = []
-            msd, lsd = u.support()
-            for j in range(msd + mem, lsd - ant - 1, -1):
-                w = tuple(u.digit_at(k) for k in range(j + ant, j - mem - 1, -1))
-                # the window alone, centred at exponent mem
-                slow_digits.append(adder.convert(DigitString(w, mem + ant)).digit_at(mem))
-            assert DigitString(tuple(slow_digits), msd + mem) == fast
+        for adder in (shifted_adder("minus", 4, 1), shifted_adder("plus", 4, 2, d=3)):
+            layers = adder.hi_layers + adder.lo_layers
+            mem = layers * adder.layer.memory
+            ant = layers * adder.layer.anticipation
+            assert mem + ant + 1 == adder.effective_window
+            lo, hi = adder.alphabet.min_digit, adder.alphabet.max_digit
+            for _ in range(40):
+                x = DigitString(tuple(rng.randint(lo, hi) for _ in range(12)), 5)
+                digits = [rng.randint(lo, hi) for _ in range(12)]
+                y = DigitString(tuple(digits), 5)
+                k = rng.randrange(12)
+                digits[k] = rng.choice([dig for dig in range(lo, hi + 1) if dig != digits[k]])
+                changed = adder.add(x, DigitString(tuple(digits), 5)) - adder.add(x, y)
+                i = 5 - k  # exponent of the changed digit
+                for n, dig in enumerate(changed.digits):
+                    if dig:
+                        assert i - ant <= changed.msd_exponent - n <= i + mem
+
+    def test_construction_adds_nothing(self, monkeypatch):
+        # shifted and signed adders keep the value by construction: building
+        # one runs no addition
+        calls = []
+        add = ChainAdder.add
+        monkeypatch.setattr(ChainAdder, "add", lambda self, x, y: calls.append(1) or add(self, x, y))
+        shifted_adder("plus", 4, 2, d=3)
+        dbonacci_block_adder(3, signed=True, s=5)
+        assert not calls
 
 
 class TestLocality:

@@ -15,9 +15,10 @@ and every ``betapar`` command of the README's CLI quick start runs once as
 ``python3 -m betapar.cli ...`` in a fresh process, timed from outside.
 
 The script writes ``BENCH_<LABEL>.json`` at that root: the git commit, the
-Python version, and for every run the command and its result: the JSON
-line the benchmark printed, tier-1's wall time, summary line and slowest
-tests, or a CLI command's wall time and exit code.
+Python version, the total line count of ``src/betapar/*.py`` as
+``src_lines``, and for every run the command and its result: the JSON line
+the benchmark printed, tier-1's wall time, summary line and slowest tests,
+or a CLI command's wall time and exit code.
 """
 
 from __future__ import annotations
@@ -42,6 +43,17 @@ def git_commit():
     out = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True,
                          text=True, check=True)
     return out.stdout.strip()
+
+
+def src_lines():
+    """Total line count of src/betapar/*.py."""
+    pkg = os.path.join(ROOT, "src", "betapar")
+    total = 0
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name)) as fh:
+                total += sum(1 for _ in fh)
+    return total
 
 
 def run_workload(workload, trace):
@@ -124,8 +136,8 @@ def main(argv=None):
               file=sys.stderr)
     record = {"label": args.label, "commit": git_commit(),
               "python": platform.python_version(), "machine": platform.processor() or
-              platform.machine(), "cpus": os.cpu_count(), "runs": runs, "tier1": tier1,
-              "cli": cli}
+              platform.machine(), "cpus": os.cpu_count(), "src_lines": src_lines(),
+              "runs": runs, "tier1": tier1, "cli": cli}
     path = os.path.join(ROOT, "BENCH_%s.json" % args.label)
     with open(path, "w") as fh:
         json.dump(record, fh, indent=1)
