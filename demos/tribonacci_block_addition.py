@@ -60,7 +60,8 @@ print("  block u =", u)
 print("  L =", dec.L)
 print("  C =", dec.C)
 print("  S =", dec.S)
-print("  u = L*beta^%d + C + S*beta^-%d exactly (checked on construction)"
+assert adder.base.digits_vector(dec.S + dec.C + dec.L) == adder.base.digits_vector(u, 2 * p.s)
+print("  u = L*beta^%d + C + S*beta^-%d exactly (greedy digits, exact by construction)"
       % (p.k, 2 * p.s))
 
 section("Additions on {0,1,2}")

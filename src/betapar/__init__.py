@@ -30,7 +30,6 @@ from .algebraic import (
     fibonacci_base,
     qv_add,
     qv_mul_beta_pow,
-    qv_mul_int,
     qv_neg,
     qv_sub,
     quadratic_minus_base,

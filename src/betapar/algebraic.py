@@ -422,10 +422,6 @@ def qv_sub(a, b):
     return qv_add(a, qv_neg(b))
 
 
-def qv_mul_int(a, n):
-    return QuotientValue(a.base, tuple(n * c for c in a.coeffs), a.scale)
-
-
 def qv_mul_beta_pow(a, n):
     """Exact product value(a) * beta**n; negative n increases the scale."""
     if n == 0:

@@ -15,16 +15,18 @@ in parallel because the L/C/S contributions telescope across blocks.
 Blocks already over B keep L = S = 0 and C = u, which pins the zero block
 to zero and makes every B-block a fixed point of Phi(u, u, u).
 
-Decomposition is computed on demand: the block's exact value times
-beta^(2s) is evaluated by :meth:`BetaBase.digits_vector`, a sum of the
-base's cached power vectors, and greedily expanded; the expansion must be
-a beta-integer fitting in 2k positions, otherwise the chosen (l, s) are
-insufficient for this input and :class:`InsufficientParamsError` is raised
-(the runtime fit-check standing in for the existence argument).  The greedy digits are read from one
-dyadic enclosure of that value, with an exact test only where a digit
-boundary falls inside the enclosure (see
-:func:`betapar.numeration.greedy_vector_digits`), and the parts are checked
-against the value by the same evaluation.  A conversion decomposes each
+Decomposition is computed on demand.  A block over B costs no evaluation;
+any other block's exact value times beta^(2s) is evaluated once by
+:meth:`BetaBase.digits_vector`, a sum of the base's cached power vectors,
+and greedily expanded; the expansion must be a beta-integer fitting in 2k
+positions, otherwise the chosen (l, s) are insufficient for this input and
+:class:`InsufficientParamsError` is raised (the runtime fit-check standing
+in for the existence argument).  The greedy digits are read from one dyadic
+enclosure of that value, with an exact test only where a digit boundary
+falls inside the enclosure (see :func:`betapar.numeration.greedy_vector_digits`).
+The parts are exact by construction: each greedy digit is an exact floor
+below beta, so it lies in B, and an exact expansion leaves a zero
+remainder, so the parts sum to the value.  A conversion decomposes each
 block it reads once and keeps nothing afterwards.
 
 The parameter l is computed from the base by a certified comparison.  The
@@ -147,8 +149,15 @@ class BlockAdder:
     def decompose(self, u):
         """The (L, C, S) triple of a block u over A + A; u and the parts run LSD first.
 
-        Deterministic: repeated calls return equal triples, as the block map
-        requires.
+        A block over B is returned as C = u, L = S = 0, unevaluated.  Any
+        other block is evaluated once, as u * beta^(2s), and expanded
+        greedily, raising InsufficientParamsError unless the expansion is
+        exact and fits in 2k digits; S, C and L are its digits at positions
+        [0, 2s), [2s, 2s + k) and [2s + k, 2k).  They need no check: the
+        expansion starts at an m with u * beta^(2s) < beta^(m + 1), so every
+        digit is an exact floor below beta and lies in B, and ``exact``
+        means the remainder vector is zero.  Repeated calls return equal
+        triples, as the block map requires.
         """
         k, ell, s, B, A = self.params
         u = tuple(u)
@@ -158,32 +167,22 @@ class BlockAdder:
         for dig in u:
             if dig not in inA2:
                 raise ValueError("block digit %d outside %s" % (dig, inA2))
-        base = self.base
-        vec = base.digits_vector(u, 2 * s)  # u * beta^(2s)
         if all(dig in B for dig in u):
-            dec = BlockDecomposition((0,) * (2 * ell), u, (0,) * (2 * s))
-        else:
-            int_digits, frac, exact = greedy_vector_digits(base, vec, 0)
-            if not exact or len(int_digits) > 2 * k:
-                raise InsufficientParamsError(
-                    "parameters (ell=%d, s=%d) insufficient for block %r" % (ell, s, u))
-            pos = list(int_digits) + [0] * (2 * k - len(int_digits))
-            dec = BlockDecomposition(tuple(pos[2 * s + k:2 * k]),
-                                     tuple(pos[2 * s:2 * s + k]),
-                                     tuple(pos[0:2 * s]))
-        # digits over B, and vec = u * beta^(2s) is S, C, L read as one string
-        for part in dec:
-            for dig in part:
-                if dig not in B:
-                    raise InsufficientParamsError("decomposition digit %d outside %s" % (dig, B))
-        if base.digits_vector(dec.S + dec.C + dec.L) != vec:
-            raise AssertionError("decomposition identity failed for block %r" % (u,))
-        return dec
+            return BlockDecomposition((0,) * (2 * ell), u, (0,) * (2 * s))
+        base = self.base
+        int_digits, _, exact = greedy_vector_digits(base, base.digits_vector(u, 2 * s), 0)
+        if not exact or len(int_digits) > 2 * k:
+            raise InsufficientParamsError(
+                "parameters (ell=%d, s=%d) insufficient for block %r" % (ell, s, u))
+        pos = int_digits + [0] * (2 * k - len(int_digits))
+        return BlockDecomposition(tuple(pos[2 * s + k:]), tuple(pos[2 * s:2 * s + k]),
+                                  tuple(pos[:2 * s]))
 
     def _block_map(self, df, dg, dh):
         """Phi from decomposed neighbours: digit i is C(g)_i plus digit i of L(h) S(f).
 
-        decompose raises unless every part lies over B, so each digit lies in B + B = A.
+        Every part lies over B by construction (see decompose), so each
+        digit lies in B + B = A.
         """
         return [c + t for c, t in zip(dg.C, dh.L + df.S)]
 

@@ -154,12 +154,6 @@ class DigitString(Immutable):
             return (0, 0)
         return (self.msd_exponent, self.lsd_exponent)
 
-    def iter_pairs(self):
-        e = self.msd_exponent
-        for d in self.digits:
-            yield e, d
-            e -= 1
-
     def alphabet_ok(self, alphabet):
         return all(d in alphabet for d in self.digits)
 

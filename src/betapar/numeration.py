@@ -386,28 +386,42 @@ def greedy_vector_digits(base, vec, lowest):
     Returns (int_digits, frac_digits, exact) with int_digits ascending
     (index = position; positions below lowest read 0) and frac_digits[i]
     the digit at position -(i+1); exact is False iff a nonzero digit lies
-    below lowest.  Block decomposition, the fractional-depth sweeps and
-    greedy_expand all run through it, and it avoids QuotientValue
-    construction entirely.
+    below lowest.  Block decomposition and greedy_expand run through it,
+    and it avoids QuotientValue construction entirely.  The integer digits
+    come from _greedy_integer_digits, the fractional ones from _greedy_step,
+    as do those of greedy_tail, which instead runs an expansion to its
+    exact eventually periodic end.  Each is a floor_of_vector at scale 0,
+    which needs an exact sign only when its enclosure of beta * r straddles
+    an integer; an integer value itself is enclosed exactly.
+    """
+    int_digits, r = _greedy_integer_digits(base, vec, max(lowest, 0))
+    frac = []
+    while any(r) and len(frac) < -lowest:
+        dig, r = _greedy_step(base, r)
+        frac.append(dig)
+    return int_digits, frac, not any(r)
 
-    The integer digits are read from one dyadic enclosure: value(vec) in
-    [L, H] and each beta**j in [plo_j, phi_j], all from one snapshot of the
-    base.  Walking down from a position the enclosure puts above the top
-    digit, the digit at j is certified when L // phi_j == H // plo_j, and
-    the enclosure of the remainder is then narrowed by that digit's share.
-    Otherwise the exact remainder vector, kept alongside, decides: it is
-    tested against m * beta**j for m = H // plo_j, and failing that the
-    digit is the exact floor_of_vector, after which the remainder is
-    enclosed afresh.  The walk stops once the remainder is zero, and below
-    lowest it only looks for the top digit, whose position sizes
-    int_digits.  The fractional digits come from _greedy_step, as do those
-    of greedy_tail, which instead runs an expansion to its exact
-    eventually periodic end.  Each is a floor_of_vector at scale 0, which
-    needs an exact sign only when its enclosure of beta * r straddles an
-    integer; an integer value itself is enclosed exactly.
+
+def _greedy_integer_digits(base, vec, low):
+    """Greedy digits of value(vec) >= 0 at positions >= low >= 0, and the remainder.
+
+    Returns (int_digits, r): int_digits as in greedy_vector_digits, and r
+    the exact vector of value(vec) minus those digits' value.  The digits
+    are read from one dyadic enclosure: value(vec) in [L, H] and each
+    beta**j in [plo_j, phi_j], all from one snapshot of the base.  Walking
+    down from a position m the enclosure puts above the top digit, so that
+    value(vec) < beta**(m + 1), the digit at j is certified when
+    L // phi_j == H // plo_j, and the enclosure of the remainder is then
+    narrowed by that digit's share.  Otherwise the exact remainder vector,
+    kept alongside, decides: it is tested against m * beta**j for
+    m = H // plo_j, and failing that the digit is the exact floor_of_vector,
+    after which the remainder is enclosed afresh.  Either way each digit is
+    the exact floor of a remainder below beta**(j + 1), so it is below
+    beta.  The walk stops once the remainder is zero, and below low it only
+    looks for the top digit, whose position sizes int_digits.
     """
     if not any(vec):
-        return [], [], True
+        return [], vec
     L, H, plo, phi, _ = base.value_enclosure(vec)
     if L < 0 and (H < 0 or base.sign_of_vector(vec) < 0):
         raise ValueError("greedy expansion needs a non-negative value")
@@ -420,7 +434,6 @@ def greedy_vector_digits(base, vec, lowest):
             break
         L, H, plo, phi, _ = base.value_enclosure(vec, n=2 * m + 2)
     d = base.degree
-    low = max(lowest, 0)
     top = None
     int_digits = [0]
     r = vec
@@ -448,13 +461,7 @@ def greedy_vector_digits(base, vec, lowest):
             H -= dig * plo[j]
         if fresh:
             L, H, plo, phi, _ = base.value_enclosure(r, n=m)
-    frac = []
-    exact = not any(r)
-    while not exact and len(frac) < -lowest:
-        dig, r = _greedy_step(base, r)
-        frac.append(dig)
-        exact = not any(r)
-    return int_digits, frac, exact
+    return int_digits, r
 
 
 def _greedy_step(base, r):
@@ -466,21 +473,20 @@ def _greedy_step(base, r):
     return dig, r
 
 
-_MAX_FRACTIONAL_DEPTH = 500
-
-
 def greedy_fractional_depth(base, vec):
     """Number of fractional digits of the greedy expansion of value(vec) >= 0.
 
-    Raises if the expansion has not terminated after _MAX_FRACTIONAL_DEPTH
-    fractional digits; for (PF) bases and the sums considered here this
-    never happens.
+    They are the greedy tail of the remainder after the integer digits,
+    read by :func:`greedy_tail` to its exact end at a zero remainder.
+    Raises RuntimeError if a remainder repeats, so that the expansion is
+    infinite, or if none ends or repeats within _MAX_STEPS digits, as on a
+    non-Pisot base; neither happens for sums of beta-integers in a (PF) base.
     """
-    _, frac, exact = greedy_vector_digits(base, vec, -_MAX_FRACTIONAL_DEPTH)
-    if not exact:
-        raise RuntimeError("greedy expansion did not terminate within %d fractional digits"
-                           % _MAX_FRACTIONAL_DEPTH)
-    return len(frac)
+    tail = greedy_tail(base, _greedy_integer_digits(base, vec, 0)[1], _MAX_STEPS)
+    if tail is None or tail.period:
+        raise RuntimeError("greedy expansion of %r does not end within %d fractional digits"
+                           % (vec, _MAX_STEPS))
+    return len(tail.preperiod)
 
 
 def admissible_greedy_depth(base, automaton, vec, state):

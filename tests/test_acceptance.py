@@ -213,12 +213,17 @@ class TestCriterion8Properties:
         _report(8, "locality fuzzing: %d window trials" % trials)
 
     def test_decomposition_identity(self):
+        # decompose builds its parts from one exact greedy expansion and
+        # checks none of this; the digitwise oracle checks it here
         adder = dbonacci_block_adder(3, s=5)
         rng = random.Random(777)
-        k = adder.params.k
+        base, (k, ell, s, B, A) = adder.base, adder.params
         for _ in range(10000):
             u = tuple(rng.randint(0, 4) for _ in range(k))
-            adder.decompose(u)  # identity asserted inside against the oracle
+            L, C, S = adder.decompose(u)
+            assert (len(L), len(C), len(S)) == (2 * ell, k, 2 * s)
+            assert all(dig in B for dig in L + C + S), u
+            assert base.digits_vector(S + C + L) == base.digits_vector(u, 2 * s), u
         _report(8, "decomposition identity: 10^4 random Tribonacci blocks")
 
     def test_fixed_blocks(self):

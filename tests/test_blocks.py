@@ -88,27 +88,28 @@ class TestDecompose:
         assert tribonacci_adder.decompose(u) == tribonacci_adder.decompose(u)
 
     def test_identity_on_random_blocks(self, tribonacci_adder):
+        # decompose checks none of these at run time: the parts lie over B,
+        # have lengths 2l, k and 2s, and sum to the block's value
         rng = random.Random(17)
         base = tribonacci_adder.base
         k, ell, s, B, A = tribonacci_adder.params
-        for _ in range(300):
-            u = tuple(rng.randint(0, 4) for _ in range(k))
+        for i in range(300):
+            u = tuple(rng.randint(0, 1 if i % 4 == 0 else 4) for _ in range(k))
             L, C, S = tribonacci_adder.decompose(u)
-            # identity checked internally; re-check evaluation here
+            assert (len(L), len(C), len(S)) == (2 * ell, k, 2 * s)
+            assert all(dig in B for dig in L + C + S), u
             val = lambda digs, shift: eval_digit_string(
                 DigitString(tuple(reversed(digs)), len(digs) - 1 + shift), base)
             lhs = eval_digit_string(DigitString(tuple(reversed(u)), k - 1), base)
-            from betapar.algebraic import qv_add
-
             rhs = qv_add(qv_add(val(L, k), val(C, 0)), val(S, -2 * s))
             assert values_equal(lhs, rhs)
 
     def test_block_read_from_one_enclosure(self, monkeypatch):
-        # with the power cache filled to 2k, the value and the identity
-        # check are sums of cached powers, with no Horner pass or other
-        # shift_vector call, and the greedy digits come from one dyadic
+        # with the power cache filled to 2k, a block outside B is evaluated
+        # once, as a sum of cached powers, with no Horner pass or other
+        # shift_vector call, and its greedy digits come from one dyadic
         # enclosure, with at most a couple of exact floors where a digit
-        # boundary falls inside it
+        # boundary falls inside it; a block over B is not evaluated at all
         base = dbonacci_base(3)
         adder = BlockAdder(base, make_block_params(base, 2, 5))
         base.power_vector(2 * adder.params.k)
@@ -125,14 +126,21 @@ class TestDecompose:
         rng = random.Random(23)
         blocks_ = [tuple(rng.randint(0, 4) for _ in range(14)) for _ in range(50)]
         blocks_ += [(4,) * 14, (3,) + (0,) * 13, (0,) * 13 + (4,)]
-        for name in ("floor_of_vector", "shift_vector"):
+        b_blocks = [tuple(rng.randint(0, 1) for _ in range(14)) for _ in range(10)]
+        b_blocks += [(1,) * 14, (0,) * 14]
+        for name in ("floor_of_vector", "shift_vector", "digits_vector"):
             monkeypatch.setattr(BetaBase, name, counted(name))
         for u in blocks_:
             assert any(dig > 2 for dig in u)
             calls.clear()
             adder.decompose(u)
             assert calls.count("floor_of_vector") <= 2, u
+            assert calls.count("digits_vector") == 1, u
             assert "shift_vector" not in calls
+        for u in b_blocks:
+            calls.clear()
+            assert adder.decompose(u).C == u
+            assert calls == [], u
 
     def test_insufficient_params_error_names_block(self, fib):
         adder = BlockAdder(fib, make_block_params(fib, 3, 0))

@@ -41,8 +41,8 @@ def mp_root(base):
 def mp_value(s, beta):
     with mp.workdps(DPS):
         acc = mp.mpf(0)
-        for e, d in s.iter_pairs():
-            acc += d * beta ** e
+        for i, d in enumerate(s.digits):
+            acc += d * beta ** (s.msd_exponent - i)
         return acc
 
 

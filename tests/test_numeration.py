@@ -8,6 +8,7 @@ from betapar.algebraic import (
     BetaBase,
     QuotientValue,
     base_from_spec,
+    dbonacci_base,
     eval_digit_string,
     qv_mul_beta_pow,
     qv_sub,
@@ -26,6 +27,7 @@ from betapar.numeration import (
     classify_parry,
     greedy_expand,
     greedy_expand_ge1,
+    greedy_fractional_depth,
     greedy_tail,
     greedy_vector_digits,
     is_admissible,
@@ -287,6 +289,27 @@ class TestRenyi:
         assert greedy_tail(qm31, (-2, 1)) == eps("(1)")  # beta - 2 = .1^omega
         assert greedy_tail(tri, (-1, -1, 1)) == eps("1")  # beta^2 - beta - 1 = 1/beta
         assert greedy_tail(qm31, (-2, 1), max_steps=0) is None
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_fractional_depth_has_no_digit_cap(self, d):
+        # beta^-600 as a scale-0 vector on a fresh base: its greedy tail
+        # ends exactly after 600 digits
+        base = dbonacci_base(d)
+        inverse = (-1,) * (d - 1) + (1,)  # 1/beta = beta^(d-1) - ... - beta - 1
+        vec = base.unit_vector()
+        for _ in range(600):
+            vec = tuple(a + vec[0] * b for a, b in zip(vec[1:] + (0,), inverse))
+        back = vec
+        for _ in range(600):
+            back = base.shift_vector(back)
+        assert back == base.unit_vector()
+        assert greedy_fractional_depth(base, vec) == 600
+
+    def test_fractional_depth_of_endless_tail_raises(self):
+        # sqrt(3) - 1 in the non-Pisot base sqrt(3): its greedy tail neither
+        # ends nor repeats, so the search stops after _MAX_STEPS digits
+        with pytest.raises(RuntimeError):
+            greedy_fractional_depth(base_from_spec("1,0,-3"), (-1, 1))
 
     def test_classify(self, fib, qm31, monkeypatch):
         assert classify_parry(fib)[0] == "simple"

@@ -5,8 +5,6 @@ import pytest
 from betapar.algebraic import (
     QuotientValue,
     eval_digit_string,
-    qv_add,
-    qv_mul_int,
     values_equal,
 )
 from betapar.conversion import (
@@ -93,16 +91,14 @@ class TestValueNeutrality:
     def test_plus_identity(self, rule_plus42):
         base = rule_plus42.base
         lhs = QuotientValue.beta_power(base, 2)
-        rhs = qv_add(qv_mul_int(QuotientValue.beta_power(base, 1), 4),
-                     QuotientValue.from_int(base, 2))
+        rhs = QuotientValue(base, (2, 4))  # 4 beta + 2
         assert values_equal(lhs, rhs)
 
     def test_minus_identity(self):
         rule = gde_minus(4, 2)
         base = rule.base
         lhs = QuotientValue.beta_power(base, 2)
-        rhs = qv_add(qv_mul_int(QuotientValue.beta_power(base, 1), 4),
-                     QuotientValue.from_int(base, -2))
+        rhs = QuotientValue(base, (-2, 4))  # 4 beta - 2
         assert values_equal(lhs, rhs)
 
 
