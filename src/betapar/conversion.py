@@ -39,9 +39,12 @@ original map holds for every K, which forces both edge contributions to
 vanish.  The same fold runs over any layer with that ``convert`` and
 ``fixes`` protocol: a :class:`LocalRule` or a k-block adder.
 
-Rules are immutable and shareable; window evaluations are independent per
-position, so data-parallel evaluation is allowed and must stay bit-identical
-to sequential evaluation (both paths run the same window function).
+Rules are shareable: their one mutable state, the window memo, holds only
+checked outputs of the pure ``window_fn``, each stored in one dict
+assignment, so two threads that race on a window only compute it twice.
+Window evaluations are independent per position, so data-parallel
+evaluation must stay bit-identical to the window loop, as the GDE carry
+path of :mod:`betapar.quadratic` does, which tests check.
 """
 
 from __future__ import annotations
@@ -62,9 +65,10 @@ class LocalRule:
 
     ``window_fn`` receives a (t+r+1)-tuple, most significant digit first,
     and must be total on windows over the input alphabet.  Construction
-    checks Phi(0^p) = 0; when the window space is small enough the whole
-    table is built eagerly, which doubles as a proof that every window
-    output lies in the declared output alphabet.
+    checks Phi(0^p) = 0, and reads every window when there are at most
+    ``tabulate_threshold``, which proves the output alphabet up front.
+    :meth:`window` checks each output and memoises it; :meth:`outputs` is
+    the window loop, which a subclass may replace by an equal computation.
     """
 
     k = 1  # a 1-block map: each window position is one digit
@@ -80,38 +84,35 @@ class LocalRule:
         self.output_alphabet = output_alphabet
         self.window_fn = window_fn
         self.name = name or "rule"
-        self._table = None
+        self._windows = {}  # window -> checked output of window_fn
         zero_out = window_fn((0,) * self.p)
         if zero_out != 0:
             raise ValueError("window_fn(0^p) = %r; finite support would break" % (zero_out,))
         if tabulate_threshold and len(input_alphabet) ** self.p <= tabulate_threshold:
-            self._tabulate()
+            for w in itertools.product(input_alphabet, repeat=self.p):
+                self.window(w)
 
     @property
     def p(self):
         return self.memory + self.anticipation + 1
 
-    def _tabulate(self):
-        table = {}
-        window_fn = self.window_fn
-        lo = self.output_alphabet.min_digit
-        hi = self.output_alphabet.max_digit
-        for w in itertools.product(self.input_alphabet, repeat=self.p):
-            out = window_fn(w)
-            if not lo <= out <= hi:
-                raise ValueError("%s: window %r maps to %r outside %s"
-                                 % (self.name, w, out, self.output_alphabet))
-            table[w] = out
-        self._table = table
-
     def window(self, w):
-        if self._table is not None:
-            return self._table[w]
-        out = self.window_fn(w)
-        if out not in self.output_alphabet:
-            raise ValueError("%s: window %r maps to %r outside %s"
-                             % (self.name, w, out, self.output_alphabet))
+        """Phi(w), checked against the output alphabet on its first read."""
+        out = self._windows.get(w)
+        if out is None:
+            out = self.window_fn(w)
+            alphabet = self.output_alphabet
+            if not alphabet.min_digit <= out <= alphabet.max_digit:
+                raise ValueError("%s: window %r maps to %r outside %s"
+                                 % (self.name, w, out, alphabet))
+            self._windows[w] = out
         return out
+
+    def outputs(self, padded):
+        """Phi of every p-digit window of the list padded, most significant first."""
+        window = self.window
+        p = self.p
+        return [window(tuple(padded[i:i + p])) for i in range(len(padded) - p + 1)]
 
     def fixes(self, c):
         """Whether the constant letter c is a fixed point: Phi(c^p) = c."""
@@ -136,8 +137,8 @@ def apply_local(rule, u, plateau=0):
     shifted down by c.  Outside the support the input is the constant c.
     Output positions j with the window disjoint from the support are 0
     because c is a fixed letter, Phi(c^p) = c, so only j in
-    [lsd - t, msd + r] is computed; any other c != 0 raises ValueError
-    (c = 0 is fixed by construction).
+    [lsd - t, msd + r] is computed, by ``rule.outputs``; any other c != 0
+    raises ValueError (c = 0 is fixed by construction).
     """
     c = plateau
     if not u.alphabet_ok(rule.input_alphabet.shifted(c)):
@@ -148,12 +149,10 @@ def apply_local(rule, u, plateau=0):
         raise ValueError("plateau %d is not a fixed letter of %s" % (c, rule.name))
     r = rule.memory
     t = rule.anticipation
-    p = r + t + 1
     # padded[i] is u + c at exponent msd + r + t - i
     padded = [c] * (r + t) + [d + c for d in u.digits] + [c] * (r + t)
-    window = rule.window
-    out = [window(tuple(padded[i:i + p])) - c for i in range(len(padded) - p + 1)]
-    return DigitString(out, u.msd_exponent + r)
+    out = rule.outputs(padded)
+    return DigitString([x - c for x in out] if c else out, u.msd_exponent + r)
 
 
 def fixed_letters(rule):
@@ -258,8 +257,8 @@ def _residue_walk(rule, maxlen):
     apply_local, which reads the windows in the same order: the prefix
     windows, then the flush windows from the top down.  v is rebuilt by
     ``rule.convert`` only to report a value mismatch.  ``rule.window`` never
-    returns a digit outside the output alphabet (a table is checked whole
-    when built, an untabulated window raises), so no alphabet is checked.
+    returns a digit outside the output alphabet (a window outside it
+    raises), so no alphabet is checked.
     """
     base = rule.base
     t = rule.anticipation
@@ -349,8 +348,8 @@ def verify_conversion(rule, strategy):
     Random mode draws seeded strings over the input alphabet, applies the
     rule to each through ``convert`` and compares the input and output
     values with the exact oracle.  No mode checks the output alphabet:
-    ``rule.window`` never returns a digit outside it.  Failures, at most
-    five, are serialized into the report.
+    ``rule.window`` and ``rule.outputs`` raise rather than return a digit
+    outside it.  Failures, at most five, are serialized into the report.
     """
     if not isinstance(rule, LocalRule):
         raise TypeError("verify_conversion takes a LocalRule, got %s" % type(rule).__name__)
@@ -426,15 +425,13 @@ class ChainAdder:
                 raise ValueError("digit out of adder alphabet %s in %s" % (self.alphabet, s))
         layer = self.layer
         d = self.lo_layers
+        ys, top = y.digits, y.msd_exponent
         s = x
+        # indicator layers: digit j is [y_j >= i], or -[y_j <= -i]; DigitString makes bools ints
         for i in range(1, self.hi_layers + 1):
-            s = layer.convert(s + _indicator(y, lambda dig, i=i: dig >= i, 1), d)
+            s = layer.convert(s + DigitString([dig >= i for dig in ys], top), d)
         for i in range(1, self.lo_layers + 1):
-            s = s + _indicator(y, lambda dig, i=i: dig <= -i, -1)
+            s = s + DigitString([-(dig <= -i) for dig in ys], top)
             s = layer.convert(s.negated(), self.hi_layers).negated()  # M - d = hi_layers
         return s
-
-
-def _indicator(y, pred, sign):
-    return DigitString([sign if pred(d) else 0 for d in y.digits], y.msd_exponent)
 

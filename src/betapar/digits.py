@@ -102,7 +102,7 @@ class DigitString(Immutable):
     __slots__ = ("digits", "msd_exponent")
 
     def __init__(self, digits=(), msd_exponent=0):
-        digits = tuple(int(d) for d in digits)
+        digits = tuple(map(int, digits))
         lead = 0
         while lead < len(digits) and digits[lead] == 0:
             lead += 1
@@ -155,7 +155,8 @@ class DigitString(Immutable):
         return (self.msd_exponent, self.lsd_exponent)
 
     def alphabet_ok(self, alphabet):
-        return all(d in alphabet for d in self.digits)
+        digits = self.digits  # alphabets are contiguous: the extremes decide
+        return not digits or alphabet.min_digit <= min(digits) and max(digits) <= alphabet.max_digit
 
     def shifted(self, n):
         """Multiply by beta**n: every exponent increases by n."""

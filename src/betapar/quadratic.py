@@ -15,10 +15,10 @@ x_j = z_j - a q_j -(+) b q_{j+1} + q_{j-1}, which deducts q_j times a
 representation of zero (beta^2 - a beta -+ b) and therefore cannot change
 the value.  The three rules differ only in their case tables, which are
 transcribed verbatim; :func:`_gde` is the rest of the construction.  It
-tabulates the carry once, and the rule's construction enumerates every
-window, which both asserts that all outputs stay inside the declared
-alphabet and freezes the table for fast application.  Any transcription
-slip fails loudly at construction or in the exhaustive verification sweeps.
+tabulates the carry once, and the rule applies itself through that table:
+no window table is built.  Every output digit is still checked against the
+declared alphabet when it is produced, and any transcription slip fails
+loudly there or in the exhaustive verification sweeps.
 
 Note on window widths: the carry q_j reads one digit each way (two ahead
 for the special table, two each way for the minus table), but the output
@@ -38,28 +38,55 @@ from .conversion import ChainAdder, LocalRule
 from .digits import Alphabet
 
 
+class _CarryRule(LocalRule):
+    """A GDE rule that applies itself through its carry table; see :func:`_gde`."""
+
+    def outputs(self, padded):
+        """The window loop's outputs: a rolling carry index gives every q_j, then x_j."""
+        carry, n, high, a, b = self._carry
+        i = 0
+        q = [carry[(i := i % high * n + d)] for d in padded]  # q[k]: carry of digits ending at k
+        k = self.p - 3  # from q[k] on, each index holds all reach = p - 2 digits
+        out = [z - a * q0 - b * qa + qb for z, qa, q0, qb
+               in zip(padded[self.anticipation:], q[k:], q[k + 1:], q[k + 2:])]
+        alphabet = self.output_alphabet
+        if min(out) < alphabet.min_digit or max(out) > alphabet.max_digit:
+            return LocalRule.outputs(self, padded)  # raises ValueError naming the window
+        return out
+
+
 def _gde(base, a, b_signed, top, ahead, behind, q, name):
     """The elimination {0..top} -> {0..top-1} with carry q, for beta^2 = a beta + b_signed.
 
     q reads the ``ahead`` digits above z_j, z_j itself and the ``behind``
-    digits below it, most significant first.  It is tabulated once; the
-    output x_j = z_j - a q_j - b_signed q_{j+1} + q_{j-1} reads that table
-    at j+1, j and j-1, so the rule has memory behind+1 and anticipation
-    ahead+1.
+    digits below it, most significant first.  It is tabulated once, as a
+    flat list indexed by those digits in radix top + 1; the output
+    x_j = z_j - a q_j - b_signed q_{j+1} + q_{j-1} reads that table at j+1,
+    j and j-1, so the rule has memory behind+1 and anticipation ahead+1.
+    Strings go through the carry table, single windows through ``window_fn``.
     """
     if base.poly.reduction_vector() != (b_signed, a):  # f is minimal: beta^2 = a beta + b_signed
         raise AssertionError("base polynomial does not match the elimination identity")
+    n = top + 1
     reach = ahead + 1 + behind
-    carry = {z: q(*z) for z in itertools.product(range(top + 1), repeat=reach)}
+    carry = [q(*z) for z in itertools.product(range(n), repeat=reach)]
     mid = ahead + 1
-    here, above, below = slice(1, reach + 1), slice(0, reach), slice(2, reach + 2)
+    high = n ** (reach - 1)
 
     def window_fn(w):
-        # w = (z_{j+ahead+1}, ..., z_j, ..., z_{j-behind-1}) with z_j at w[mid]
-        return w[mid] - a * carry[w[here]] - b_signed * carry[w[above]] + carry[w[below]]
+        # w = (z_{j+ahead+1}, ..., z_j, ..., z_{j-behind-1}) with z_j at w[mid];
+        # q_{j+1}, q_j and q_{j-1} read w[0:reach], w[1:reach+1] and w[2:]
+        above = 0
+        for d in w[:reach]:
+            above = above * n + d
+        here = above % high * n + w[reach]
+        below = here % high * n + w[reach + 1]
+        return w[mid] - a * carry[here] - b_signed * carry[above] + carry[below]
 
-    return LocalRule(base, behind + 1, ahead + 1, Alphabet(0, top), Alphabet(0, top - 1),
-                     window_fn, name=name)
+    rule = _CarryRule(base, behind + 1, ahead + 1, Alphabet(0, top), Alphabet(0, top - 1),
+                      window_fn, name=name, tabulate_threshold=0)
+    rule._carry = carry, n, high, a, b_signed
+    return rule
 
 
 def gde_plus(a, b):

@@ -204,31 +204,53 @@ class TestResidueWalk:
         assert rep.checked_count == 6  # "", "1", "1,0", "1,1", "1,0,0", "1,0,1"
 
     def test_shared_rule_sweeps_agree_across_threads(self):
-        # rules are immutable and shareable: the walk keeps its state to itself
+        # the walk keeps its state to itself, and the rule's window memo,
+        # empty at the start, fills from eight threads at once
         rule = gde_minus(4, 2)
-        before = dict(vars(rule))
-        expected = verify_conversion(rule, exhaustive(3)).to_dict()
-        barrier = threading.Barrier(8)
-        reports = []
-
-        def sweep():
-            barrier.wait(timeout=60)
-            reports.append(verify_conversion(rule, exhaustive(3)).to_dict())
-
-        threads = [threading.Thread(target=sweep, daemon=True) for _ in range(8)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for th in threads:
-                th.start()
-            for th in threads:
-                th.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(th.is_alive() for th in threads)
-        assert len(reports) == 8 and all(rep == expected for rep in reports)
+        before = dict(vars(rule))  # the memo dict is the one value that grows
+        expected = verify_conversion(gde_minus(4, 2), exhaustive(3)).to_dict()
+        reports = _in_threads(lambda: verify_conversion(rule, exhaustive(3)).to_dict())
+        assert all(rep == expected for rep in reports)
         assert expected["verdict"] == "pass"
         assert vars(rule) == before
+        assert rule._windows
+        for w, out in rule._windows.items():
+            assert out == rule.window_fn(w) and out in rule.output_alphabet
+
+    def test_shared_adder_sums_agree_across_threads(self):
+        # the carry path of a shared shifted adder holds no state between calls
+        rng = random.Random(8)
+        pairs = [tuple(DigitString(tuple(rng.randint(-2, 2) for _ in range(n)), n - 1)
+                       for n in (rng.randint(0, 40), rng.randint(0, 40))) for _ in range(20)]
+        adder = shifted_adder("minus", 4, 2, d=2)
+        expected = [shifted_adder("minus", 4, 2, d=2).add(x, y) for x, y in pairs]
+        sums = _in_threads(lambda: [adder.add(x, y) for x, y in pairs])
+        assert all(out == expected for out in sums)
+        assert all(check_sum(adder, x, y, out) for (x, y), out in zip(pairs, expected))
+
+
+def _in_threads(work, n=8):
+    """work() run by n threads released together, switching every microsecond."""
+    barrier = threading.Barrier(n)
+    results = []
+
+    def run():
+        barrier.wait(timeout=60)
+        results.append(work())
+
+    threads = [threading.Thread(target=run, daemon=True) for _ in range(n)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert len(results) == n
+    return results
 
 
 class TestShiftRule:

@@ -1,13 +1,16 @@
 import random
+import re
 
 import pytest
 
+from betapar import quadratic
 from betapar.algebraic import (
     QuotientValue,
     eval_digit_string,
     values_equal,
 )
 from betapar.conversion import (
+    LocalRule,
     apply_local,
     check_sum,
     exhaustive,
@@ -244,17 +247,81 @@ class TestShiftedAdder:
                     for n in (rng.randint(0, 12), rng.randint(0, 12)))
             assert check_sum(adder, x, y, adder.add(x, y)), (x, y)
 
-    def test_minus_d2_tabulates_one_table(self, monkeypatch):
-        # only the gde's own window table is built; conjugation reads it at w + c
-        from betapar.conversion import LocalRule
+    def test_minus_d2_tabulates_one_table(self):
+        # the one table is the gde's carry table, 6^5 entries; no window
+        # table is built: the adder reads only the plateau window that
+        # ChainAdder checks is fixed
+        adder = shifted_adder("minus", 4, 2, d=2)
+        assert type(adder.layer).outputs is not LocalRule.outputs
+        assert len(adder.layer._carry[0]) == 6 ** 5
+        assert adder.layer._windows == {(2,) * 7: 2}
 
-        calls = []
-        tabulate = LocalRule._tabulate
 
-        def counted(rule):
-            calls.append(rule.name)
-            tabulate(rule)
+# the presets of acceptance criterion 2
+PRESETS = [("plus", 4, 2), ("plus", 5, 3), ("plus_special", 3, None),
+           ("plus_special", 4, None), ("minus", 3, 1), ("minus", 4, 2)]
 
-        monkeypatch.setattr(LocalRule, "_tabulate", counted)
-        shifted_adder("minus", 4, 2, d=2)
-        assert calls == ["gde-minus:4,2"]
+
+def _plateaus(kind, a, b, M):
+    """The letters the family's adders conjugate by: d for positive layers
+    (when d < M), M - d for negative ones (when d > 0)."""
+    shifts = [0] + list(range(b, a - 1)) if kind == "minus" else range(M + 1)
+    return sorted({c for d in shifts for c, used in ((d, d < M), (M - d, d > 0)) if used})
+
+
+class TestCarryPath:
+    """A GDE rule's carry path agrees with the window loop of a plain LocalRule."""
+
+    @pytest.mark.parametrize("kind,a,b", PRESETS)
+    def test_carry_path_equals_window_loop(self, kind, a, b):
+        rule = gde_rule(kind, a, b)
+        plain = LocalRule(rule.base, rule.memory, rule.anticipation, rule.input_alphabet,
+                          rule.output_alphabet, rule.window_fn, tabulate_threshold=0)
+        assert type(rule).outputs is not LocalRule.outputs
+        top = rule.input_alphabet.max_digit
+        M = rule.output_alphabet.max_digit
+        rng = random.Random(2024)
+        for c in _plateaus(kind, a, b, M):
+            words = [(), (top - c,), (top - c,) * 12]
+            while len(words) < 200:
+                n = rng.randint(1, 12)
+                words.append(tuple(rng.randint(-c, top - c) for _ in range(n)))
+            for word in words:
+                u = DigitString(word, rng.randint(-3, 3))
+                assert apply_local(rule, u, c) == apply_local(plain, u, c), (c, u)
+
+
+class TestOutputGuard:
+    """Construction reads no window table, so output digits are guarded where they are made."""
+
+    @pytest.mark.parametrize("a,b", [(3, 1), (4, 2)])
+    def test_minus_presets_proved_at_p(self, a, b):
+        # p = 7 windows: the length-7 sweep reads every window, so it proves
+        # the value and the output alphabet for strings of every length
+        rule = gde_minus(a, b)
+        assert rule.p == 7
+        rep = verify_conversion(rule, exhaustive(rule.p))
+        assert rep.verdict == "pass", rep.to_json()
+
+    def test_slipped_carry_case_raises_naming_the_window(self, monkeypatch):
+        # drop the top-digit carry of gde_minus(4, 2) when all four neighbours
+        # are 0: construction still succeeds, and the carry path hands the
+        # string to the window loop, which names the window
+        gde = quadratic._gde
+
+        def slipped(base, a, b, top, ahead, behind, q, name):
+            def q2(*z):
+                return 0 if z == (0,) * ahead + (top,) + (0,) * behind else q(*z)
+            return gde(base, a, b, top, ahead, behind, q2, name + "-slipped")
+
+        shipped = gde_minus(4, 2)
+        monkeypatch.setattr(quadratic, "_gde", slipped)
+        rule = gde_minus(4, 2)
+        for text in ("5,5", "5,0,1", "4,4,4"):
+            u = parse_digits(text)
+            assert apply_local(rule, u) == apply_local(shipped, u)
+        error = "gde-minus:4,2-slipped: window (0, 0, 0, 5, 0, 0, 0) maps to 5 outside {0..4}"
+        for text in ("5", "3,1,0,0,0,5"):
+            with pytest.raises(ValueError, match=re.escape(error)):
+                apply_local(rule, parse_digits(text))
+        assert verify_conversion(rule, exhaustive(1)).failures[-1] == ("5", "", "error: " + error)
