@@ -39,12 +39,10 @@ original map holds for every K, which forces both edge contributions to
 vanish.  The same fold runs over any layer with that ``convert`` and
 ``fixes`` protocol: a :class:`LocalRule` or a k-block adder.
 
-Rules are shareable: their one mutable state, the window memo, holds only
-checked outputs of the pure ``window_fn``, each stored in one dict
-assignment, so two threads that race on a window only compute it twice.
-Window evaluations are independent per position, so data-parallel
-evaluation must stay bit-identical to the window loop, as the GDE carry
-path of :mod:`betapar.quadratic` does, which tests check.
+Rules are shareable: the window memo, their one mutable state, holds only
+checked outputs of the pure ``window_fn``, one dict assignment each, so
+racing threads at worst compute a window twice.  A faster path, such as the
+GDE carry path, must stay bit-identical to the window loop; tests check it.
 """
 
 from __future__ import annotations
@@ -64,11 +62,12 @@ class LocalRule:
     """p-local digit map with declared input/output alphabets.
 
     ``window_fn`` receives a (t+r+1)-tuple, most significant digit first,
-    and must be total on windows over the input alphabet.  Construction
-    checks Phi(0^p) = 0, and reads every window when there are at most
-    ``tabulate_threshold``, which proves the output alphabet up front.
-    :meth:`window` checks each output and memoises it; :meth:`outputs` is
-    the window loop, which a subclass may replace by an equal computation.
+    and must be total on windows over the input alphabet.  ``window(w)``
+    checks each output against the output alphabet and memoises it.
+    Construction checks Phi(0^p) = 0, and reads every window when there are
+    at most ``tabulate_threshold``, which proves the output alphabet up
+    front.  :meth:`outputs` is the window loop, which a subclass may
+    replace by an equal computation.
     """
 
     k = 1  # a 1-block map: each window position is one digit
@@ -84,7 +83,8 @@ class LocalRule:
         self.output_alphabet = output_alphabet
         self.window_fn = window_fn
         self.name = name or "rule"
-        self._windows = {}  # window -> checked output of window_fn
+        self._windows = _WindowMemo(self)
+        self.window = self._windows.__getitem__
         zero_out = window_fn((0,) * self.p)
         if zero_out != 0:
             raise ValueError("window_fn(0^p) = %r; finite support would break" % (zero_out,))
@@ -96,23 +96,10 @@ class LocalRule:
     def p(self):
         return self.memory + self.anticipation + 1
 
-    def window(self, w):
-        """Phi(w), checked against the output alphabet on its first read."""
-        out = self._windows.get(w)
-        if out is None:
-            out = self.window_fn(w)
-            alphabet = self.output_alphabet
-            if not alphabet.min_digit <= out <= alphabet.max_digit:
-                raise ValueError("%s: window %r maps to %r outside %s"
-                                 % (self.name, w, out, alphabet))
-            self._windows[w] = out
-        return out
-
     def outputs(self, padded):
         """Phi of every p-digit window of the list padded, most significant first."""
-        window = self.window
         p = self.p
-        return [window(tuple(padded[i:i + p])) for i in range(len(padded) - p + 1)]
+        return [self.window(tuple(padded[i:i + p])) for i in range(len(padded) - p + 1)]
 
     def fixes(self, c):
         """Whether the constant letter c is a fixed point: Phi(c^p) = c."""
@@ -127,6 +114,22 @@ class LocalRule:
         return "LocalRule(%s, r=%d, t=%d, %s -> %s)" % (
             self.name, self.memory, self.anticipation,
             self.input_alphabet, self.output_alphabet)
+
+
+class _WindowMemo(dict):
+    """A rule's window outputs; a missing one is computed, checked and stored."""
+
+    def __init__(self, rule):
+        self.rule = rule
+
+    def __missing__(self, w):
+        rule = self.rule
+        out = rule.window_fn(w)
+        alphabet = rule.output_alphabet
+        if not alphabet.min_digit <= out <= alphabet.max_digit:
+            raise ValueError("%s: window %r maps to %r outside %s" % (rule.name, w, out, alphabet))
+        self[w] = out
+        return out
 
 
 def apply_local(rule, u, plateau=0):
@@ -425,13 +428,12 @@ class ChainAdder:
                 raise ValueError("digit out of adder alphabet %s in %s" % (self.alphabet, s))
         layer = self.layer
         d = self.lo_layers
-        ys, top = y.digits, y.msd_exponent
         s = x
         # indicator layers: digit j is [y_j >= i], or -[y_j <= -i]; DigitString makes bools ints
         for i in range(1, self.hi_layers + 1):
-            s = layer.convert(s + DigitString([dig >= i for dig in ys], top), d)
+            s = layer.convert(s + DigitString([dig >= i for dig in y.digits], y.msd_exponent), d)
         for i in range(1, self.lo_layers + 1):
-            s = s + DigitString([-(dig <= -i) for dig in ys], top)
+            s = s + DigitString([-(dig <= -i) for dig in y.digits], y.msd_exponent)
             s = layer.convert(s.negated(), self.hi_layers).negated()  # M - d = hi_layers
         return s
 

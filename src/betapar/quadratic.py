@@ -49,8 +49,7 @@ class _CarryRule(LocalRule):
         k = self.p - 3  # from q[k] on, each index holds all reach = p - 2 digits
         out = [z - a * q0 - b * qa + qb for z, qa, q0, qb
                in zip(padded[self.anticipation:], q[k:], q[k + 1:], q[k + 2:])]
-        alphabet = self.output_alphabet
-        if min(out) < alphabet.min_digit or max(out) > alphabet.max_digit:
+        if min(out) < 0 or max(out) > n - 2:  # outside {0..top-1}
             return LocalRule.outputs(self, padded)  # raises ValueError naming the window
         return out
 
@@ -61,27 +60,26 @@ def _gde(base, a, b_signed, top, ahead, behind, q, name):
     q reads the ``ahead`` digits above z_j, z_j itself and the ``behind``
     digits below it, most significant first.  It is tabulated once, as a
     flat list indexed by those digits in radix top + 1; the output
-    x_j = z_j - a q_j - b_signed q_{j+1} + q_{j-1} reads that table at j+1,
-    j and j-1, so the rule has memory behind+1 and anticipation ahead+1.
-    Strings go through the carry table, single windows through ``window_fn``.
+    x_j = z_j - a q_j - b_signed q_{j+1} + q_{j-1} reads it at j+1, j and
+    j-1 (strings by a rolling index, single windows through ``window_fn``),
+    so the rule has memory behind+1 and anticipation ahead+1.
     """
     if base.poly.reduction_vector() != (b_signed, a):  # f is minimal: beta^2 = a beta + b_signed
         raise AssertionError("base polynomial does not match the elimination identity")
     n = top + 1
     reach = ahead + 1 + behind
     carry = [q(*z) for z in itertools.product(range(n), repeat=reach)]
-    mid = ahead + 1
     high = n ** (reach - 1)
 
     def window_fn(w):
-        # w = (z_{j+ahead+1}, ..., z_j, ..., z_{j-behind-1}) with z_j at w[mid];
+        # w = (z_{j+ahead+1}, ..., z_j, ..., z_{j-behind-1}) with z_j at w[ahead + 1];
         # q_{j+1}, q_j and q_{j-1} read w[0:reach], w[1:reach+1] and w[2:]
         above = 0
         for d in w[:reach]:
             above = above * n + d
         here = above % high * n + w[reach]
         below = here % high * n + w[reach + 1]
-        return w[mid] - a * carry[here] - b_signed * carry[above] + carry[below]
+        return w[ahead + 1] - a * carry[here] - b_signed * carry[above] + carry[below]
 
     rule = _CarryRule(base, behind + 1, ahead + 1, Alphabet(0, top), Alphabet(0, top - 1),
                       window_fn, name=name, tabulate_threshold=0)
