@@ -295,8 +295,16 @@ class BetaBase:
         Every enclosure proves n <= floor <= top; it is refined until the
         two are at most one unit apart (or the precision cap), and exact
         signs bisect what is left, so a pinned floor takes no sign call.
+        At a large scale, |value(v)| < beta**j <= beta**scale for some j
+        doubling from len(v) makes the floor 0 or -1, by the sign.
         """
         bits = _SIGN_BITS_START
+        j = max(len(v), 1)
+        while j < scale:
+            L, H, plo, _, bits = self.value_enclosure(v, bits, j)
+            if max(H, -L) < plo[j]:
+                return -1 if self.sign_of_vector(v) < 0 else 0
+            j *= 2
         while True:
             L, H, plo, phi, bits = self.value_enclosure(v, bits, scale)
             n = L // phi[scale] if L >= 0 else L // plo[scale]

@@ -46,7 +46,7 @@ import itertools
 import operator
 from typing import NamedTuple
 
-from .conversion import ChainAdder
+from .conversion import ChainAdder, apply_local
 from .digits import Alphabet, DigitString
 from .numeration import (
     F,
@@ -128,21 +128,21 @@ def params_for_pf_base(base, s):
 class BlockAdder:
     """k-block 3-local adder on A = B + B for a fixed base and parameters.
 
-    As a digit set conversion it maps A + A to A (``convert``).
+    As a digit set conversion it is a layer of
+    :func:`betapar.conversion.apply_local`: a 3-local map on blocks of k
+    digits (memory and anticipation 1) from A + A to A.
     """
 
+    memory = anticipation = 1
     p = 3  # an output block reads its own input block and both neighbours
 
     def __init__(self, base, params):
         self.base = base
         self.params = params
+        self.k = params.k
         self.alphabet = self.output_alphabet = params.A
         self.input_alphabet = params.A.plus(params.A)
         self.name = "block:%d,%d,%d" % (params.k, params.ell, params.s)
-
-    @property
-    def k(self):
-        return self.params.k
 
     # -- block-level operations ------------------------------------------------
 
@@ -163,11 +163,11 @@ class BlockAdder:
         u = tuple(u)
         if len(u) != k:
             raise ValueError("block must have exactly k=%d digits" % k)
+        lo, hi = min(u), max(u)
         inA2 = self.input_alphabet
-        for dig in u:
-            if dig not in inA2:
-                raise ValueError("block digit %d outside %s" % (dig, inA2))
-        if all(dig in B for dig in u):
+        if lo not in inA2 or hi not in inA2:
+            raise ValueError("block digits %d..%d outside %s" % (lo, hi, inA2))
+        if hi <= B.max_digit:  # B and A + A both start at 0
             return BlockDecomposition((0,) * (2 * ell), u, (0,) * (2 * s))
         base = self.base
         int_digits, _, exact = greedy_vector_digits(base, base.digits_vector(u, 2 * s), 0)
@@ -190,54 +190,29 @@ class BlockAdder:
         """Output block: digit i is C(g)_i + L(h)_i below 2l, C(g)_i + S(f)_{i-2l} above."""
         return tuple(self._block_map(self.decompose(f), self.decompose(g), self.decompose(h)))
 
+    def outputs(self, padded):
+        """The output blocks of every 3-block window of padded, most significant first.
+
+        Each block is decomposed once, its digits reversed into the LSD-first
+        order of decompose (as a list: a traced call may read it again);
+        f, the first block of a window, is the more significant neighbour.
+        """
+        k = self.k
+        decs = [self.decompose(padded[i:i + k][::-1]) for i in range(0, len(padded), k)]
+        out = []
+        for f, g, h in zip(decs, decs[1:], decs[2:]):
+            out.extend(reversed(self._block_map(f, g, h)))
+        return out
+
     # -- string-level addition ---------------------------------------------------
 
     def add(self, x, y):
-        """Parallel addition of two digit strings over A.
-
-        The block grid is fixed at multiples of k, so the radix point always
-        sits on a block boundary; operands are implicitly padded with zero
-        digits to whole blocks.
-        """
+        """Parallel addition of two digit strings over A: apply_local of x + y."""
         A = self.params.A
         for t in (x, y):
             if not t.alphabet_ok(A):
                 raise ValueError("digit out of alphabet %s in %s" % (A, t))
-        u = x + y
-        return self.convert(u)
-
-    def convert(self, u, plateau=0):
-        """Digit set conversion from A+A to A by blockwise application of phi.
-
-        The map reads u + c at every position, c the plateau letter, and c
-        is subtracted from its output again.  Far blocks are the constant-c
-        block, so finite support survives because that block is fixed; any
-        other c != 0 raises ValueError (the zero block is fixed by
-        construction).  Each block read is decomposed once: u + c is laid
-        out least significant digit first on the block grid, from two
-        blocks below the support to two blocks above it, and every output
-        block takes the triples of its three neighbours.
-        """
-        if u.is_zero():
-            return DigitString()
-        k = self.params.k
-        c = plateau
-        msd, lsd = u.support()
-        lo = (lsd // k - 2) * k  # exponent of padded[0]
-        padded = [c] * ((msd // k + 3) * k - lo)
-        padded[lsd - lo:msd - lo + 1] = [dig + c for dig in reversed(u.digits)]
-        decs = [self.decompose(padded[i:i + k]) for i in range(0, len(padded), k)]
-        if c and self._block_map(decs[0], decs[0], decs[0]) != [c] * k:  # decs[0] is c^k
-            raise ValueError("plateau %d is not a fixed letter of %s" % (c, self.name))
-        out = []
-        for j in range(1, len(decs) - 1):
-            out.extend(self._block_map(decs[j + 1], decs[j], decs[j - 1]))
-        return DigitString([dig - c for dig in reversed(out)], lo + k + len(out) - 1)
-
-    def fixes(self, c):
-        """Whether the constant-c block is fixed: Phi(c^k, c^k, c^k) = c^k."""
-        block = (c,) * self.params.k
-        return c in self.params.A and self.phi(block, block, block) == block
+        return apply_local(self, x + y)
 
 
 # -- the block parameter s: exact certificate and empirical estimate ------------
@@ -372,10 +347,11 @@ class SignedBlockAdder(ChainAdder):
     """Block adder on the symmetric alphabet {-floor(beta) .. floor(beta)}.
 
     The layered fold of :class:`ChainAdder` over the non-negative block
-    adder ``inner``, conjugated by the plateau letter c = floor(beta): the
-    constant-c block is a fixed point of the block map, so finite support
-    survives.  Positive layers of y go through the conjugated map, negative
-    layers through its mirror image under digit negation.  The sum keeps
+    adder ``inner``: each layer is ``apply_local(inner, ., c)``, conjugated
+    by the plateau letter c = floor(beta).  The constant-c block is a fixed
+    point of the block map, so finite support survives.  Positive layers of
+    y go through the conjugated map, negative layers through its mirror
+    image under digit negation.  The sum keeps
     its value by construction: the block map keeps the value of every
     finite string over A + A because L, C and S telescope across blocks,
     and the plateau argument of :mod:`betapar.conversion` carries that

@@ -22,16 +22,15 @@ IMPOSSIBLE_EVIDENCE = "impossible-evidence"
 NO_EVIDENCE = "no-evidence"
 
 
-def lower_bound_1block(poly, is_real_gt1=True):
+def lower_bound_1block(poly):
     """Minimal cardinality of an alphabet allowing 1-block parallel addition.
 
-    |f(1)| always; |f(1)| + 2 when beta is a real number > 1.  For the
-    d-bonacci polynomial this evaluates to d + 1.
+    |f(1)| + 2, since beta is a real number > 1 (every base here is).  For
+    the d-bonacci polynomial this evaluates to d + 1.
     """
     if not isinstance(poly, MinimalPolynomial):
         poly = MinimalPolynomial(poly)
-    bound = abs(poly.evaluate(1))
-    return bound + 2 if is_real_gt1 else bound
+    return abs(poly.evaluate(1)) + 2
 
 
 def _sequence_digits(d, count):

@@ -158,7 +158,7 @@ def cmd_block_add(args):
 def cmd_bounds(args):
     base = base_from_spec(args.base)
     kind, d = classify_parry(base)
-    one_block = lower_bound_1block(base.poly, is_real_gt1=True)
+    one_block = lower_bound_1block(base.poly)
     impossibility = block_impossible_unit_conjugate(base.poly)
     payload = {
         "base": args.base,

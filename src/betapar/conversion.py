@@ -28,16 +28,21 @@ fold s_i = gde(s_{i-1} + y(i)); every intermediate sum stays within the
 gde's input alphabet {0..M+1}.  The composite is (M(p-1)+1)-local.  Shifted
 alphabets {-d..M-d} conjugate the layer map by a plateau letter c: the map
 reads u + c at every position and c is subtracted from its output again
-(``convert(u, c)``).  Positive layers use c = d; negative layers use the
-mirror image -convert(-u, M-d).  Finite support survives exactly when the
-layer fixes the plateau letter, which :class:`ChainAdder` checks at
-construction.  Value preservation carries over by a plateau argument: lift
-u by c on a huge interval K around its support and apply the original map;
-the interior matches the conjugate output shifted by c, while each edge
-contributes a fixed pattern scaled by beta^(+-K).  The value identity of the
-original map holds for every K, which forces both edge contributions to
-vanish.  The same fold runs over any layer with that ``convert`` and
-``fixes`` protocol: a :class:`LocalRule` or a k-block adder.
+(``apply_local(layer, u, c)``).  Positive layers use c = d; negative layers
+use the mirror image -apply_local(layer, -u, M-d).  Finite support survives
+exactly when the layer fixes the plateau letter (:func:`fixes`), which
+:class:`ChainAdder` checks at construction.  Value preservation carries
+over by a plateau argument: lift u by c on a huge interval K around its
+support and apply the original map; the interior matches the conjugate
+output shifted by c, while each edge contributes a fixed pattern scaled by
+beta^(+-K).  The value identity of the original map holds for every K,
+which forces both edge contributions to vanish.  The same fold runs over
+any layer of :func:`apply_local`, the one window application: a p-local
+map on blocks of k digits with ``memory`` r, ``anticipation`` t, ``k``,
+``p``, both alphabets, a ``name`` and ``outputs(padded)``, the k output
+digits of every p-block window of a padded digit list, most significant
+first.  A :class:`LocalRule` is one with k = 1, a k-block adder one with
+r = t = 1.
 
 Rules are shareable: the window memo, their one mutable state, holds only
 checked outputs of the pure ``window_fn``, one dict assignment each, so
@@ -101,15 +106,6 @@ class LocalRule:
         p = self.p
         return [self.window(tuple(padded[i:i + p])) for i in range(len(padded) - p + 1)]
 
-    def fixes(self, c):
-        """Whether the constant letter c is a fixed point: Phi(c^p) = c."""
-        return (c in self.input_alphabet and c in self.output_alphabet
-                and self.window((c,) * self.p) == c)
-
-    def convert(self, u, plateau=0):
-        """The rule applied to u conjugated by the plateau letter; see apply_local."""
-        return apply_local(self, u, plateau)
-
     def __repr__(self):
         return "LocalRule(%s, r=%d, t=%d, %s -> %s)" % (
             self.name, self.memory, self.anticipation,
@@ -132,38 +128,46 @@ class _WindowMemo(dict):
         return out
 
 
-def apply_local(rule, u, plateau=0):
-    """Sliding-window application of a rule to a finite digit string.
+def apply_local(layer, u, plateau=0):
+    """Sliding-window application of a layer to a finite digit string.
 
-    The rule reads u + c at every position, c the plateau letter, and c is
-    subtracted from each output digit, so u must lie in the input alphabet
-    shifted down by c.  Outside the support the input is the constant c.
-    Output positions j with the window disjoint from the support are 0
-    because c is a fixed letter, Phi(c^p) = c, so only j in
-    [lsd - t, msd + r] is computed, by ``rule.outputs``; any other c != 0
-    raises ValueError (c = 0 is fixed by construction).
+    The layer, a p-local map on blocks of k digits (k = 1 for a rule), reads
+    u + c at every position on a block grid fixed at multiples of k, c the
+    plateau letter, and c is subtracted from each output digit, so u must
+    lie in the input alphabet shifted down by c.  ``layer.outputs`` reads
+    u + c padded with h = r + t blocks of c on each side; output blocks
+    farther out are 0 because c is a fixed letter (:func:`fixes`), and any
+    other c != 0 raises ValueError (c = 0 is fixed by construction).
     """
     c = plateau
-    if not u.alphabet_ok(rule.input_alphabet.shifted(c)):
-        raise ValueError("digit out of alphabet %s in %s" % (rule.input_alphabet.shifted(c), u))
+    if not u.alphabet_ok(layer.input_alphabet.shifted(c)):
+        raise ValueError("digit out of alphabet %s in %s" % (layer.input_alphabet.shifted(c), u))
     if u.is_zero():
         return DigitString()
-    if c and not rule.fixes(c):
-        raise ValueError("plateau %d is not a fixed letter of %s" % (c, rule.name))
-    r = rule.memory
-    t = rule.anticipation
-    # padded[i] is u + c at exponent msd + r + t - i
-    padded = [c] * (r + t) + [d + c for d in u.digits] + [c] * (r + t)
-    out = rule.outputs(padded)
-    return DigitString([x - c for x in out] if c else out, u.msd_exponent + r)
+    if c and not fixes(layer, c):
+        raise ValueError("plateau %d is not a fixed letter of %s" % (c, layer.name))
+    k = layer.k
+    h = layer.memory + layer.anticipation
+    top = (u.msd_exponent // k + 1 + h) * k  # padded[i] is u + c at exponent top - 1 - i
+    padded = [c] * (top - (u.lsd_exponent // k - h) * k)
+    start = top - 1 - u.msd_exponent
+    padded[start:start + len(u.digits)] = [d + c for d in u.digits]
+    out = layer.outputs(padded)
+    return DigitString([x - c for x in out] if c else out, top - 1 - layer.anticipation * k)
 
 
-def fixed_letters(rule):
-    """Letters h with Phi(h^p) = h, i.e. constant sequences mapped to themselves.
+def fixes(layer, c):
+    """Whether the constant letter c is a fixed point of the layer: Phi(c^p) = c^k."""
+    return (c in layer.input_alphabet and c in layer.output_alphabet
+            and layer.outputs([c] * (layer.p * layer.k)) == [c] * layer.k)
+
+
+def fixed_letters(layer):
+    """Letters h with Phi(h^p) = h^k, i.e. constant sequences mapped to themselves.
 
     Fixed letters are what make alphabet shifting possible.
     """
-    return {h for h in rule.input_alphabet if rule.fixes(h)}
+    return {h for h in layer.input_alphabet if fixes(layer, h)}
 
 
 def _same_value(base, u, v):
@@ -259,7 +263,7 @@ def _residue_walk(rule, maxlen):
     A window that raises ValueError fails every string that reads it, as in
     apply_local, which reads the windows in the same order: the prefix
     windows, then the flush windows from the top down.  v is rebuilt by
-    ``rule.convert`` only to report a value mismatch.  ``rule.window`` never
+    apply_local only to report a value mismatch.  ``rule.window`` never
     returns a digit outside the output alphabet (a window outside it
     raises), so no alphabet is checked.
     """
@@ -326,7 +330,7 @@ def _residue_walk(rule, maxlen):
             if isinstance(f, ValueError):
                 stop = fail(u, "", "error: %s" % f)
             else:
-                v = rule.convert(DigitString(u, n - 1))
+                v = apply_local(rule, DigitString(u, n - 1))
                 stop = fail(u, format_digits(v), "value mismatch")
             if stop:
                 return True
@@ -349,7 +353,7 @@ def verify_conversion(rule, strategy):
     e_m is the zero vector, so no string is converted or evaluated whole.
 
     Random mode draws seeded strings over the input alphabet, applies the
-    rule to each through ``convert`` and compares the input and output
+    rule to each through :func:`apply_local` and compares the input and output
     values with the exact oracle.  No mode checks the output alphabet:
     ``rule.window`` and ``rule.outputs`` raise rather than return a digit
     outside it.  Failures, at most five, are serialized into the report.
@@ -373,7 +377,7 @@ def verify_conversion(rule, strategy):
         checked += 1
         u = DigitString(word, len(word) - 1)
         try:
-            v = rule.convert(u)
+            v = apply_local(rule, u)
         except ValueError as exc:
             failures.append((format_digits(u), "", "error: %s" % exc))
         else:
@@ -391,12 +395,12 @@ def verify_conversion(rule, strategy):
 class ChainAdder:
     """Parallel adder over a contiguous alphabet {-d..M-d} folding one layer map.
 
-    ``layer`` converts {0..M+1} (or more) to {0..M} through
-    ``layer.convert(u, plateau)`` and reports fixed letters through
-    ``layer.fixes(c)``: a greatest-digit-elimination :class:`LocalRule`, or
+    ``layer`` converts {0..M+1} (or more) to {0..M}: any layer of
+    :func:`apply_local`, a greatest-digit-elimination :class:`LocalRule` or
     a k-block adder.  Addition of x and y folds the indicator layers of y
-    into x: positive layers through ``layer.convert(., d)``, negative ones
-    through ``-layer.convert(-., M-d)``.
+    into x: positive layers through ``apply_local(layer, ., d)``, negative
+    ones through ``-apply_local(layer, -., M-d)``; construction checks with
+    :func:`fixes` that both plateau letters in use are fixed.
     """
 
     def __init__(self, layer, alphabet):
@@ -411,7 +415,7 @@ class ChainAdder:
         self.lo_layers = d = -alphabet.min_digit
         # positive layers are conjugated by d, negative layers by M - d
         for c, used in ((d, self.hi_layers > 0), (M - d, d > 0)):
-            if used and not layer.fixes(c):
+            if used and not fixes(layer, c):
                 raise ValueError("%d is not a fixed letter of %s" % (c, layer.name))
         self.name = "%s-adder" % layer.name + ("-shift%d" % d if d else "")
 
@@ -431,9 +435,9 @@ class ChainAdder:
         s = x
         # indicator layers: digit j is [y_j >= i], or -[y_j <= -i]; DigitString makes bools ints
         for i in range(1, self.hi_layers + 1):
-            s = layer.convert(s + DigitString([dig >= i for dig in y.digits], y.msd_exponent), d)
+            s = apply_local(layer, s + DigitString([dig >= i for dig in y.digits], y.msd_exponent), d)
         for i in range(1, self.lo_layers + 1):
             s = s + DigitString([-(dig <= -i) for dig in y.digits], y.msd_exponent)
-            s = layer.convert(s.negated(), self.hi_layers).negated()  # M - d = hi_layers
+            s = apply_local(layer, s.negated(), self.hi_layers).negated()  # M - d = hi_layers
         return s
 

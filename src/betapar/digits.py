@@ -61,10 +61,6 @@ class Alphabet(Immutable):
     def __len__(self):
         return self.max_digit - self.min_digit + 1
 
-    @property
-    def cardinality(self):
-        return len(self)
-
     def shifted(self, d):
         """Alphabet translated down by d (still must contain 0)."""
         return Alphabet(self.min_digit - d, self.max_digit - d)

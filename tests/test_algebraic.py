@@ -16,6 +16,7 @@ from betapar.algebraic import (
     certified_floor,
     dbonacci_base,
     eval_digit_string,
+    fibonacci_base,
     qv_add,
     qv_mul_beta_pow,
     qv_sign,
@@ -240,6 +241,18 @@ class TestRefineAndFloor:
         assert len(calls) <= 4
         assert qv_sign(qv_sub(v, QuotientValue.from_int(base, n))) >= 0
         assert qv_sign(qv_sub(v, QuotientValue.from_int(base, n + 1))) < 0
+
+    def test_floor_at_a_large_scale_encloses_few_powers(self):
+        # +-beta^-20000 lies strictly between -1 and 1, so its floor is 0 or
+        # -1 without an enclosure of beta^20000 or the 20,000 powers below it
+        for base in (fibonacci_base(), tribonacci_base()):
+            cached = len(base._dy[2])
+            v = QuotientValue.beta_power(base, -20000)
+            neg = QuotientValue(base, tuple(-c for c in v.coeffs), v.scale)
+            start = time.perf_counter()
+            assert (certified_floor(v), certified_floor(neg)) == (0, -1)
+            assert time.perf_counter() - start < 0.05
+            assert len(base._dy[2]) <= cached + 4
 
 
     def test_floor_reads_one_snapshot(self, monkeypatch):

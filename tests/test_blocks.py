@@ -23,7 +23,7 @@ from betapar.blocks import (
     make_block_params,
     params_for_pf_base,
 )
-from betapar.conversion import ChainAdder, check_sum
+from betapar.conversion import ChainAdder, apply_local, check_sum, fixed_letters
 from betapar.digits import Alphabet, DigitString, parse_digits
 from betapar.numeration import (
     AdmissibilityAutomaton,
@@ -150,10 +150,9 @@ class TestDecompose:
 
     def test_bad_block_rejected(self, tribonacci_adder):
         k = tribonacci_adder.params.k
-        with pytest.raises(ValueError):
-            tribonacci_adder.decompose((9,) * k)
-        with pytest.raises(ValueError):
-            tribonacci_adder.decompose((0,) * (k - 1))
+        for u in ((9,) * k, (0,) * (k - 1), (1,) * (k - 1) + (-1,)):
+            with pytest.raises(ValueError):
+                tribonacci_adder.decompose(u)
 
 
 class TestPhi:
@@ -210,7 +209,8 @@ class TestBlockAdd:
 
     def test_each_block_read_is_decomposed_once(self, tri, monkeypatch):
         # a string spanning m blocks is read from two blocks below its
-        # support to two above: m + 4 decompositions, not 3 per output block
+        # support to two above: m + 4 decompositions, not 3 per output block;
+        # a plateau c != 0 adds the 3 blocks of the check that c is fixed
         adder = BlockAdder(tri, make_block_params(tri, 2, 5))
         k = adder.params.k
         decompose = BlockAdder.decompose
@@ -222,12 +222,13 @@ class TestBlockAdd:
 
         monkeypatch.setattr(BlockAdder, "decompose", counted)
         rng = random.Random(11)
-        for m in (1, 2, 5):
-            calls.clear()
-            u = DigitString(tuple(rng.randint(1, 4) for _ in range(m * k)), 2 * k - 1)
-            out = adder.convert(u)
-            assert len(calls) == m + 4
-            assert values_equal(eval_digit_string(u, tri), eval_digit_string(out, tri))
+        for c, extra in ((0, 4), (1, 7)):
+            for m in (1, 2, 5):
+                calls.clear()
+                u = DigitString(tuple(rng.randint(1, 4 - c) for _ in range(m * k)), 2 * k - 1)
+                out = apply_local(adder, u, c)
+                assert len(calls) == m + extra
+                assert values_equal(eval_digit_string(u, tri), eval_digit_string(out, tri))
 
     def test_adder_holds_no_state(self, tri):
         # a twin built from the same arguments stands for the adder as
@@ -242,6 +243,44 @@ class TestBlockAdd:
             y = DigitString(tuple(rng.randint(0, 2) for _ in range(m)), rng.randint(-5, m))
             adder.add(x, y)
         assert vars(adder) == vars(BlockAdder(tri, params))
+
+
+def _lsd_first_convert(adder, u, c):
+    """Reference block conversion: u + c laid out least significant digit
+    first, from two blocks below the support to two above it, each block
+    decomposed once and every output block built from its neighbours."""
+    if u.is_zero():
+        return DigitString()
+    k = adder.params.k
+    msd, lsd = u.support()
+    lo = (lsd // k - 2) * k  # exponent of padded[0]
+    padded = [c] * ((msd // k + 3) * k - lo)
+    padded[lsd - lo:msd - lo + 1] = [dig + c for dig in reversed(u.digits)]
+    decs = [adder.decompose(padded[i:i + k]) for i in range(0, len(padded), k)]
+    assert adder._block_map(decs[0], decs[0], decs[0]) == [c] * k  # decs[0] is c^k
+    out = []
+    for j in range(1, len(decs) - 1):
+        out.extend(adder._block_map(decs[j + 1], decs[j], decs[j - 1]))
+    return DigitString([dig - c for dig in reversed(out)], lo + k + len(out) - 1)
+
+
+class TestBlockLayer:
+    """The block adder as a layer of apply_local, which reads padded strings
+    most significant digit first."""
+
+    def test_fixed_letters(self, tribonacci_adder):
+        assert fixed_letters(tribonacci_adder) == {0, 1}
+
+    @pytest.mark.parametrize("c", [0, 1])
+    def test_matches_lsd_first_reference(self, tribonacci_adder, c):
+        k = tribonacci_adder.params.k
+        rng = random.Random(31 + c)
+        for i in range(300):
+            n = 0 if i % 50 == 0 else rng.randint(1, 3 * k)  # every 50th string is zero
+            u = DigitString(tuple(rng.randint(-c, 4 - c) for _ in range(n)),
+                            rng.randint(-2 * k, 2 * k))
+            assert apply_local(tribonacci_adder, u, c) == _lsd_first_convert(
+                tribonacci_adder, u, c), (u, c)
 
 
 class TestEstimateS:
@@ -463,11 +502,11 @@ class TestDbonacci:
                 if dig:
                     assert m - radius <= (msd - j) // k <= m + radius
 
-    def test_unfixed_plateau_rejected_by_convert(self):
+    def test_unfixed_plateau_rejected_by_apply_local(self):
         # the block map fixes only 0^k and 1^k, so 2^k plateaus do not cancel far out
         adder = dbonacci_block_adder(3, s=5)
         with pytest.raises(ValueError, match="plateau 2 is not a fixed letter of block:14,2,5"):
-            adder.convert(parse_digits("1"), 2)
+            apply_local(adder, parse_digits("1"), 2)
 
     def test_signed_fibonacci_constructs(self):
         adder = dbonacci_block_adder(2, signed=True, s=2)

@@ -28,9 +28,6 @@ class TestOneBlock:
         # |f(1)| = |1-4-2| = 5, +2 for a real base; attained by a+b+1 = 7
         assert lower_bound_1block([1, -4, -2]) == 7
 
-    def test_without_real_bonus(self):
-        assert lower_bound_1block([1, -1, -1], is_real_gt1=False) == 1
-
 
 class TestSimpleBound:
     def test_42(self):

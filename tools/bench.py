@@ -15,8 +15,8 @@ and every ``betapar`` command of the README's CLI quick start runs once as
 ``python3 -m betapar.cli ...`` in a fresh process, timed from outside.
 
 The script writes ``BENCH_<LABEL>.json`` at that root: the git commit, the
-Python version, the total line count of ``src/betapar/*.py`` as
-``src_lines``, and for every run the command and its result: the JSON line
+Python version, the line count of each ``src/betapar/*.py`` by module name
+as ``src_lines_by_module`` and their total as ``src_lines``, and for every run the command and its result: the JSON line
 the benchmark printed, tier-1's wall time, summary line and slowest tests,
 or a CLI command's wall time and exit code.
 """
@@ -45,15 +45,15 @@ def git_commit():
     return out.stdout.strip()
 
 
-def src_lines():
-    """Total line count of src/betapar/*.py."""
+def src_lines_by_module():
+    """Line count of each src/betapar/*.py, keyed by module name."""
     pkg = os.path.join(ROOT, "src", "betapar")
-    total = 0
+    lines = {}
     for name in sorted(os.listdir(pkg)):
         if name.endswith(".py"):
             with open(os.path.join(pkg, name)) as fh:
-                total += sum(1 for _ in fh)
-    return total
+                lines[name[:-3]] = sum(1 for _ in fh)
+    return lines
 
 
 def run_workload(workload, trace):
@@ -134,10 +134,11 @@ def main(argv=None):
         cli.append(run_cli(line))
         print("cli       exit=%d %.3f s  %s" % (cli[-1]["returncode"], cli[-1]["wall_s"], line),
               file=sys.stderr)
+    lines = src_lines_by_module()
     record = {"label": args.label, "commit": git_commit(),
               "python": platform.python_version(), "machine": platform.processor() or
-              platform.machine(), "cpus": os.cpu_count(), "src_lines": src_lines(),
-              "runs": runs, "tier1": tier1, "cli": cli}
+              platform.machine(), "cpus": os.cpu_count(), "src_lines": sum(lines.values()),
+              "src_lines_by_module": lines, "runs": runs, "tier1": tier1, "cli": cli}
     path = os.path.join(ROOT, "BENCH_%s.json" % args.label)
     with open(path, "w") as fh:
         json.dump(record, fh, indent=1)
