@@ -299,7 +299,7 @@ class BetaBase:
         doubling from len(v) makes the floor 0 or -1, by the sign.
         """
         bits = _SIGN_BITS_START
-        j = max(len(v), 1)
+        j = len(v)
         while j < scale:
             L, H, plo, _, bits = self.value_enclosure(v, bits, j)
             if max(H, -L) < plo[j]:

@@ -351,13 +351,13 @@ class SignedBlockAdder(ChainAdder):
     by the plateau letter c = floor(beta).  The constant-c block is a fixed
     point of the block map, so finite support survives.  Positive layers of
     y go through the conjugated map, negative layers through its mirror
-    image under digit negation.  The sum keeps
-    its value by construction: the block map keeps the value of every
-    finite string over A + A because L, C and S telescope across blocks,
-    and the plateau argument of :mod:`betapar.conversion` carries that
-    identity over to the conjugated map and its mirror image.  A block
-    whose decomposition does not fit the parameters raises
-    :class:`InsufficientParamsError` rather than giving a wrong sum.
+    image under digit negation.  The sum keeps its value by construction:
+    the block map keeps the value of every finite string over A + A
+    because L, C and S telescope across blocks, and the plateau argument
+    of :mod:`betapar.conversion` carries that identity over to the
+    conjugated map and its mirror image.  A block whose decomposition does
+    not fit the parameters raises :class:`InsufficientParamsError` rather
+    than giving a wrong sum.
     """
 
     def __init__(self, base, params):
