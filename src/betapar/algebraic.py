@@ -31,6 +31,7 @@ sharing a base read what a fresh base computes.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .digits import DigitString, Immutable
@@ -40,6 +41,9 @@ _SIGN_BITS_START = 64
 # (X^2 - X - 1)(X^2 + X - 1), which passes the rational-root check, the
 # nonzero vector (-1, -1, 1, 0) is worth 0, and no precision decides its sign.
 _SIGN_BITS_LIMIT = 1 << 14
+# A double below 2**-1075, half the smallest subnormal, rounds to 0.0; one
+# more bit covers the rounding of the logarithm that float_value compares.
+_UNDERFLOW_LOG2 = 1076
 
 
 class MinimalPolynomial(Immutable):
@@ -328,12 +332,25 @@ class BetaBase:
         integers, from 128 bits doubled until the enclosure of value(v)
         excludes 0 and is narrower than 2**-60 of its size, however large
         the coefficients: within a few units in the last place, 0.0 for the
-        zero vector and on underflow.
+        zero vector and on underflow.  At a large scale, |value(v)| < beta**j
+        for some j doubling from len(v), as in :meth:`floor_of_vector`,
+        bounds the result by lo**(j - scale), lo the lower end of the
+        isolating interval; below half the smallest subnormal that is 0.0,
+        with no enclosure of beta**scale.
         """
         if not any(v):
             return 0.0
+        bits = 128
+        j = len(v)
+        while j < scale:
+            L, H, plo, _, bits = self.value_enclosure(v, bits, j)
+            if max(H, -L) < plo[j]:
+                if (scale - j) * math.log2(self.interval[0]) > _UNDERFLOW_LOG2:
+                    return 0.0
+                break
+            j *= 2
         L, H, plo, phi, _ = self._enclosure_until(
-            v, 128, scale, lambda L, H: (L > 0 or H < 0) and (H - L) << 60 < min(abs(L), abs(H)))
+            v, bits, scale, lambda L, H: (L > 0 or H < 0) and (H - L) << 60 < min(abs(L), abs(H)))
         return (L + H) / (plo[scale] + phi[scale])
 
     def __eq__(self, other):

@@ -22,27 +22,54 @@ one walk over prefixes that carries the partial Horner sum and reads each
 window once per prefix; the last h windows read only u's last h digits and
 are summed once per suffix.
 
+A sweep through p digits proves a rule for every length.  Lemma: let Phi
+be p-local with Phi(0^p) = 0 and h = p - 1; if every string of at most p
+digits keeps its value, every finite string does.  Proof: let T_i be
+beta^h times the Horner sum of e_0 .. e_{i-1}, and K(s) the Horner sum of
+the last h windows of a string whose last h digits are s; a string of n
+digits passes iff T_n = -K(s), and T_{i+1} = beta T_i + e_i beta^h.  Any
+window w, its first h digits s and its last d, is the last prefix window
+of the string w with its leading zeros dropped, and that string and its
+prefixes have at most p digits, so the two longest pass:
+-K(s[1:] + d) = -beta K(s) + e(w) beta^h.  This identity then holds on
+every window, and from T_0 = 0 = -K(0^h) it gives T_i = -K(s_i) for every
+prefix of every string, by induction on i.  So a rule that fails at some
+length fails on a string of at most p digits, and the sweep, which reads
+every window, also proves the output alphabet.  The bound is tight: one
+window raised by 1 on a rule with p = 5 passes every string of 4 digits
+and fails on the window itself.
+
 Adders are built by greatest-digit-elimination chains: to add x and y over
 {0..M}, split y into indicator layers y(i) with y(i)_j = 1 iff y_j >= i and
 fold s_i = gde(s_{i-1} + y(i)); every intermediate sum stays within the
 gde's input alphabet {0..M+1}.  The composite is (M(p-1)+1)-local.  Shifted
 alphabets {-d..M-d} conjugate the layer map by a plateau letter c: the map
-reads u + c at every position and c is subtracted from its output again
-(``apply_local(layer, u, c)``).  Positive layers use c = d; negative layers
-use the mirror image -apply_local(layer, -u, M-d).  Finite support survives
-exactly when the layer fixes the plateau letter (:func:`fixes`), which
-:class:`ChainAdder` checks at construction.  Value preservation carries
-over by a plateau argument: lift u by c on a huge interval K around its
-support and apply the original map; the interior matches the conjugate
-output shifted by c, while each edge contributes a fixed pattern scaled by
-beta^(+-K).  The value identity of the original map holds for every K,
-which forces both edge contributions to vanish.  The same fold runs over
-any layer of :func:`apply_local`, the one window application: a p-local
-map on blocks of k digits with ``memory`` r, ``anticipation`` t, ``k``,
-``p``, both alphabets, a ``name`` and ``outputs(padded)``, the k output
-digits of every p-block window of a padded digit list, most significant
-first.  A :class:`LocalRule` is one with k = 1, a k-block adder one with
-r = t = 1.
+reads u + c at every position and c is subtracted from its output again.
+Positive layers use c = d; negative layers use the mirror image
+c - Phi(c - u) with c = M - d.  Finite support survives exactly when the
+layer fixes the plateau letter (:func:`fixes`), which :class:`ChainAdder`
+checks at construction.  Value preservation carries over by a plateau
+argument: lift u by c on a huge interval K around its support and apply
+the original map; the interior matches the conjugate output shifted by c,
+while each edge contributes a fixed pattern scaled by beta^(+-K).  The
+value identity of the original map holds for every K, which forces both
+edge contributions to vanish.
+
+The fold runs over any layer: a p-local map on blocks of k digits with
+``memory`` r, ``anticipation`` t, ``k``, ``p``, both alphabets, a ``name``
+and ``outputs(padded)``, the k output digits of every p-block window of a
+padded digit list, most significant first.  A :class:`LocalRule` is one
+with k = 1, a k-block adder one with r = t = 1.  A layer moves the support
+of a string at most r blocks up and t blocks down, and its fixed plateau
+letter keeps every digit farther out at 0.  So :meth:`ChainAdder.add` lays
+x and y once into a frame of ints grown by n = M such steps on each side,
+which holds every intermediate sum, and runs each layer as one
+``outputs`` call over the frame padded with c, with no digit string, no
+alphabet check and no plateau check between layers: the chain argument
+keeps every read in the input alphabet, and ``outputs`` still raises on a
+digit outside the output alphabet.  :func:`apply_local(layer, u, c)
+<apply_local>` applies one layer to a digit string through the same
+padding (:func:`_outputs`), and checks u's alphabet and the letter c.
 
 Rules are shareable: the window memo, their one mutable state, holds only
 checked outputs of the pure ``window_fn``, one dict assignment each, so
@@ -134,10 +161,11 @@ def apply_local(layer, u, plateau=0):
     The layer, a p-local map on blocks of k digits (k = 1 for a rule), reads
     u + c at every position on a block grid fixed at multiples of k, c the
     plateau letter, and c is subtracted from each output digit, so u must
-    lie in the input alphabet shifted down by c.  ``layer.outputs`` reads
-    u + c padded with h = r + t blocks of c on each side; output blocks
-    farther out are 0 because c is a fixed letter (:func:`fixes`), and any
-    other c != 0 raises ValueError (c = 0 is fixed by construction).
+    lie in the input alphabet shifted down by c.  The output frame is u's
+    support grown by r blocks up and t blocks down, which :func:`_outputs`
+    pads with c; output blocks farther out are 0 because c is a fixed
+    letter (:func:`fixes`), and any other c != 0 raises ValueError (c = 0 is
+    fixed by construction).
     """
     c = plateau
     if not u.alphabet_ok(layer.input_alphabet.shifted(c)):
@@ -147,13 +175,29 @@ def apply_local(layer, u, plateau=0):
     if c and not fixes(layer, c):
         raise ValueError("plateau %d is not a fixed letter of %s" % (c, layer.name))
     k = layer.k
-    h = layer.memory + layer.anticipation
-    top = (u.msd_exponent // k + 1 + h) * k  # padded[i] is u + c at exponent top - 1 - i
-    padded = [c] * (top - (u.lsd_exponent // k - h) * k)
+    top = (u.msd_exponent // k + 1 + layer.memory) * k
+    frame = _laid_out(u, top, (u.lsd_exponent // k - layer.anticipation) * k)
+    out = _outputs(layer, [v + c for v in frame] if c else frame, c)
+    return DigitString([v - c for v in out] if c else out, top - 1)
+
+
+def _laid_out(u, top, bottom):
+    """The digits of u at exponents top - 1 down to bottom, most significant first."""
+    frame = [0] * (top - bottom)
     start = top - 1 - u.msd_exponent
-    padded[start:start + len(u.digits)] = [d + c for d in u.digits]
-    out = layer.outputs(padded)
-    return DigitString([x - c for x in out] if c else out, top - 1 - layer.anticipation * k)
+    frame[start:start + len(u.digits)] = u.digits
+    return frame
+
+
+def _outputs(layer, frame, c):
+    """The layer's output digits over a frame of read digits, most significant first.
+
+    ``layer.outputs`` reads the frame padded with t blocks of the plateau
+    letter c above and r blocks below, so output digit i sits at the
+    exponent of frame digit i.
+    """
+    k = layer.k
+    return layer.outputs([c] * (layer.anticipation * k) + frame + [c] * (layer.memory * k))
 
 
 def fixes(layer, c):
@@ -395,12 +439,14 @@ def verify_conversion(rule, strategy):
 class ChainAdder:
     """Parallel adder over a contiguous alphabet {-d..M-d} folding one layer map.
 
-    ``layer`` converts {0..M+1} (or more) to {0..M}: any layer of
-    :func:`apply_local`, a greatest-digit-elimination :class:`LocalRule` or
-    a k-block adder.  Addition of x and y folds the indicator layers of y
-    into x: positive layers through ``apply_local(layer, ., d)``, negative
-    ones through ``-apply_local(layer, -., M-d)``; construction checks with
-    :func:`fixes` that both plateau letters in use are fixed.
+    ``layer`` converts {0..M+1} (or more) to {0..M}: a
+    greatest-digit-elimination :class:`LocalRule` or a k-block adder.
+    Addition of x and y folds the indicator layers of y into x on one frame
+    of ints, as the module docstring sets out: a positive layer reads
+    s + d + [y_j >= i] and its output less d is the new s, a negative one
+    reads M - d - s + [y_j <= -i] and M - d less its output is the new s.
+    Construction checks with :func:`fixes` that both plateau letters in use
+    are fixed, and only then is the fold's frame exact.
     """
 
     def __init__(self, layer, alphabet):
@@ -430,14 +476,27 @@ class ChainAdder:
         for s in (x, y):
             if not s.alphabet_ok(self.alphabet):
                 raise ValueError("digit out of adder alphabet %s in %s" % (self.alphabet, s))
+        operands = [s for s in (x, y) if not s.is_zero()]
+        if not operands:
+            return DigitString()
         layer = self.layer
+        k = layer.k
+        n = self.hi_layers + self.lo_layers
+        # a layer grows the support by r blocks up and t blocks down: the frame holds n of each
+        top = (max(s.msd_exponent for s in operands) // k + 1 + n * layer.memory) * k
+        bottom = (min(s.lsd_exponent for s in operands) // k - n * layer.anticipation) * k
+        w = _laid_out(y, top, bottom)
         d = self.lo_layers
-        s = x
-        # indicator layers: digit j is [y_j >= i], or -[y_j <= -i]; DigitString makes bools ints
-        for i in range(1, self.hi_layers + 1):
-            s = apply_local(layer, s + DigitString([dig >= i for dig in y.digits], y.msd_exponent), d)
-        for i in range(1, self.lo_layers + 1):
-            s = s + DigitString([-(dig <= -i) for dig in y.digits], y.msd_exponent)
-            s = apply_local(layer, s.negated(), self.hi_layers).negated()  # M - d = hi_layers
-        return s
-
+        c = self.hi_layers  # M - d
+        # positive layers read s + d and the indicator [w_j >= i]; a layer's output is the next s + d
+        u = [v + d for v in _laid_out(x, top, bottom)]
+        for i in range(1, c + 1):
+            u = _outputs(layer, [v + (b >= i) for v, b in zip(u, w)], d)
+        if not d:
+            return DigitString(u, top - 1)
+        # negative layers read the mirror image c - s and the indicator [w_j <= -i];
+        # a layer's output is the next c - s
+        u = [c + d - v for v in u]
+        for i in range(1, d + 1):
+            u = _outputs(layer, [v + (b <= -i) for v, b in zip(u, w)], c)
+        return DigitString([c - v for v in u], top - 1)

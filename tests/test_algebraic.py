@@ -452,6 +452,27 @@ class TestFloats:
     def test_float_of_a_large_scale_underflows(self):
         assert float(QuotientValue.beta_power(quadratic_plus_base(4, 2), -800)) == 0.0
 
+    def test_float_at_a_large_scale_encloses_few_powers(self):
+        # |beta^-20000| < beta^2 * 1.5^-20000, far below the smallest
+        # subnormal, so the float is 0.0 without an enclosure of beta^20000
+        for base in (fibonacci_base(), tribonacci_base()):
+            cached = len(base._dy[2])
+            v = QuotientValue.beta_power(base, -20000)
+            neg = QuotientValue(base, tuple(-c for c in v.coeffs), v.scale)
+            start = time.perf_counter()
+            assert (float(v), float(neg)) == (0.0, 0.0)
+            assert time.perf_counter() - start < 0.05
+            assert len(base._dy[2]) <= cached + 4
+
+    def test_float_near_the_underflow_is_not_cut_short(self):
+        # beta^-1400 on Fibonacci is about 2.6e-293: the bound through the
+        # interval's lower end 3/2 does not prove an underflow, so the
+        # float is computed in full
+        fib = fibonacci_base()
+        got = float(QuotientValue.beta_power(fib, -1400))
+        want = float(Fraction("1.6180339887498948482045868343656381177203") ** -1400)
+        assert got > 0 and abs(got - want) <= 1e-12 * want
+
     @pytest.mark.parametrize("n", [100, 600])
     def test_float_of_a_folded_vector(self, n):
         # the vector of beta^-n at scale 0: coefficients near 0.74^-n, value

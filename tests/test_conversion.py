@@ -20,7 +20,7 @@ from betapar.conversion import (
     verify_conversion,
 )
 from betapar.digits import Alphabet, DigitString, format_digits, parse_digits
-from betapar.quadratic import gde_minus, gde_rule, shifted_adder
+from betapar.quadratic import gde_minus, gde_rule, quadratic_adder, shifted_adder
 
 
 def _seeded_strings(alphabet, n, seed, maxlen=12):
@@ -89,6 +89,20 @@ class TestVerifyConversion:
         short = verify_conversion(rule_minus41, exhaustive(2))
         assert long.verdict == "pass" and short.verdict == "pass"
         assert short.checked_count < long.checked_count
+
+    def test_sweep_to_p_is_tight(self):
+        # the lemma of the module docstring proves a rule at length p, and no
+        # shorter length does: raising the output of the all-ones window of
+        # plus:4,2 (p = 5) by one breaks only strings holding five ones
+        rule = gde_rule("plus", 4, 2)
+        ones = (1,) * rule.p
+        raised = LocalRule(rule.base, rule.memory, rule.anticipation, rule.input_alphabet,
+                           rule.output_alphabet, lambda w: rule.window_fn(w) + (w == ones),
+                           name="raised", tabulate_threshold=0)
+        assert rule.p == 5
+        assert verify_conversion(raised, exhaustive(rule.p - 1)).verdict == "pass"
+        report = verify_conversion(raised, exhaustive(rule.p))
+        assert [(f[0], f[2]) for f in report.failures] == [("1,1,1,1,1", "value mismatch")]
 
     @pytest.mark.parametrize("strategy", [exhaustive(2), random_strings(10, seed=1)],
                              ids=["exhaustive", "random"])
@@ -218,15 +232,21 @@ class TestResidueWalk:
             assert out == rule.window_fn(w) and out in rule.output_alphabet
 
     def test_shared_adder_sums_agree_across_threads(self):
-        # the carry path of a shared shifted adder holds no state between calls
-        rng = random.Random(8)
-        pairs = [tuple(DigitString(tuple(rng.randint(-2, 2) for _ in range(n)), n - 1)
-                       for n in (rng.randint(0, 40), rng.randint(0, 40))) for _ in range(20)]
-        adder = shifted_adder("minus", 4, 2, d=2)
-        expected = [shifted_adder("minus", 4, 2, d=2).add(x, y) for x, y in pairs]
-        sums = _in_threads(lambda: [adder.add(x, y) for x, y in pairs])
-        assert all(out == expected for out in sums)
-        assert all(check_sum(adder, x, y, out) for (x, y), out in zip(pairs, expected))
+        # the fold keeps its frame to itself: neither the carry path of a
+        # shared shifted adder nor the block map of the signed Tribonacci
+        # adder holds state between calls
+        for make in (lambda: shifted_adder("minus", 4, 2, d=2),
+                     lambda: dbonacci_block_adder(3, signed=True, s=5)):
+            adder = make()
+            lo, hi = adder.alphabet.min_digit, adder.alphabet.max_digit
+            rng = random.Random(8)
+            pairs = [tuple(DigitString(tuple(rng.randint(lo, hi) for _ in range(n)), n - 1)
+                           for n in (rng.randint(0, 40), rng.randint(0, 40)))
+                     for _ in range(20)]
+            expected = [make().add(x, y) for x, y in pairs]
+            sums = _in_threads(lambda: [adder.add(x, y) for x, y in pairs])
+            assert all(out == expected for out in sums)
+            assert all(check_sum(adder, x, y, out) for (x, y), out in zip(pairs, expected))
 
 
 def _in_threads(work, n=8):
@@ -337,6 +357,79 @@ class TestEliminationAdder:
         shifted_adder("plus", 4, 2, d=3)
         dbonacci_block_adder(3, signed=True, s=5)
         assert not calls
+
+
+def _layer_by_layer_add(adder, x, y):
+    """x + y by the round trip the fold replaces: each layer one apply_local of a DigitString."""
+    layer, d = adder.layer, adder.lo_layers
+    s = x
+    for i in range(1, adder.hi_layers + 1):
+        s = apply_local(layer, s + DigitString([dig >= i for dig in y.digits], y.msd_exponent), d)
+    for i in range(1, adder.lo_layers + 1):
+        s = s + DigitString([-(dig <= -i) for dig in y.digits], y.msd_exponent)
+        s = apply_local(layer, s.negated(), adder.hi_layers).negated()
+    return s
+
+
+FOLD_ADDERS = {
+    "plus:4,2": lambda: quadratic_adder("plus", 4, 2),
+    "minus:4,2": lambda: quadratic_adder("minus", 4, 2),
+    "plus-special:3": lambda: quadratic_adder("plus_special", 3),
+    "plus:4,2-shift3": lambda: shifted_adder("plus", 4, 2, d=3),
+    "minus:4,2-shift2": lambda: shifted_adder("minus", 4, 2, d=2),
+    "minus:3,1-shift1": lambda: shifted_adder("minus", 3, 1, d=1),
+    "signed-tribonacci": lambda: dbonacci_block_adder(3, signed=True, s=5),
+    "signed-fibonacci": lambda: dbonacci_block_adder(2, signed=True),
+}
+
+
+def _fold_pairs(alphabet, n, seed):
+    """n seeded operand pairs over alphabet: zeros, disjoint supports, then random strings."""
+    rng = random.Random(seed)
+    lo, hi = alphabet.min_digit, alphabet.max_digit
+
+    def draw(length, msd):
+        return DigitString(tuple(rng.randint(lo, hi) for _ in range(length)), msd)
+
+    zero = DigitString()
+    x, y = draw(9, 4), draw(7, 3)
+    pairs = [(zero, zero), (x, zero), (zero, y), (x, y.shifted(-30)), (y.shifted(30), x),
+             (x.shifted(-7), y.shifted(5))]  # both zero, one zero, disjoint, fractional
+    while len(pairs) < n:
+        pairs.append((draw(rng.randint(0, 24), rng.randint(-12, 12)),
+                      draw(rng.randint(0, 24), rng.randint(-12, 12))))
+    return pairs
+
+
+class TestChainFold:
+    """ChainAdder.add folds every layer on one frame; the sums are the round trip's."""
+
+    @pytest.mark.parametrize("name", FOLD_ADDERS)
+    def test_fold_matches_layer_by_layer(self, name):
+        adder = FOLD_ADDERS[name]()
+        for x, y in _fold_pairs(adder.alphabet, 200, 23):
+            out = adder.add(x, y)
+            assert out == _layer_by_layer_add(adder, x, y), (x, y)
+        assert check_sum(adder, x, y, out)
+
+    @pytest.mark.parametrize("name", ["minus:4,2-shift2", "signed-tribonacci"])
+    def test_one_outputs_call_per_layer(self, monkeypatch, name):
+        adder = FOLD_ADDERS[name]()
+        cls = type(adder.layer)
+        outputs = cls.outputs
+        calls = []
+        monkeypatch.setattr(cls, "outputs", lambda self, padded: calls.append(1) or outputs(self, padded))
+
+        def forbidden(*args):
+            raise AssertionError("the fold makes no per-layer application or plateau check")
+
+        monkeypatch.setattr(conversion, "apply_local", forbidden)
+        monkeypatch.setattr(conversion, "fixes", forbidden)
+        x, y = _fold_pairs(adder.alphabet, 7, 5)[-1]
+        out = adder.add(x, y)
+        assert len(calls) == adder.hi_layers + adder.lo_layers
+        monkeypatch.undo()
+        assert out == _layer_by_layer_add(adder, x, y)
 
 
 class TestLocality:

@@ -18,7 +18,10 @@ The script writes ``BENCH_<LABEL>.json`` at that root: the git commit, the
 Python version, the line count of each ``src/betapar/*.py`` by module name
 as ``src_lines_by_module`` and their total as ``src_lines``, and for every run the command and its result: the JSON line
 the benchmark printed, tier-1's wall time, summary line and slowest tests,
-or a CLI command's wall time and exit code.
+or a CLI command's wall time and exit code.  Its ``spread`` entry gives,
+for every workload and every end-to-end metric of ``BENCHMARK.json``, the
+min, median and max over the ``--trace 0`` runs, so the run-to-run noise
+of each metric is in the file beside its runs.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import os
 import platform
 import re
 import shlex
+import statistics
 import subprocess
 import sys
 import time
@@ -63,8 +67,25 @@ def run_workload(workload, trace):
     if proc.returncode != 0:
         raise SystemExit("bench: %s failed with exit code %d:\n%s"
                          % (" ".join(cmd), proc.returncode, proc.stderr))
-    return {"workload": workload, "command": " ".join(cmd),
+    return {"workload": workload, "trace": trace, "command": " ".join(cmd),
             "result": json.loads(proc.stdout.strip().splitlines()[-1])}
+
+
+def spread(runs):
+    """{workload: {metric: {min, median, max}}} of the end-to-end metrics over the untraced runs."""
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        names = [metric["name"] for metric in json.load(fh)["end_to_end"]]
+    table = {}
+    for workload in WORKLOADS:
+        metrics = [run["result"]["metrics"] for run in runs
+                   if run["workload"] == workload and run["trace"] == 0]
+        table[workload] = {}
+        for name in names:
+            values = [m[name]["value"] for m in metrics if name in m]
+            if values:
+                table[workload][name] = {"min": min(values), "median": statistics.median(values),
+                                         "max": max(values)}
+    return table
 
 
 def timed(cmd):
@@ -138,7 +159,8 @@ def main(argv=None):
     record = {"label": args.label, "commit": git_commit(),
               "python": platform.python_version(), "machine": platform.processor() or
               platform.machine(), "cpus": os.cpu_count(), "src_lines": sum(lines.values()),
-              "src_lines_by_module": lines, "runs": runs, "tier1": tier1, "cli": cli}
+              "src_lines_by_module": lines, "runs": runs, "spread": spread(runs),
+              "tier1": tier1, "cli": cli}
     path = os.path.join(ROOT, "BENCH_%s.json" % args.label)
     with open(path, "w") as fh:
         json.dump(record, fh, indent=1)
