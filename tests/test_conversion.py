@@ -410,7 +410,7 @@ class TestChainFold:
         for x, y in _fold_pairs(adder.alphabet, 200, 23):
             out = adder.add(x, y)
             assert out == _layer_by_layer_add(adder, x, y), (x, y)
-        assert check_sum(adder, x, y, out)
+            assert check_sum(adder, x, y, out)
 
     @pytest.mark.parametrize("name", ["minus:4,2-shift2", "signed-tribonacci"])
     def test_one_outputs_call_per_layer(self, monkeypatch, name):
@@ -425,7 +425,7 @@ class TestChainFold:
 
         monkeypatch.setattr(conversion, "apply_local", forbidden)
         monkeypatch.setattr(conversion, "fixes", forbidden)
-        x, y = _fold_pairs(adder.alphabet, 7, 5)[-1]
+        x, y = _fold_pairs(adder.alphabet, 7, 5)[-1]  # the first random pair
         out = adder.add(x, y)
         assert len(calls) == adder.hi_layers + adder.lo_layers
         monkeypatch.undo()
