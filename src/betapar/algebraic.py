@@ -18,9 +18,9 @@ evaluates to the zero vector: the oracle check every conversion in the
 package is verified with.
 
 Certified comparisons (floors, signs) use dyadic interval enclosures of the
-powers of beta obtained by bisection of f, with precision escalated until
-the enclosure decides the question; a floor the enclosure leaves open is
-bisected by exact signs, so floors always terminate.
+powers of beta obtained by bisection of f, with precision doubled, in one
+loop, until the enclosure decides the question; a floor is refined until
+the enclosure pins it to n or n + 1, and one exact sign picks between them.
 
 Values are immutable.  A base's power caches grow by building each
 extension privately and publishing it in one assignment, and its dyadic
@@ -196,6 +196,8 @@ class BetaBase:
 
     def power_vector(self, n):
         """Reduced vector of beta**n, n >= 0; cached."""
+        if n < 0:
+            raise ValueError("negative power %d" % n)
         return self._powers(n)[n]
 
     def digits_vector(self, digits, low=0):
@@ -205,6 +207,8 @@ class BetaBase:
         a vector times beta**low, summed against the cached power vectors;
         the part of low beyond the cache shifts the sum instead of growing it.
         """
+        if low < 0:
+            raise ValueError("negative low %d" % low)
         digits = tuple(digits)
         pv = self._powers(len(digits) - 1)
         cached = min(low, len(pv) - len(digits))
@@ -265,6 +269,8 @@ class BetaBase:
         for, and at least the base's current one.  Taking both from one
         snapshot keeps them at one precision while another thread raises it.
         """
+        if n < 0:
+            raise ValueError("negative power %d" % n)
         plo, phi, bits = self._powers_dyadic(bits, max(n, len(v) - 1))
         L = H = 0
         for i, c in enumerate(v):
@@ -276,82 +282,78 @@ class BetaBase:
                 H += c * plo[i]
         return L, H, plo, phi, bits
 
-    def _enclosure_until(self, v, bits, n, done):
-        """The first value_enclosure(v, bits, n), doubling bits, whose [L, H] is done."""
-        while True:
-            enc = self.value_enclosure(v, bits, n)
-            if done(enc[0], enc[1]):
-                return enc
-            bits = 2 * enc[4]
-            if bits > _SIGN_BITS_LIMIT:
-                raise RuntimeError("sign undecided at precision limit: %r" % (v,))
+    def _enclosure_until(self, v, n, answer):
+        """answer(L, H, plo, phi) for the first value_enclosure(v, bits, n) where it is not None.
+
+        The one loop that raises precision: bits start at the base's own
+        precision and double up to the cap.
+        """
+        bits = 0
+        while bits <= _SIGN_BITS_LIMIT:
+            L, H, plo, phi, bits = self.value_enclosure(v, bits, n)
+            out = answer(L, H, plo, phi)
+            if out is not None:
+                return out
+            bits *= 2
+        raise RuntimeError("undecided at the precision limit: %r" % (v,))
+
+    def _below_power(self, v, scale):
+        """The first j, doubling from len(v), with j >= scale or |value(v)| < beta**j proved."""
+        j = len(v)
+        while j < scale:
+            L, H, plo = self.value_enclosure(v, 0, j)[:3]
+            if max(H, -L) < plo[j]:
+                break
+            j *= 2
+        return j
 
     def sign_of_vector(self, v):
         """Certified sign of value(v); exact zero test first, so this terminates."""
         if not any(v):
             return 0
-        L = self._enclosure_until(v, _SIGN_BITS_START, 0, lambda L, H: L > 0 or H < 0)[0]
-        return 1 if L > 0 else -1
+        return self._enclosure_until(v, 0, lambda L, H, *_: 1 if L > 0 else -1 if H < 0 else None)
 
     def floor_of_vector(self, v, scale=0):
         """Exact floor of beta**(-scale) * value(v).
 
-        Every enclosure proves n <= floor <= top; it is refined until the
-        two are at most one unit apart (or the precision cap), and exact
-        signs bisect what is left, so a pinned floor takes no sign call.
-        At a large scale, |value(v)| < beta**j <= beta**scale for some j
-        doubling from len(v) makes the floor 0 or -1, by the sign.
+        The enclosure is refined until it pins the floor to n or n + 1; one
+        exact sign, of value(v) - (n + 1) * beta**scale, then picks between
+        them, so a floor asks at most one sign.  At a large scale,
+        |value(v)| < beta**j <= beta**scale (:meth:`_below_power`) makes
+        the floor 0 or -1, by the sign.
         """
-        bits = _SIGN_BITS_START
-        j = len(v)
-        while j < scale:
-            L, H, plo, _, bits = self.value_enclosure(v, bits, j)
-            if max(H, -L) < plo[j]:
-                return -1 if self.sign_of_vector(v) < 0 else 0
-            j *= 2
-        while True:
-            L, H, plo, phi, bits = self.value_enclosure(v, bits, scale)
+        if self._below_power(v, scale) < scale:
+            return -1 if self.sign_of_vector(v) < 0 else 0
+
+        def pinned(L, H, plo, phi):
             n = L // phi[scale] if L >= 0 else L // plo[scale]
             top = H // plo[scale] if H >= 0 else H // phi[scale]
-            if top - n <= 1 or bits >= _SIGN_BITS_LIMIT:
-                break
-            bits *= 2
-        pw = self.power_vector(scale)
-        while n < top:
-            mid = (n + top + 1) // 2
-            if self.sign_of_vector(tuple(a - mid * p for a, p in zip(v, pw))) >= 0:
-                n = mid
-            else:
-                top = mid - 1
-        return n
+            return (n, top) if top - n <= 1 else None
+        n, top = self._enclosure_until(v, scale, pinned)
+        above = tuple(a - top * p for a, p in zip(v, self.power_vector(scale)))
+        return top if n < top and self.sign_of_vector(above) >= 0 else n
 
     def float_value(self, v, scale=0):
         """Double-precision approximation of beta**(-scale)*value(v) (reporting only).
 
         Midpoints of the enclosures of value(v) and beta**scale, divided as
-        integers, from 128 bits doubled until the enclosure of value(v)
-        excludes 0 and is narrower than 2**-60 of its size, however large
-        the coefficients: within a few units in the last place, 0.0 for the
-        zero vector and on underflow.  At a large scale, |value(v)| < beta**j
-        for some j doubling from len(v), as in :meth:`floor_of_vector`,
-        bounds the result by lo**(j - scale), lo the lower end of the
-        isolating interval; below half the smallest subnormal that is 0.0,
-        with no enclosure of beta**scale.
+        integers, refined until the enclosure of value(v) excludes 0 and is
+        narrower than 2**-60 of its size, however large the coefficients:
+        within a few units in the last place, 0.0 for the zero vector and on
+        underflow.  At a large scale, |value(v)| < beta**j
+        (:meth:`_below_power`) bounds the result by lo**(j - scale), lo the
+        lower end of the isolating interval; below half the smallest
+        subnormal that is 0.0, with no enclosure of beta**scale.
         """
         if not any(v):
             return 0.0
-        bits = 128
-        j = len(v)
-        while j < scale:
-            L, H, plo, _, bits = self.value_enclosure(v, bits, j)
-            if max(H, -L) < plo[j]:
-                if (scale - j) * math.log2(self.interval[0]) > _UNDERFLOW_LOG2:
-                    return 0.0
-                break
-            j *= 2
-        L, H, plo, phi, _ = self._enclosure_until(
-            v, bits, scale, lambda L, H: (L > 0 or H < 0) and (H - L) << 60 < min(abs(L), abs(H)))
-        return (L + H) / (plo[scale] + phi[scale])
+        if (scale - self._below_power(v, scale)) * math.log2(self.interval[0]) > _UNDERFLOW_LOG2:
+            return 0.0
+
+        def close(L, H, plo, phi):
+            if (L > 0 or H < 0) and (H - L) << 60 < min(abs(L), abs(H)):
+                return (L + H) / (plo[scale] + phi[scale])
+        return self._enclosure_until(v, scale, close)
 
     def __eq__(self, other):
         # same polynomial AND overlapping isolating intervals: a polynomial

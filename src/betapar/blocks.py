@@ -243,11 +243,12 @@ def certify_s(base):
     admissibility automaton.  After m more digits the final value is
     z = beta^m * P + R, with R in (-beta^m, 2 * beta^m) because admissible
     words of m digits are worth less than beta^m; z in [0, 1) thus needs
-    -2 < P < 1 + beta^-m, and the search drops every P outside (-2, 2),
-    each bound decided by one exact sign.  The reachable P are sums
-    e_i beta^i with |e_i| <= 2 floor(beta), so for a Pisot base, which the
-    (F)/(PF) check ensures, their conjugates are bounded too and the search
-    is finite.  A state ends a sum when 0 <= P < 1 and g followed by
+    -2 < P < 1 + beta^-m, and the search drops every P outside (-2, 2).
+    Each P reached is read once, by its exact floor: it is kept when
+    -2 <= floor(P) <= 1 and P != -2.  The reachable P are sums e_i beta^i
+    with |e_i| <= 2 floor(beta), so for a Pisot base, which the (F)/(PF)
+    check ensures, their conjugates are bounded too and the search is
+    finite.  A state ends a sum when floor(P) = 0 and g followed by
     greedy(P) is admissible, so that g . greedy(P) is the greedy expansion
     of x + y; s is the largest greedy depth over those states.
     """
@@ -255,25 +256,11 @@ def certify_s(base):
         raise ValueError("certify_s needs a base certified (F)/(PF)")
     aut = AdmissibilityAutomaton.of_base(base)
     top = aut.expected[0]
-    unit = base.unit_vector()
-    deg = base.degree
-    sign = base.sign_of_vector
-
-    def plus(v, n):
-        return tuple(v[i] + n * unit[i] for i in range(deg))
-
-    def inside(P):
-        return sign(plus(P, 2)) > 0 and sign(plus(P, -2)) < 0
-
-    def depth(P, qg):
-        if sign(P) < 0 or sign(plus(P, -1)) >= 0:
-            return None
-        return admissible_greedy_depth(base, aut, P, qg)
-
+    minus_two = (-2,) + (0,) * (base.degree - 1)
     digit_triples = list(itertools.product(range(top + 1), repeat=3))
-    start = ((0,) * deg, 0, 0, 0)
+    start = ((0,) * base.degree, 0, 0, 0)
     parent = {start: None}
-    in_range = {}
+    floors = {start[0]: 0}
     depths = {}
     best, best_state = 0, start
     queue = collections.deque([start])
@@ -282,7 +269,7 @@ def certify_s(base):
         P, qx, qy, qg = state
         key = (P, qg)
         if key not in depths:
-            depths[key] = depth(P, qg)
+            depths[key] = admissible_greedy_depth(base, aut, P, qg) if floors[P] == 0 else None
         if depths[key] is not None and depths[key] > best:
             best, best_state = depths[key], state
         shifted = base.shift_vector(P)
@@ -291,10 +278,10 @@ def certify_s(base):
             if nx is None or ny is None or ng is None:
                 continue
             nP = (shifted[0] + a + b - c,) + shifted[1:]
-            if nP not in in_range:
-                in_range[nP] = inside(nP)
+            if nP not in floors:
+                floors[nP] = base.floor_of_vector(nP)
             nxt = (nP, nx, ny, ng)
-            if in_range[nP] and nxt not in parent:
+            if -2 <= floors[nP] <= 1 and nP != minus_two and nxt not in parent:
                 parent[nxt] = (state, a, b)
                 queue.append(nxt)
     xs, ys = [], []

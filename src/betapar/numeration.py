@@ -22,12 +22,7 @@ from __future__ import annotations
 from math import gcd
 from typing import NamedTuple
 
-from .algebraic import (
-    QuotientValue,
-    certified_floor,
-    qv_compare,
-    qv_sign,
-)
+from .algebraic import QuotientValue, certified_floor, qv_sign
 from .digits import Alphabet, DigitString, Immutable
 
 F = "F"
@@ -180,7 +175,7 @@ def greedy_expand(x, base, max_digits):
     """
     if max_digits < 1:
         raise ValueError("max_digits must be at least 1")
-    if qv_sign(x) < 0 or qv_compare(x, QuotientValue.from_int(x.base, 1)) >= 0:
+    if certified_floor(x) != 0:
         raise ValueError("greedy_expand needs 0 <= x < 1")
     return _greedy_down_to(x, base, -max_digits)
 

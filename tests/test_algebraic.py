@@ -242,6 +242,41 @@ class TestRefineAndFloor:
         assert qv_sign(qv_sub(v, QuotientValue.from_int(base, n))) >= 0
         assert qv_sign(qv_sub(v, QuotientValue.from_int(base, n + 1))) < 0
 
+    def test_a_floor_on_a_unit_boundary_asks_one_sign(self, monkeypatch):
+        # 7 beta^5 at scale 5 is exactly 7: the enclosure pins the floor to
+        # 6 or 7, and the one sign, of 7 beta^5 - 7 beta^5, is of the zero vector
+        base = quadratic_plus_base(4, 2)
+        v = tuple(7 * c for c in base.power_vector(5))
+        sign = BetaBase.sign_of_vector
+        calls = []
+
+        def counted(self, w):
+            calls.append(w)
+            return sign(self, w)
+
+        monkeypatch.setattr(BetaBase, "sign_of_vector", counted)
+        assert base.floor_of_vector(v, 5) == 7
+        monkeypatch.undo()
+        assert calls == [(0, 0)]
+
+    def test_negative_exponents_are_refused(self):
+        # a negative power, low or scale once read the end of a cache, so
+        # the answer depended on what was cached before; it now raises on a
+        # fresh base and after the caches grow alike
+        base = fibonacci_base()
+        for grown in (False, True):
+            if grown:
+                base.power_vector(10)
+                base.value_enclosure(base.unit_vector(), 0, 10)
+            for call in (lambda: base.power_vector(-1),
+                         lambda: base.value_enclosure((1, 0), 0, -1),
+                         lambda: base.digits_vector((1,), -1),
+                         lambda: base.floor_of_vector((1, 0), -1),
+                         lambda: base.float_value((1, 0), -1)):
+                with pytest.raises(ValueError):
+                    call()
+        assert base.floor_of_vector((0, 1)) == 1
+
     def test_floor_at_a_large_scale_encloses_few_powers(self):
         # +-beta^-20000 lies strictly between -1 and 1, so its floor is 0 or
         # -1 without an enclosure of beta^20000 or the 20,000 powers below it

@@ -335,27 +335,39 @@ class TestEstimateS:
 
 
 class TestCertifyS:
-    # (ell, s, k) of the d-bonacci block adders, d = 2..5
-    GOLDEN = {2: (3, 2, 10), 3: (2, 5, 14), 4: (2, 8, 20), 5: (2, 15, 34)}
+    # (ell, s, k) of the d-bonacci block adders, d = 2..5, and the witness
+    # pair and state count of the search that certifies s
+    GOLDEN = {
+        2: (3, 2, 10, "1", "1", 45),
+        3: (2, 5, 14, "1,0,0,1,0,1,1,0,1,0", "1,0,0,1,0,1,1,0,1,1", 389),
+        4: (2, 8, 20, "1,0,0,1,0,0,0,1", "1,1,0,0,1,1,0,0,1", 2687),
+        5: (2, 15, 34, "1,0,0,1,1,0,0,1,1,0,0,0,1,0,0,0,1,1,0,0,0,1,1,0,0,1,1,0,0,0,1,1,0,0,1",
+            "1,1,0,0,1,1,0,0,1,1,1,0,0,1,1,0,0,1,1,0,0,0,1,1,0,0,1,1,0,0,1,1,1,0,0,1", 14858),
+    }
 
     @pytest.mark.parametrize("d", sorted(GOLDEN))
     def test_dbonacci_golden_table(self, d):
         base = dbonacci_base(d)
         cert = certify_s(base)
         p = params_for_pf_base(base, cert.s)
-        assert (p.ell, p.s, p.k) == self.GOLDEN[d]
+        assert (p.ell, p.s, p.k) == self.GOLDEN[d][:3]
+        assert (str(cert.witness_x), str(cert.witness_y), cert.states) == self.GOLDEN[d][3:]
         # the witness pair attains s exactly
         total = qv_add(eval_digit_string(cert.witness_x, base),
                        eval_digit_string(cert.witness_y, base))
         assert total.scale == 0
         assert greedy_fractional_depth(base, total.coeffs) == cert.s
 
-    @pytest.mark.parametrize("spec,s", [("quadratic-plus:4,2", 2), ("quadratic-plus:2,2", 4),
-                                        ("quadratic-minus:3,1", 1)])
-    def test_quadratic_witnesses(self, spec, s):
+    @pytest.mark.parametrize("spec,s,witnesses,states", [
+        ("quadratic-plus:4,2", 2, ("1", "4"), 75),
+        ("quadratic-plus:2,2", 4, ("1,0,2", "2,0,2"), 98),
+        ("quadratic-minus:3,1", 1, ("1", "2"), 43),
+    ])
+    def test_quadratic_witnesses(self, spec, s, witnesses, states):
         base = base_from_spec(spec)
         cert = certify_s(base)
-        assert cert.s == s
+        assert (cert.s, (str(cert.witness_x), str(cert.witness_y)), cert.states) == (
+            s, witnesses, states)
         total = qv_add(eval_digit_string(cert.witness_x, base),
                        eval_digit_string(cert.witness_y, base))
         assert greedy_fractional_depth(base, total.coeffs) == s
@@ -371,6 +383,28 @@ class TestCertifyS:
         rep = estimate_s_report(base, test_len)
         assert rep.s == exhaustive_s
         assert certify_s(base).s >= rep.s
+
+    def test_reached_values_are_read_by_floor_alone(self, monkeypatch):
+        # each reached value is kept, dropped or ended by one exact floor;
+        # on Tribonacci every such floor is pinned by its enclosure, so the
+        # search asks no sign at all
+        base = dbonacci_base(3)
+        calls = {"sign_of_vector": 0, "floor_of_vector": 0}
+
+        def counted(name):
+            method = getattr(BetaBase, name)
+
+            def wrapper(self, *args):
+                calls[name] += 1
+                return method(self, *args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(BetaBase, name, counted(name))
+        assert certify_s(base).states == 389
+        monkeypatch.undo()
+        assert calls["sign_of_vector"] == 0
+        assert 0 < calls["floor_of_vector"] <= 200
 
     def test_dbonacci_adder_never_sweeps(self, monkeypatch):
         def refuse(*args, **kwargs):

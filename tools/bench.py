@@ -7,21 +7,24 @@ Usage, from anywhere:
 Each workload run is one ``python3 perfbench/run.py --workload W --seed 1
 --trace T`` in a fresh interpreter, from the root of the checkout that holds
 this script.  Every workload runs three times with ``--trace 0``, which
-reports the end-to-end metrics, and then once with ``--trace 1``, which
-reports the per-layer metrics (call counts, per-call times) of a traced
-pass.  Runs of the workloads alternate, so a slow spell of the machine
-spreads over all of them.  Then tier-1 runs once with ``--durations=20``,
-and every ``betapar`` command of the README's CLI quick start runs once as
-``python3 -m betapar.cli ...`` in a fresh process, timed from outside.
+reports the end-to-end metrics, and then three times with ``--trace 1``,
+which reports the per-layer metrics (call counts, per-call times) of a
+traced pass.  Runs of the workloads alternate, so a slow spell of the
+machine spreads over all of them.  Then tier-1 runs once with
+``--durations=20``, and every ``betapar`` command of the README's CLI quick
+start runs once as ``python3 -m betapar.cli ...`` in a fresh process, timed
+from outside.
 
 The script writes ``BENCH_<LABEL>.json`` at that root: the git commit, the
 Python version, the line count of each ``src/betapar/*.py`` by module name
 as ``src_lines_by_module`` and their total as ``src_lines``, and for every run the command and its result: the JSON line
 the benchmark printed, tier-1's wall time, summary line and slowest tests,
 or a CLI command's wall time and exit code.  Its ``spread`` entry gives,
-for every workload and every end-to-end metric of ``BENCHMARK.json``, the
-min, median and max over the ``--trace 0`` runs, so the run-to-run noise
-of each metric is in the file beside its runs.
+for every workload, the min, median and max of every end-to-end metric of
+``BENCHMARK.json`` over the ``--trace 0`` runs and of every per-layer
+metric over the ``--trace 1`` runs, so the run-to-run noise of each metric
+is in the file beside its runs.  Its ``per_layer`` entry records each
+per-layer metric as that median: one traced pass spreads up to 2.5x.
 """
 
 from __future__ import annotations
@@ -71,14 +74,19 @@ def run_workload(workload, trace):
             "result": json.loads(proc.stdout.strip().splitlines()[-1])}
 
 
-def spread(runs):
-    """{workload: {metric: {min, median, max}}} of the end-to-end metrics over the untraced runs."""
+def spread(runs, group):
+    """{workload: {metric: {min, median, max}}} of BENCHMARK.json's metrics in group.
+
+    The end_to_end group is read from the untraced runs, per_layer from the
+    traced ones.
+    """
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
-        names = [metric["name"] for metric in json.load(fh)["end_to_end"]]
+        names = [metric["name"] for metric in json.load(fh)[group]]
+    trace = int(group == "per_layer")
     table = {}
     for workload in WORKLOADS:
         metrics = [run["result"]["metrics"] for run in runs
-                   if run["workload"] == workload and run["trace"] == 0]
+                   if run["workload"] == workload and run["trace"] == trace]
         table[workload] = {}
         for name in names:
             values = [m[name]["value"] for m in metrics if name in m]
@@ -140,7 +148,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     commands = readme_cli_commands()  # before the runs, so a missing section fails fast
     runs = []
-    for trace in [0] * RUNS + [1]:
+    for trace in [0] * RUNS + [1] * RUNS:
         for workload in WORKLOADS:
             runs.append(run_workload(workload, trace))
             result = runs[-1]["result"]
@@ -156,10 +164,16 @@ def main(argv=None):
         print("cli       exit=%d %.3f s  %s" % (cli[-1]["returncode"], cli[-1]["wall_s"], line),
               file=sys.stderr)
     lines = src_lines_by_module()
+    per_layer = spread(runs, "per_layer")
+    table = spread(runs, "end_to_end")
+    for workload in WORKLOADS:
+        table[workload].update(per_layer[workload])
     record = {"label": args.label, "commit": git_commit(),
               "python": platform.python_version(), "machine": platform.processor() or
               platform.machine(), "cpus": os.cpu_count(), "src_lines": sum(lines.values()),
-              "src_lines_by_module": lines, "runs": runs, "spread": spread(runs),
+              "src_lines_by_module": lines, "runs": runs, "spread": table,
+              "per_layer": {workload: {name: stats["median"] for name, stats in metrics.items()}
+                            for workload, metrics in per_layer.items()},
               "tier1": tier1, "cli": cli}
     path = os.path.join(ROOT, "BENCH_%s.json" % args.label)
     with open(path, "w") as fh:
