@@ -260,9 +260,9 @@ class TestRefineAndFloor:
         assert calls == [(0, 0)]
 
     def test_negative_exponents_are_refused(self):
-        # a negative power, low or scale once read the end of a cache, so
-        # the answer depended on what was cached before; it now raises on a
-        # fresh base and after the caches grow alike
+        # a negative power, low or scale would index a cache from its end,
+        # so its answer would depend on what was cached before: it raises,
+        # on a fresh base and after the caches grow alike
         base = fibonacci_base()
         for grown in (False, True):
             if grown:
