@@ -61,7 +61,7 @@ print("  L =", dec.L)
 print("  C =", dec.C)
 print("  S =", dec.S)
 assert adder.base.digits_vector(dec.S + dec.C + dec.L) == adder.base.digits_vector(u, 2 * p.s)
-print("  u = L*beta^%d + C + S*beta^-%d exactly (greedy digits, exact by construction)"
+print("  u = L*beta^%d + C + S*beta^-%d exactly (one admissible word, exact by construction)"
       % (p.k, 2 * p.s))
 
 section("Additions on {0,1,2}")

@@ -15,19 +15,23 @@ in parallel because the L/C/S contributions telescope across blocks.
 Blocks already over B keep L = S = 0 and C = u, which pins the zero block
 to zero and makes every B-block a fixed point of Phi(u, u, u).
 
-Decomposition is computed on demand.  A block over B costs no evaluation;
-any other block's exact value times beta^(2s) is evaluated once by
-:meth:`BetaBase.digits_vector`, a sum of the base's cached power vectors,
-and greedily expanded; the expansion must be a beta-integer fitting in 2k
-positions, otherwise the chosen (l, s) are insufficient for this input and
-:class:`InsufficientParamsError` is raised (the runtime fit-check standing
-in for the existence argument).  The greedy digits are read from one dyadic
-enclosure of that value, with an exact test only where a digit boundary
-falls inside the enclosure (see :func:`betapar.numeration.greedy_vector_digits`).
-The parts are exact by construction: each greedy digit is an exact floor
-below beta, so it lies in B, and an exact expansion leaves a zero
-remainder, so the parts sum to the value.  A conversion decomposes each
-block it reads once and keeps nothing afterwards.
+Decomposition is computed on demand.  A block over B costs nothing more.
+Any other block u has as S, C and L the digits at [0, 2s), [2s, 2s + k)
+and [2s + k, 2k) of g, the admissible word of 2k digits over B worth
+u * beta^(2s).  An admissible word is the greedy expansion of its value
+(W. Parry, Acta Math. Acad. Sci. Hungar. 1960), so g is unique, it is what
+a greedy fit check finds, and the parts lie over B and sum to the value by
+construction; with no such g, :class:`InsufficientParamsError` is raised.
+A subset walk of Parry's automaton reads 2l zeros, u and 2s zeros, most
+significant first, on sets of pairs (P, q): P in Z[beta] the value of
+u - g so far, P' = beta * P + e - c on digits e of u and c of g, and q the
+automaton state after g.  With j positions left the rest of u - g is worth
+in (-beta^j, max(A + A) beta^j / (beta - 1)), so only -X < P < 1 can end
+at 0, X the least integer above max(A + A) / (beta - 1); one memoised exact
+floor per P drops the rest.  u decomposes iff the last set holds P = 0, and
+g is read back along predecessor links.  The adder builds the sets lazily,
+interning each with one ``dict.setdefault`` and publishing each transition
+in one assignment; threads that race build equal values and need no lock.
 
 The parameter l is computed from the base by a certified comparison.  The
 parameter s is L_plus, the most fractional digits that a sum of two
@@ -42,7 +46,6 @@ out lower.
 from __future__ import annotations
 
 import collections
-import itertools
 import operator
 from typing import NamedTuple
 
@@ -55,7 +58,6 @@ from .numeration import (
     admissible_greedy_depth,
     canonical_alphabet,
     greedy_fractional_depth,
-    greedy_vector_digits,
     iter_beta_integer_words,
     pf_sufficient,
     renyi_dbeta,
@@ -143,21 +145,18 @@ class BlockAdder:
         self.alphabet = self.output_alphabet = params.A
         self.input_alphabet = params.A.plus(params.A)
         self.name = "block:%d,%d,%d" % (params.k, params.ell, params.s)
+        self._walk = None  # the tables of decompose, built on the first block outside B
 
     # -- block-level operations ------------------------------------------------
 
     def decompose(self, u):
         """The (L, C, S) triple of a block u over A + A; u and the parts run LSD first.
 
-        A block over B is returned as C = u, L = S = 0, unevaluated.  Any
-        other block is evaluated once, as u * beta^(2s), and expanded
-        greedily, raising InsufficientParamsError unless the expansion is
-        exact and fits in 2k digits; S, C and L are its digits at positions
-        [0, 2s), [2s, 2s + k) and [2s + k, 2k).  They need no check: the
-        expansion starts at an m with u * beta^(2s) < beta^(m + 1), so every
-        digit is an exact floor below beta and lies in B, and ``exact``
-        means the remainder vector is zero.  Repeated calls return equal
-        triples, as the block map requires.
+        A block over B is returned as C = u, L = S = 0; any other block is
+        read by the walk of the module docstring.  InsufficientParamsError
+        is raised when u * beta^(2s) has no admissible word of 2k digits, and
+        ValueError, naming the base, when the base has no known d_beta(1).
+        Repeated calls return equal triples, as the block map requires.
         """
         k, ell, s, B, A = self.params
         u = tuple(u)
@@ -169,14 +168,16 @@ class BlockAdder:
             raise ValueError("block digits %d..%d outside %s" % (lo, hi, inA2))
         if hi <= B.max_digit:  # B and A + A both start at 0
             return BlockDecomposition((0,) * (2 * ell), u, (0,) * (2 * s))
-        base = self.base
-        int_digits, _, exact = greedy_vector_digits(base, base.digits_vector(u, 2 * s), 0)
-        if not exact or len(int_digits) > 2 * k:
+        walk = self._walk
+        if walk is None:
+            walk = self._walk = _BlockWalk(self.base, self.params)  # one assignment
+        node, path = walk.read(walk.head, u[::-1])
+        j, S = node[-2] or walk.finish(node)
+        if j is None:
             raise InsufficientParamsError(
                 "parameters (ell=%d, s=%d) insufficient for block %r" % (ell, s, u))
-        pos = int_digits + [0] * (2 * k - len(int_digits))
-        return BlockDecomposition(tuple(pos[2 * s + k:]), tuple(pos[2 * s:2 * s + k]),
-                                  tuple(pos[:2 * s]))
+        C, j = _read_back(path, j)
+        return BlockDecomposition(walk.head_digits[j], C, S)
 
     def _block_map(self, df, dg, dh):
         """Phi from decomposed neighbours: digit i is C(g)_i plus digit i of L(h) S(f).
@@ -215,6 +216,78 @@ class BlockAdder:
         return apply_local(self, x + y)
 
 
+def _read_back(path, j):
+    """g's digits along path, least significant first, back from pair j of
+    its last set, and the pair of its first set that they lead back to."""
+    g = []
+    for _, (preds, digits) in reversed(path):
+        g.append(digits[j])
+        j = preds[j]
+    return tuple(g), j
+
+
+class _BlockWalk:
+    """The lazily built tables of :meth:`BlockAdder.decompose`.
+
+    A set is a list: its transitions by digit of u, its tail, its sorted
+    pairs.  Transition ``node[e]`` is (set, (preds, digits)): pair j of the
+    set reached comes from pair preds[j] of node, with g's digit digits[j].
+    ``head`` is the set after the leading zeros, ``head_digits[j]`` the
+    digits of L that reach its pair j, and :meth:`finish` gives the tail.
+    """
+
+    def __init__(self, base, params):
+        self.base, self.moves = base, AdmissibilityAutomaton.of_base(base).moves
+        top = 2 * params.A.max_digit
+        self.letters = top + 1
+        X = 1  # the least integer above max(A + A) / (beta - 1), by exact signs
+        while base.sign_of_vector((-X - top, X) + (0,) * (base.degree - 2)) <= 0:
+            X += 1
+        self.X, self.minus_X = X, (-X,) + (0,) * (base.degree - 1)
+        self.floors, self.sets, self.links = {}, {}, {}
+        self.trailing = (0,) * (2 * params.s)
+        start = [None] * self.letters + [None, (((0,) * base.degree, 0),)]
+        self.head, path = self.read(start, (0,) * (2 * params.ell))
+        self.head_digits = [_read_back(path, j)[0] for j in range(len(self.head[-1]))]
+
+    def read(self, node, word):
+        """The set that word, most significant digit first, takes node to, and the path."""
+        path = []
+        for e in word:
+            step = node[e] or self.transition(node, e)
+            path.append(step)
+            node = step[0]
+        return node, path
+
+    def finish(self, node):
+        """Publish and return node's tail (j, S): its pair j that the trailing
+        zeros take to P = 0, and g's digits S there; (None, ()) if none does."""
+        end, path = self.read(node, self.trailing)
+        zero = [j for j, (P, _) in enumerate(end[-1]) if not any(P)]
+        S, j = _read_back(path, zero[0]) if zero else ((), None)
+        tail = node[-2] = (j, S)
+        return tail
+
+    def transition(self, node, e):
+        """Build, publish and return node[e]."""
+        base, floors = self.base, self.floors
+        found = {}
+        for i, (P, q) in enumerate(node[-1]):
+            shifted = base.shift_vector(P)
+            for c, nq in self.moves[q]:
+                nP = (shifted[0] + e - c,) + shifted[1:]
+                if nP not in floors:
+                    floors[nP] = (nP, base.floor_of_vector(nP))  # each P held once
+                nP, f = floors[nP]
+                if -self.X <= f <= 0 and nP != self.minus_X:
+                    found.setdefault((nP, nq), (i, c))
+        pairs = tuple(sorted(found))
+        target = self.sets.setdefault(pairs, [None] * self.letters + [None, pairs])
+        links = tuple(zip(*[found[pair] for pair in pairs])) or ((), ())
+        step = node[e] = (target, self.links.setdefault(links, links))
+        return step
+
+
 # -- the block parameter s: exact certificate and empirical estimate ------------
 
 
@@ -235,29 +308,23 @@ def certify_s(base):
     """The largest number of fractional digits in the greedy expansion of x + y
     over all beta-integers x and y, with a pair that attains it.
 
-    A breadth-first search reads x, y and g digit by digit, most
-    significant first, with leading zeros, where g is to be the greedy
-    integer part of x + y.  A state is (P, q_x, q_y, q_g): P in Z[beta] is
-    the value of x + y - g read so far, so P' = beta * P + a + b - c on
-    digits a, b, c, and the q are the states of the three words in the
-    admissibility automaton.  After m more digits the final value is
-    z = beta^m * P + R, with R in (-beta^m, 2 * beta^m) because admissible
-    words of m digits are worth less than beta^m; z in [0, 1) thus needs
-    -2 < P < 1 + beta^-m, and the search drops every P outside (-2, 2).
-    Each P reached is read once, by its exact floor: it is kept when
-    -2 <= floor(P) <= 1 and P != -2.  The reachable P are sums e_i beta^i
-    with |e_i| <= 2 floor(beta), so for a Pisot base, which the (F)/(PF)
-    check ensures, their conjugates are bounded too and the search is
-    finite.  A state ends a sum when floor(P) = 0 and g followed by
-    greedy(P) is admissible, so that g . greedy(P) is the greedy expansion
-    of x + y; s is the largest greedy depth over those states.
+    A breadth-first search of the kind of the decomposition walk (module
+    docstring) reads x, y and g, most significant first, g to be the greedy
+    integer part of x + y: a state is (P, q_x, q_y, q_g), P' = beta * P +
+    a + b - c.  After m more digits the final value is beta^m * P + R, R in
+    (-beta^m, 2 * beta^m) as admissible words of m digits are worth less
+    than beta^m, so a value in [0, 1) needs -2 < P < 1 + beta^-m: P is kept
+    when -2 <= floor(P) <= 1 and P != -2, one memoised exact floor per P.
+    For a Pisot base, which the (F)/(PF) check ensures, the reachable P,
+    sums e_i beta^i with |e_i| <= 2 floor(beta), have bounded conjugates, so
+    the search is finite.  A state ends a sum when floor(P) = 0 and
+    g . greedy(P) is admissible, so that it is the greedy expansion of
+    x + y; s is the largest greedy depth over those states.
     """
     if not _pf_certified(base):
         raise ValueError("certify_s needs a base certified (F)/(PF)")
     aut = AdmissibilityAutomaton.of_base(base)
-    top = aut.expected[0]
     minus_two = (-2,) + (0,) * (base.degree - 1)
-    digit_triples = list(itertools.product(range(top + 1), repeat=3))
     start = ((0,) * base.degree, 0, 0, 0)
     parent = {start: None}
     floors = {start[0]: 0}
@@ -273,17 +340,16 @@ def certify_s(base):
         if depths[key] is not None and depths[key] > best:
             best, best_state = depths[key], state
         shifted = base.shift_vector(P)
-        for a, b, c in digit_triples:
-            nx, ny, ng = aut.step(qx, a), aut.step(qy, b), aut.step(qg, c)
-            if nx is None or ny is None or ng is None:
-                continue
-            nP = (shifted[0] + a + b - c,) + shifted[1:]
-            if nP not in floors:
-                floors[nP] = base.floor_of_vector(nP)
-            nxt = (nP, nx, ny, ng)
-            if -2 <= floors[nP] <= 1 and nP != minus_two and nxt not in parent:
-                parent[nxt] = (state, a, b)
-                queue.append(nxt)
+        for a, nx in aut.moves[qx]:
+            for b, ny in aut.moves[qy]:
+                for c, ng in aut.moves[qg]:
+                    nP = (shifted[0] + a + b - c,) + shifted[1:]
+                    if nP not in floors:
+                        floors[nP] = base.floor_of_vector(nP)
+                    nxt = (nP, nx, ny, ng)
+                    if -2 <= floors[nP] <= 1 and nP != minus_two and nxt not in parent:
+                        parent[nxt] = (state, a, b)
+                        queue.append(nxt)
     xs, ys = [], []
     state = best_state
     while parent[state] is not None:

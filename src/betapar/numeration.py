@@ -284,9 +284,10 @@ class AdmissibilityAutomaton:
     iff its run never rejects and resets infinitely often; a run that stops
     resetting reads a shift of d* from some point on, so a suffix equals
     d*.  Finite strings are padded with 0^omega, which always resets.
+    ``moves[i]``: the accepted (digit, next state) pairs of state i, ascending.
     """
 
-    __slots__ = ("dstar", "expected", "wrap")
+    __slots__ = ("dstar", "expected", "wrap", "moves")
 
     def __init__(self, dstar):
         n = len(dstar.preperiod) + len(dstar.period)
@@ -296,6 +297,8 @@ class AdmissibilityAutomaton:
         self.dstar = dstar
         self.expected = dstar.preperiod + dstar.period
         self.wrap = len(dstar.preperiod)
+        self.moves = tuple(tuple((a, 0) for a in range(t)) + ((t, self.step(i, t)),)
+                           for i, t in enumerate(self.expected))
 
     @classmethod
     def of_base(cls, base):
@@ -381,8 +384,8 @@ def greedy_vector_digits(base, vec, lowest):
     Returns (int_digits, frac_digits, exact) with int_digits ascending
     (index = position; positions below lowest read 0) and frac_digits[i]
     the digit at position -(i+1); exact is False iff a nonzero digit lies
-    below lowest.  Block decomposition and greedy_expand run through it,
-    and it avoids QuotientValue construction entirely.  The integer digits
+    below lowest.  greedy_expand runs through it, with no QuotientValue
+    arithmetic.  The integer digits
     come from _greedy_integer_digits, the fractional ones from _greedy_step,
     as do those of greedy_tail, which instead runs an expansion to its
     exact eventually periodic end.  Each is a floor_of_vector at scale 0,
@@ -514,23 +517,14 @@ def iter_beta_integer_words(base, max_len):
     if max_len < 0:
         raise ValueError("max_len must be non-negative, got %d" % max_len)
     aut = AdmissibilityAutomaton.of_base(base)
-    top = aut.expected[0]  # every t_i <= t_1, so larger digits never pass
     word = []
 
     def rec(state):
         yield tuple(word)
-        if len(word) == max_len:
-            return
-        for d in range(top, -1, -1):
-            nxt = aut.step(state, d)
-            if nxt is not None:
+        if len(word) < max_len:
+            for d, nxt in aut.moves[state][not word:]:  # a word has no leading 0
                 word.append(d)
                 yield from rec(nxt)
                 word.pop()
 
-    yield ()
-    if max_len:
-        for first in range(1, top + 1):
-            word.append(first)
-            yield from rec(aut.step(0, first))
-            word.pop()
+    yield from rec(0)

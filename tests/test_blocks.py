@@ -1,8 +1,13 @@
+import itertools
 import random
+import re
+import sys
+import threading
+import time
 
 import pytest
 
-from betapar import blocks
+from betapar import blocks, numeration
 from betapar.algebraic import (
     BetaBase,
     base_from_spec,
@@ -29,6 +34,7 @@ from betapar.numeration import (
     AdmissibilityAutomaton,
     admissible_greedy_depth,
     greedy_fractional_depth,
+    greedy_vector_digits,
     iter_beta_integer_words,
 )
 
@@ -104,15 +110,13 @@ class TestDecompose:
             rhs = qv_add(qv_add(val(L, k), val(C, 0)), val(S, -2 * s))
             assert values_equal(lhs, rhs)
 
-    def test_block_read_from_one_enclosure(self, monkeypatch):
-        # with the power cache filled to 2k, a block outside B is evaluated
-        # once, as a sum of cached powers, with no Horner pass or other
-        # shift_vector call, and its greedy digits come from one dyadic
-        # enclosure, with at most a couple of exact floors where a digit
-        # boundary falls inside it; a block over B is not evaluated at all
+    def test_warm_block_asks_no_oracle(self, monkeypatch):
+        # a cold decomposition builds the walk's tables with exact floors,
+        # and never evaluates a block or expands it greedily; once the tables
+        # are warm a block is table steps only, and a block over B is never
+        # read at all
         base = dbonacci_base(3)
         adder = BlockAdder(base, make_block_params(base, 2, 5))
-        base.power_vector(2 * adder.params.k)
         calls = []
 
         def counted(name):
@@ -123,24 +127,30 @@ class TestDecompose:
                 return method(self, *args)
             return wrapper
 
+        def refuse(*args):
+            raise AssertionError("greedy expansion on the block path")
+
         rng = random.Random(23)
         blocks_ = [tuple(rng.randint(0, 4) for _ in range(14)) for _ in range(50)]
         blocks_ += [(4,) * 14, (3,) + (0,) * 13, (0,) * 13 + (4,)]
         b_blocks = [tuple(rng.randint(0, 1) for _ in range(14)) for _ in range(10)]
         b_blocks += [(1,) * 14, (0,) * 14]
-        for name in ("floor_of_vector", "shift_vector", "digits_vector"):
+        for name in ("floor_of_vector", "sign_of_vector", "shift_vector", "digits_vector"):
             monkeypatch.setattr(BetaBase, name, counted(name))
-        for u in blocks_:
+        monkeypatch.setattr(numeration, "greedy_vector_digits", refuse)
+        cold = [adder.decompose(u) for u in blocks_]
+        assert "digits_vector" not in calls and "floor_of_vector" in calls
+        for u, dec in zip(blocks_, cold):
             assert any(dig > 2 for dig in u)
             calls.clear()
-            adder.decompose(u)
-            assert calls.count("floor_of_vector") <= 2, u
-            assert calls.count("digits_vector") == 1, u
-            assert "shift_vector" not in calls
+            assert adder.decompose(u) == dec
+            assert calls == [], u
+        fresh = BlockAdder(base, make_block_params(base, 2, 5))
         for u in b_blocks:
             calls.clear()
-            assert adder.decompose(u).C == u
+            assert fresh.decompose(u).C == u
             assert calls == [], u
+        assert fresh._walk is None
 
     def test_insufficient_params_error_names_block(self, fib):
         adder = BlockAdder(fib, make_block_params(fib, 3, 0))
@@ -153,6 +163,64 @@ class TestDecompose:
         for u in ((9,) * k, (0,) * (k - 1), (1,) * (k - 1) + (-1,)):
             with pytest.raises(ValueError):
                 tribonacci_adder.decompose(u)
+
+
+def _greedy_decompose(adder, u):
+    """Reference decomposition: u * beta^(2s) evaluated and expanded greedily,
+    None when the expansion is inexact or longer than 2k digits."""
+    k, ell, s, B, A = adder.params
+    if max(u) <= B.max_digit:
+        return (0,) * (2 * ell), tuple(u), (0,) * (2 * s)
+    base = adder.base
+    int_digits, _, exact = greedy_vector_digits(base, base.digits_vector(u, 2 * s), 0)
+    if not exact or len(int_digits) > 2 * k:
+        return None
+    pos = tuple(int_digits) + (0,) * (2 * k - len(int_digits))
+    return pos[2 * s + k:], pos[2 * s:2 * s + k], pos[:2 * s]
+
+
+def _walk_decompose(adder, u):
+    try:
+        return tuple(adder.decompose(u))
+    except InsufficientParamsError:
+        return None
+
+
+class TestWalkMatchesGreedy:
+    """The automaton walk against the greedy expansion it replaces."""
+
+    def test_seeded_tribonacci_blocks(self, tri):
+        adder = BlockAdder(tri, make_block_params(tri, 2, 5))
+        rng = random.Random(2024)
+        for _ in range(10000):
+            u = tuple(rng.randint(0, 4) for _ in range(14))
+            assert _walk_decompose(adder, u) == _greedy_decompose(adder, u), u
+
+    @pytest.mark.parametrize("spec,k,ell,s,raises", [
+        ("quadratic-minus:3,1", 4, 1, 1, 0), ("quadratic-minus:3,1", 4, 0, 2, 5875),
+        ("fibonacci", 6, 3, 0, 8373), ("fibonacci", 6, 2, 1, 829),
+    ])
+    def test_every_block(self, spec, k, ell, s, raises):
+        base = base_from_spec(spec)
+        adder = BlockAdder(base, make_block_params(base, ell, s))
+        assert adder.params.k == k
+        failed = 0
+        for u in itertools.product(range(adder.input_alphabet.max_digit + 1), repeat=k):
+            want = _greedy_decompose(adder, u)
+            assert _walk_decompose(adder, u) == want, u
+            failed += want is None
+        assert failed == raises
+
+    def test_base_without_dbeta(self):
+        # X^2 - X - 3 is not Pisot: no d_beta(1) is found, so there is no
+        # automaton, and a block outside B names the base instead of being
+        # expanded some other way; blocks over B still pass through
+        base = base_from_spec("1,-1,-3")
+        adder = BlockAdder(base, make_block_params(base, 1, 1))
+        assert adder.decompose((2, 1, 0, 2)).C == (2, 1, 0, 2)
+        with pytest.raises(ValueError, match=re.escape(repr(base))) as exc:
+            adder.decompose((3, 0, 0, 0))
+        assert not isinstance(exc.value, InsufficientParamsError)
 
 
 class TestPhi:
@@ -230,19 +298,80 @@ class TestBlockAdd:
                 assert len(calls) == m + extra
                 assert values_equal(eval_digit_string(u, tri), eval_digit_string(out, tri))
 
-    def test_adder_holds_no_state(self, tri):
+    def test_cache_changes_no_later_result(self, tri):
         # a twin built from the same arguments stands for the adder as
-        # construction left it; the base is shared and keeps its own caches
+        # construction left it; the base is shared and keeps its own caches.
+        # The used adder differs from it only in the walk's tables, and those
+        # change no sum
         params = make_block_params(tri, 2, 5)
-        adder = BlockAdder(tri, params)
+        adder, twin = BlockAdder(tri, params), BlockAdder(tri, params)
         rng = random.Random(13)
-        for _ in range(100):
-            n = rng.randint(0, 40)
-            x = DigitString(tuple(rng.randint(0, 2) for _ in range(n)), rng.randint(-5, n))
-            m = rng.randint(0, 40)
-            y = DigitString(tuple(rng.randint(0, 2) for _ in range(m)), rng.randint(-5, m))
+
+        def pairs(n_pairs):
+            out = []
+            for _ in range(n_pairs):
+                n, m = rng.randint(0, 40), rng.randint(0, 40)
+                out.append((DigitString(tuple(rng.randint(0, 2) for _ in range(n)),
+                                        rng.randint(-5, n)),
+                            DigitString(tuple(rng.randint(0, 2) for _ in range(m)),
+                                        rng.randint(-5, m))))
+            return out
+
+        for x, y in pairs(100):
             adder.add(x, y)
-        assert vars(adder) == vars(BlockAdder(tri, params))
+        used, fresh = vars(adder), vars(twin)
+        assert [name for name in used if used[name] != fresh[name]] == ["_walk"]
+        second = pairs(50)
+        assert [adder.add(x, y) for x, y in second] == [twin.add(x, y) for x, y in second]
+
+    def test_sums_agree_across_threads(self, tri, monkeypatch):
+        # eight threads add seeded pairs on one fresh unsigned and one fresh
+        # signed adder; every table miss pauses, so threads build and publish
+        # sets and transitions between each other's reads.  Each sum must
+        # equal the serial sum of a fresh twin
+        params = make_block_params(tri, 2, 5)
+        build = blocks._BlockWalk.transition
+
+        def pausing(self, node, e):
+            time.sleep(1e-4)
+            return build(self, node, e)
+
+        def batch(seed):
+            rng = random.Random(seed)
+            out = []
+            for alphabet in ((0, 2), (-1, 1)):
+                for _ in range(6):
+                    n, m = rng.randint(0, 3 * 14), rng.randint(0, 3 * 14)
+                    out.append((DigitString(tuple(rng.randint(*alphabet) for _ in range(n)), n - 1),
+                                DigitString(tuple(rng.randint(*alphabet) for _ in range(m)), m - 1)))
+            return out
+
+        def run(unsigned, signed, seed):
+            work = batch(seed)
+            return [unsigned.add(x, y) for x, y in work[:6]] + [signed.add(x, y) for x, y in work[6:]]
+
+        want = [run(BlockAdder(tri, params), SignedBlockAdder(tri, params), i) for i in range(8)]
+        monkeypatch.setattr(blocks._BlockWalk, "transition", pausing)
+        unsigned, signed = BlockAdder(tri, params), SignedBlockAdder(tri, params)
+        barrier = threading.Barrier(8)
+        got = [None] * 8
+
+        def work(i):
+            barrier.wait(timeout=60)
+            got[i] = run(unsigned, signed, i)
+
+        threads = [threading.Thread(target=work, args=(i,), daemon=True) for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert got == want
 
 
 def _lsd_first_convert(adder, u, c):

@@ -13,13 +13,18 @@ traced pass.  Runs of the workloads alternate, so a slow spell of the
 machine spreads over all of them.  Then tier-1 runs once with
 ``--durations=20``, and every ``betapar`` command of the README's CLI quick
 start runs once as ``python3 -m betapar.cli ...`` in a fresh process, timed
-from outside.
+from outside.  Last, two searches are timed in process, each the median of
+three runs on a fresh base: ``certify_s`` of the d-bonacci bases for d = 3,
+4 and 5, and ``BlockAdder.decompose`` of the Tribonacci (14, 2, 5) adder,
+in µs per block over the blocks outside B among 2,000 seeded ones, read
+cold (a fresh adder) and then warm (the same adder again).
 
 The script writes ``BENCH_<LABEL>.json`` at that root: the git commit, the
 Python version, the line count of each ``src/betapar/*.py`` by module name
 as ``src_lines_by_module`` and their total as ``src_lines``, and for every run the command and its result: the JSON line
 the benchmark printed, tier-1's wall time, summary line and slowest tests,
-or a CLI command's wall time and exit code.  Its ``spread`` entry gives,
+or a CLI command's wall time and exit code, and the two searches as
+``searches``.  Its ``spread`` entry gives,
 for every workload, the min, median and max of every end-to-end metric of
 ``BENCHMARK.json`` over the ``--trace 0`` runs and of every per-layer
 metric over the ``--trace 1`` runs, so the run-to-run noise of each metric
@@ -142,6 +147,43 @@ def run_cli(line):
             "returncode": proc.returncode, "wall_s": round(wall, 3)}
 
 
+def run_searches():
+    """Median of three in-process timings of certify_s (s) and of decompose (µs per block)."""
+    sys.path.insert(0, os.path.join(ROOT, "src"))
+    import random
+
+    from betapar.algebraic import dbonacci_base
+    from betapar.blocks import BlockAdder, certify_s, make_block_params
+
+    def median_of_three(measure):
+        return statistics.median(measure() for _ in range(RUNS))
+
+    def certify(d):
+        base = dbonacci_base(d)
+        start = time.perf_counter()
+        certify_s(base)
+        return time.perf_counter() - start
+
+    rng = random.Random(SEED)
+    blocks = [tuple(rng.randint(0, 4) for _ in range(14)) for _ in range(2000)]
+    blocks = [u for u in blocks if max(u) > 1]
+
+    def decompose(passes):
+        def measure():
+            base = dbonacci_base(3)
+            adder = BlockAdder(base, make_block_params(base, 2, 5))
+            for _ in range(passes):
+                start = time.perf_counter()
+                for u in blocks:
+                    adder.decompose(u)
+            return (time.perf_counter() - start) / len(blocks) * 1e6
+        return measure
+
+    return {"certify_s_s": {str(d): median_of_three(lambda: certify(d)) for d in (3, 4, 5)},
+            "decompose_us_per_block": {"cold": median_of_three(decompose(1)),
+                                       "warm": median_of_three(decompose(2))}}
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("label", help="the file written is BENCH_<label>.json")
@@ -163,6 +205,8 @@ def main(argv=None):
         cli.append(run_cli(line))
         print("cli       exit=%d %.3f s  %s" % (cli[-1]["returncode"], cli[-1]["wall_s"], line),
               file=sys.stderr)
+    searches = run_searches()
+    print("searches  %s" % json.dumps(searches), file=sys.stderr)
     lines = src_lines_by_module()
     per_layer = spread(runs, "per_layer")
     table = spread(runs, "end_to_end")
@@ -174,7 +218,7 @@ def main(argv=None):
               "src_lines_by_module": lines, "runs": runs, "spread": table,
               "per_layer": {workload: {name: stats["median"] for name, stats in metrics.items()}
                             for workload, metrics in per_layer.items()},
-              "tier1": tier1, "cli": cli}
+              "tier1": tier1, "cli": cli, "searches": searches}
     path = os.path.join(ROOT, "BENCH_%s.json" % args.label)
     with open(path, "w") as fh:
         json.dump(record, fh, indent=1)
