@@ -146,6 +146,7 @@ class BlockAdder:
         self.input_alphabet = params.A.plus(params.A)
         self.name = "block:%d,%d,%d" % (params.k, params.ell, params.s)
         self._walk = None  # the tables of decompose, built on the first block outside B
+        self._walk_error = None  # why they cannot be built, once that is known
 
     # -- block-level operations ------------------------------------------------
 
@@ -155,7 +156,8 @@ class BlockAdder:
         A block over B is returned as C = u, L = S = 0; any other block is
         read by the walk of the module docstring.  InsufficientParamsError
         is raised when u * beta^(2s) has no admissible word of 2k digits, and
-        ValueError, naming the base, when the base has no known d_beta(1).
+        ValueError, naming the base, when the base has no known d_beta(1);
+        the adder keeps that failure, so later blocks raise it at once.
         Repeated calls return equal triples, as the block map requires.
         """
         k, ell, s, B, A = self.params
@@ -170,7 +172,13 @@ class BlockAdder:
             return BlockDecomposition((0,) * (2 * ell), u, (0,) * (2 * s))
         walk = self._walk
         if walk is None:
-            walk = self._walk = _BlockWalk(self.base, self.params)  # one assignment
+            if self._walk_error is not None:
+                raise ValueError(self._walk_error)
+            try:
+                walk = self._walk = _BlockWalk(self.base, self.params)  # one assignment
+            except ValueError as exc:
+                self._walk_error = str(exc)
+                raise
         node, path = walk.read(walk.head, u[::-1])
         j, S = node[-2] or walk.finish(node)
         if j is None:

@@ -108,20 +108,26 @@ def cmd_verify(args):
     return 0 if report.verdict == "pass" else 2
 
 
-def cmd_add(args):
-    base = base_from_spec(args.base)
+def _add_checked(args, adder, payload, line):
+    """Parse x and y, add them, check the sum exactly and emit it after line.
+
+    payload lists the command's JSON fields in order; x, y, result and
+    value_ok are filled in where it places them.
+    """
     x = parse_digits(args.x)
     y = parse_digits(args.y)
-    adder = _for_family(shifted_adder, base, args.shift)
     out = adder.add(x, y)
     ok = check_sum(adder, x, y, out)
-    payload = {"base": args.base, "x": format_digits(x),
-               "y": format_digits(y), "result": format_digits(out),
-               "alphabet": str(adder.alphabet), "value_ok": ok}
-    _emit(args, payload, ["%s" % format_digits(out),
-                          "alphabet: %s" % adder.alphabet,
-                          "value-ok" if ok else "VALUE MISMATCH (bug)"])
+    payload.update(x=format_digits(x), y=format_digits(y), result=format_digits(out), value_ok=ok)
+    _emit(args, payload, [format_digits(out), line, "value-ok" if ok else "VALUE MISMATCH (bug)"])
     return 0 if ok else 2
+
+
+def cmd_add(args):
+    adder = _for_family(shifted_adder, base_from_spec(args.base), args.shift)
+    payload = {"base": args.base, "x": None, "y": None, "result": None,
+               "alphabet": str(adder.alphabet), "value_ok": None}
+    return _add_checked(args, adder, payload, "alphabet: %s" % adder.alphabet)
 
 
 def cmd_block_add(args):
@@ -138,21 +144,12 @@ def cmd_block_add(args):
         params = params_for_pf_base(base, cert.s)
     else:
         raise ValueError("give both --ell and --s, or neither to certify s")
-    adder = BlockAdder(base, params)
-    x = parse_digits(args.x)
-    y = parse_digits(args.y)
-    out = adder.add(x, y)
-    ok = check_sum(adder, x, y, out)
     payload = {"base": args.base, "k": params.k, "ell": params.ell, "s": params.s,
-               "x": format_digits(x), "y": format_digits(y),
-               "result": format_digits(out), "value_ok": ok}
+               "x": None, "y": None, "result": None, "value_ok": None}
     if witness is not None:
         payload["s_witness"] = witness
-    _emit(args, payload, ["%s" % format_digits(out),
-                          "k=%d ell=%d s=%d alphabet %s" % (params.k, params.ell,
-                                                            params.s, params.A),
-                          "value-ok" if ok else "VALUE MISMATCH (bug)"])
-    return 0 if ok else 2
+    return _add_checked(args, BlockAdder(base, params), payload, "k=%d ell=%d s=%d alphabet %s"
+                        % (params.k, params.ell, params.s, params.A))
 
 
 def cmd_bounds(args):

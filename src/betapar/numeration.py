@@ -2,13 +2,13 @@
 
 The greedy expansion of x in [0, 1) is produced digit by digit by
 x_j = floor(beta * r_{j-1}), r_j = beta * r_{j-1} - x_j, with exact
-remainders in Z[beta]; digits land in the canonical alphabet
-{0, ..., ceil(beta) - 1}.  Applied to 1 this yields d_beta(1), whose
-eventual periodicity (detected by exact remainder repetition) classifies
-beta as a simple or non-simple Parry number.  Admissibility of a digit
-sequence means every suffix is strictly lexicographically below the
-quasi-greedy expansion d*_beta(1); Parry's automaton, whose states are
-the prefixes of d*_beta(1), decides it digit by digit.
+remainders in Z[beta], over the alphabet {0, ..., ceil(beta) - 1}:
+greedy_vector_digits cuts it at a position, greedy_tail runs it to an
+exact end.  Applied to 1 this yields d_beta(1), whose eventual
+periodicity (a repeated remainder) classifies beta as a simple or
+non-simple Parry number.  A sequence is admissible when every suffix is
+strictly lexicographically below the quasi-greedy expansion d*_beta(1);
+Parry's automaton, whose states are its prefixes, decides it.
 
 Eventually periodic strings serialize as ``pre(per)``, e.g. ``2(1)``;
 digits are concatenated when all fit in 0..9 and comma-separated otherwise.
@@ -381,45 +381,26 @@ def pf_sufficient(d):
 def greedy_vector_digits(base, vec, lowest):
     """Greedy digits of a non-negative Z[beta] vector at positions >= lowest.
 
-    Returns (int_digits, frac_digits, exact) with int_digits ascending
-    (index = position; positions below lowest read 0) and frac_digits[i]
-    the digit at position -(i+1); exact is False iff a nonzero digit lies
-    below lowest.  greedy_expand runs through it, with no QuotientValue
-    arithmetic.  The integer digits
-    come from _greedy_integer_digits, the fractional ones from _greedy_step,
-    as do those of greedy_tail, which instead runs an expansion to its
-    exact eventually periodic end.  Each is a floor_of_vector at scale 0,
-    which needs an exact sign only when its enclosure of beta * r straddles
-    an integer; an integer value itself is enclosed exactly.
-    """
-    int_digits, r = _greedy_integer_digits(base, vec, max(lowest, 0))
-    frac = []
-    while any(r) and len(frac) < -lowest:
-        dig, r = _greedy_step(base, r)
-        frac.append(dig)
-    return int_digits, frac, not any(r)
+    Returns (int_digits, frac_digits, exact): int_digits ascending (index =
+    position; positions below lowest read 0), frac_digits[i] the digit at
+    position -(i+1), and exact False iff a nonzero digit lies below lowest.
+    It is the one routine that reads greedy digits cut at a position.
 
-
-def _greedy_integer_digits(base, vec, low):
-    """Greedy digits of value(vec) >= 0 at positions >= low >= 0, and the remainder.
-
-    Returns (int_digits, r): int_digits as in greedy_vector_digits, and r
-    the exact vector of value(vec) minus those digits' value.  The digits
-    are read from one dyadic enclosure: value(vec) in [L, H] and each
-    beta**j in [plo_j, phi_j], all from one snapshot of the base.  Walking
-    down from a position m the enclosure puts above the top digit, so that
-    value(vec) < beta**(m + 1), the digit at j is certified when
-    L // phi_j == H // plo_j, and the enclosure of the remainder is then
-    narrowed by that digit's share.  Otherwise the exact remainder vector,
-    kept alongside, decides: it is tested against m * beta**j for
-    m = H // plo_j, and failing that the digit is the exact floor_of_vector,
-    after which the remainder is enclosed afresh.  Either way each digit is
-    the exact floor of a remainder below beta**(j + 1), so it is below
-    beta.  The walk stops once the remainder is zero, and below low it only
-    looks for the top digit, whose position sizes int_digits.
+    The integer digits come from one dyadic enclosure: value(vec) in [L, H]
+    and each beta**j in [plo_j, phi_j], all from one snapshot of the base.
+    Walking down from a position m with value(vec) < beta**(m + 1), the
+    digit at j is certified when L // phi_j == H // plo_j, and the enclosure
+    of the remainder is then narrowed by that digit's share.  Otherwise the
+    exact remainder vector, kept alongside, decides: it is tested against
+    m * beta**j for m = H // plo_j, and failing that the digit is the exact
+    floor_of_vector, after which the remainder is enclosed afresh.  Either
+    way each digit is the exact floor of a remainder below beta**(j + 1),
+    so it is below beta.  Below lowest the walk only looks for the top
+    digit, whose position sizes int_digits.  The fractional digits are
+    exact floors one at a time, by the step that greedy_tail takes.
     """
     if not any(vec):
-        return [], vec
+        return [], [], True
     L, H, plo, phi, _ = base.value_enclosure(vec)
     if L < 0 and (H < 0 or base.sign_of_vector(vec) < 0):
         raise ValueError("greedy expansion needs a non-negative value")
@@ -432,6 +413,7 @@ def _greedy_integer_digits(base, vec, low):
             break
         L, H, plo, phi, _ = base.value_enclosure(vec, n=2 * m + 2)
     d = base.degree
+    low = max(lowest, 0)
     top = None
     int_digits = [0]
     r = vec
@@ -459,7 +441,11 @@ def _greedy_integer_digits(base, vec, low):
             H -= dig * plo[j]
         if fresh:
             L, H, plo, phi, _ = base.value_enclosure(r, n=m)
-    return int_digits, r
+    frac = []
+    while any(r) and len(frac) < -lowest:
+        dig, r = _greedy_step(base, r)
+        frac.append(dig)
+    return int_digits, frac, not any(r)
 
 
 def _greedy_step(base, r):
@@ -474,17 +460,16 @@ def _greedy_step(base, r):
 def greedy_fractional_depth(base, vec):
     """Number of fractional digits of the greedy expansion of value(vec) >= 0.
 
-    They are the greedy tail of the remainder after the integer digits,
-    read by :func:`greedy_tail` to its exact end at a zero remainder.
-    Raises RuntimeError if a remainder repeats, so that the expansion is
-    infinite, or if none ends or repeats within _MAX_STEPS digits, as on a
-    non-Pisot base; neither happens for sums of beta-integers in a (PF) base.
+    They are read by :func:`greedy_vector_digits` down to position
+    -_MAX_STEPS; RuntimeError is raised when a nonzero digit lies below,
+    as for a periodic tail or one that never repeats (a non-Pisot base).
+    Neither happens for sums of beta-integers in a (PF) base.
     """
-    tail = greedy_tail(base, _greedy_integer_digits(base, vec, 0)[1], _MAX_STEPS)
-    if tail is None or tail.period:
+    _, frac, exact = greedy_vector_digits(base, vec, -_MAX_STEPS)
+    if not exact:
         raise RuntimeError("greedy expansion of %r does not end within %d fractional digits"
                            % (vec, _MAX_STEPS))
-    return len(tail.preperiod)
+    return len(frac)
 
 
 def admissible_greedy_depth(base, automaton, vec, state):

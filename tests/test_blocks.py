@@ -211,16 +211,23 @@ class TestWalkMatchesGreedy:
             failed += want is None
         assert failed == raises
 
-    def test_base_without_dbeta(self):
+    def test_base_without_dbeta(self, monkeypatch):
         # X^2 - X - 3 is not Pisot: no d_beta(1) is found, so there is no
         # automaton, and a block outside B names the base instead of being
-        # expanded some other way; blocks over B still pass through
+        # expanded some other way; blocks over B still pass through.  The
+        # adder keeps the failed search: a second block raises the same
+        # error without running it again
         base = base_from_spec("1,-1,-3")
         adder = BlockAdder(base, make_block_params(base, 1, 1))
+        calls = []
+        dbeta = numeration.renyi_dbeta
+        monkeypatch.setattr(numeration, "renyi_dbeta", lambda b: calls.append(b) or dbeta(b))
         assert adder.decompose((2, 1, 0, 2)).C == (2, 1, 0, 2)
-        with pytest.raises(ValueError, match=re.escape(repr(base))) as exc:
-            adder.decompose((3, 0, 0, 0))
-        assert not isinstance(exc.value, InsufficientParamsError)
+        for u in ((3, 0, 0, 0), (0, 4, 1, 0)):
+            with pytest.raises(ValueError, match=re.escape(repr(base))) as exc:
+                adder.decompose(u)
+            assert not isinstance(exc.value, InsufficientParamsError)
+        assert calls == [base]
 
 
 class TestPhi:

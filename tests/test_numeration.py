@@ -311,6 +311,12 @@ class TestRenyi:
         with pytest.raises(RuntimeError):
             greedy_fractional_depth(base_from_spec("1,0,-3"), (-1, 1))
 
+    def test_fractional_depth_of_periodic_tail_raises(self, qm31):
+        # beta - 2 = .1^omega: its greedy tail repeats, so it has no end
+        # within _MAX_STEPS digits either
+        with pytest.raises(RuntimeError):
+            greedy_fractional_depth(qm31, (-2, 1))
+
     def test_classify(self, fib, qm31, monkeypatch):
         assert classify_parry(fib)[0] == "simple"
         kind, d = classify_parry(quadratic_minus_base(4, 2))
