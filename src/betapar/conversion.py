@@ -71,9 +71,9 @@ digit outside the output alphabet.  :func:`apply_local(layer, u, c)
 <apply_local>` applies one layer to a digit string through the same
 padding (:func:`_outputs`), and checks u's alphabet and the letter c.
 
-Rules are shareable: the window memo, their one mutable state, holds only
-checked outputs of the pure ``window_fn``, one dict assignment each, so
-racing threads at worst compute a window twice.  A faster path, such as the
+Rules are shareable: their two memos, of window outputs and flush sums
+-K(s), hold pure functions of the rule, one dict assignment per entry, so
+racing threads at worst compute an entry twice.  A faster path, such as the
 GDE carry path, must stay bit-identical to the window loop; tests check it.
 """
 
@@ -117,6 +117,7 @@ class LocalRule:
         self.name = name or "rule"
         self._windows = _WindowMemo(self)
         self.window = self._windows.__getitem__
+        self._flushes = _FlushMemo(self)
         zero_out = window_fn((0,) * self.p)
         if zero_out != 0:
             raise ValueError("window_fn(0^p) = %r; finite support would break" % (zero_out,))
@@ -153,6 +154,29 @@ class _WindowMemo(dict):
             raise ValueError("%s: window %r maps to %r outside %s" % (rule.name, w, out, alphabet))
         self[w] = out
         return out
+
+
+class _FlushMemo(dict):
+    """A rule's -K(s) per flush suffix s, or the message of its first flush window that raises."""
+
+    def __init__(self, rule):
+        self.rule = rule
+
+    def __missing__(self, s):
+        rule = self.rule
+        f = (0,) * rule.base.degree
+        if s:
+            w = s + (0,) * (rule.memory + rule.anticipation + 1 - len(s))
+            try:
+                e = rule.window(w) - w[rule.anticipation]
+            except ValueError as exc:
+                f = str(exc)  # not exc, whose traceback would keep the raising frames alive
+            else:
+                f = self[s[1:]]
+                if e and not isinstance(f, str):
+                    f = tuple([a - e * b for a, b in zip(f, rule.base.power_vector(len(s) - 1))])
+        self[s] = f
+        return f
 
 
 def apply_local(layer, u, plateau=0):
@@ -301,8 +325,10 @@ def _residue_walk(rule, maxlen):
     T_i = beta^h * Horner(e_0 .. e_{i-1}) down the prefixes, T_{i+1} =
     beta T_i + e_i beta^h.  The last h windows read only the last h padded
     digits s, and their Horner sum is K(s) = e(s + 0^(p - |s|))
-    beta^(|s| - 1) + K(s[1:]), K(()) = 0, memoised per suffix for this call
-    only.  A string of length n passes iff T_n = -K(s).
+    beta^(|s| - 1) + K(s[1:]), K(()) = 0.  K depends only on the rule and s,
+    so -K(s) is memoised on the rule (``rule._flushes``) for every later sweep:
+    at most |A|^h suffixes of h digits and their tails, fewer than 2 |A|^h
+    entries in all.  A string of length n passes iff T_n = -K(s).
 
     A window that raises ValueError fails every string that reads it, as in
     apply_local, which reads the windows in the same order: the prefix
@@ -315,30 +341,14 @@ def _residue_walk(rule, maxlen):
     t = rule.anticipation
     h = rule.memory + t
     window = rule.window
+    flush = rule._flushes.__getitem__  # -K(s), or the message of a flush window that raises
     shift = base.shift_vector
-    powers = [base.power_vector(i) for i in range(h + 1)]
-    top = powers[h]
+    top = base.power_vector(h)
     zero = (0,) * base.degree
     digits = tuple(rule.input_alphabet)
     nonzero = tuple(d for d in digits if d)
-    cancel = {(): zero}  # -K(s), or the ValueError of the first flush window of s that raises
     failures = []
     checked = 1  # the empty string, mapped to itself
-
-    def flush(s):
-        f = cancel.get(s)
-        if f is None:
-            w = s + (0,) * (h + 1 - len(s))
-            try:
-                e = window(w) - w[t]
-            except ValueError as exc:
-                f = exc
-            else:
-                f = flush(s[1:])
-                if e and not isinstance(f, ValueError):
-                    f = tuple([a - e * b for a, b in zip(f, powers[len(s) - 1])])
-            cancel[s] = f
-        return f
 
     def fail(word, output, reason):
         failures.append((format_digits(DigitString(word, len(word) - 1)), output, reason))
@@ -371,7 +381,7 @@ def _residue_walk(rule, maxlen):
             if c == f:
                 continue
             u = tuple(word)
-            if isinstance(f, ValueError):
+            if isinstance(f, str):
                 stop = fail(u, "", "error: %s" % f)
             else:
                 v = apply_local(rule, DigitString(u, n - 1))

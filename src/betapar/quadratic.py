@@ -68,7 +68,7 @@ def _gde(base, a, b_signed, top, ahead, behind, q, name):
         raise AssertionError("base polynomial does not match the elimination identity")
     n = top + 1
     reach = ahead + 1 + behind
-    carry = [q(*z) for z in itertools.product(range(n), repeat=reach)]
+    carry = list(itertools.starmap(q, itertools.product(range(n), repeat=reach)))
     high = n ** (reach - 1)
 
     def window_fn(w):

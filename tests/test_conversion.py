@@ -1,7 +1,9 @@
+import gc
 import itertools
 import random
 import sys
 import threading
+import weakref
 
 import pytest
 
@@ -145,6 +147,14 @@ def _per_string_report(rule, maxlen):
     return conversion.ConversionReport(rule.name, label, checked, failures).to_dict()
 
 
+def _minus_flush_sum(rule, s):
+    """-K(s) from its definition: minus the Horner sum of the flush windows of
+    the suffix s, e(s + 0^(p - |s|)) at beta^(|s| - 1) down to e(s[-1:] + 0^(p - 1))."""
+    windows = [s[i:] + (0,) * (rule.p - len(s) + i) for i in range(len(s))]
+    e = [rule.window_fn(w) - w[rule.anticipation] for w in windows]
+    return tuple(-a for a in rule.base.digits_vector(reversed(e)))
+
+
 def _untabulated_corruption(rule):
     """The rule with its lone-1 window raised by 1, left untabulated (the
     benchmark's negative control)."""
@@ -218,18 +228,60 @@ class TestResidueWalk:
         assert rep.checked_count == 6  # "", "1", "1,0", "1,1", "1,0,0", "1,0,1"
 
     def test_shared_rule_sweeps_agree_across_threads(self):
-        # the walk keeps its state to itself, and the rule's window memo,
-        # empty at the start, fills from eight threads at once
+        # the rule's two memos, empty at the start, fill from eight threads at
+        # once; every report and every entry is what one thread on a fresh rule
+        # reads, and the rule grows no attribute
         rule = gde_minus(4, 2)
-        before = dict(vars(rule))  # the memo dict is the one value that grows
-        expected = verify_conversion(gde_minus(4, 2), exhaustive(3)).to_dict()
+        names = set(vars(rule))
+        fresh = gde_minus(4, 2)
+        expected = verify_conversion(fresh, exhaustive(3)).to_dict()
         reports = _in_threads(lambda: verify_conversion(rule, exhaustive(3)).to_dict())
         assert all(rep == expected for rep in reports)
         assert expected["verdict"] == "pass"
-        assert vars(rule) == before
+        assert set(vars(rule)) == names
+        assert rule._flushes and rule._flushes == fresh._flushes
         assert rule._windows
         for w, out in rule._windows.items():
             assert out == rule.window_fn(w) and out in rule.output_alphabet
+
+    def test_memo_changes_no_later_result(self):
+        # the flush memo outlives a sweep, and no later sweep reads differently for it
+        rule = gde_rule("minus", 3, 1)
+        for n in (3, 2, rule.p):
+            assert (verify_conversion(rule, exhaustive(n)).to_dict()
+                    == verify_conversion(gde_rule("minus", 3, 1), exhaustive(n)).to_dict())
+        assert len(rule._flushes) < 2 * len(rule.input_alphabet) ** (rule.p - 1)
+        for s, f in rule._flushes.items():
+            assert f == _minus_flush_sum(rule, s)
+        corrupted = _untabulated_corruption(rule)
+        first, second = (verify_conversion(corrupted, exhaustive(3)).failures for _ in range(2))
+        assert first and second == first
+
+    def test_memoised_flush_failure_keeps_no_frame_alive(self):
+        # a flush window that raises is memoised as its message: a stored
+        # exception would keep, through its traceback, every frame of the
+        # sweep and of its caller alive for as long as the rule lives
+        rule = gde_rule("plus", 4, 2)
+        bad = (6, 0, 0, 0, 0)  # read only as a flush window by strings of at most 4 digits
+        raising = LocalRule(rule.base, rule.memory, rule.anticipation, rule.input_alphabet,
+                            rule.output_alphabet, lambda w: 7 if w == bad else rule.window_fn(w),
+                            name="raising", tabulate_threshold=0)
+
+        class Held:
+            pass
+
+        def sweep():
+            held = Held()
+            return weakref.ref(held), verify_conversion(raising, exhaustive(2)).to_dict()
+
+        ref, report = sweep()
+        gc.collect()
+        assert ref() is None
+        assert report == _per_string_report(raising, 2)
+        assert report["failures"][0] == {
+            "input": "6", "output": "",
+            "reason": "error: raising: window (6, 0, 0, 0, 0) maps to 7 outside {0..6}"}
+        assert not any(isinstance(f, BaseException) for f in raising._flushes.values())
 
     def test_shared_adder_sums_agree_across_threads(self):
         # the fold keeps its frame to itself: neither the carry path of a
