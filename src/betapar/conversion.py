@@ -117,7 +117,7 @@ class LocalRule:
         self.name = name or "rule"
         self._windows = _WindowMemo(self)
         self.window = self._windows.__getitem__
-        self._flushes = _FlushMemo(self)
+        self._flushes = {(): (0,) * base.degree}  # -K(s) of the residue walk, kept for every sweep
         zero_out = window_fn((0,) * self.p)
         if zero_out != 0:
             raise ValueError("window_fn(0^p) = %r; finite support would break" % (zero_out,))
@@ -154,29 +154,6 @@ class _WindowMemo(dict):
             raise ValueError("%s: window %r maps to %r outside %s" % (rule.name, w, out, alphabet))
         self[w] = out
         return out
-
-
-class _FlushMemo(dict):
-    """A rule's -K(s) per flush suffix s, or the message of its first flush window that raises."""
-
-    def __init__(self, rule):
-        self.rule = rule
-
-    def __missing__(self, s):
-        rule = self.rule
-        f = (0,) * rule.base.degree
-        if s:
-            w = s + (0,) * (rule.memory + rule.anticipation + 1 - len(s))
-            try:
-                e = rule.window(w) - w[rule.anticipation]
-            except ValueError as exc:
-                f = str(exc)  # not exc, whose traceback would keep the raising frames alive
-            else:
-                f = self[s[1:]]
-                if e and not isinstance(f, str):
-                    f = tuple([a - e * b for a, b in zip(f, rule.base.power_vector(len(s) - 1))])
-        self[s] = f
-        return f
 
 
 def apply_local(layer, u, plateau=0):
@@ -341,14 +318,30 @@ def _residue_walk(rule, maxlen):
     t = rule.anticipation
     h = rule.memory + t
     window = rule.window
-    flush = rule._flushes.__getitem__  # -K(s), or the message of a flush window that raises
     shift = base.shift_vector
-    top = base.power_vector(h)
+    powers = [base.power_vector(i) for i in range(h + 1)]
+    top = powers[h]
     zero = (0,) * base.degree
     digits = tuple(rule.input_alphabet)
     nonzero = tuple(d for d in digits if d)
+    cancel = rule._flushes  # -K(s), or the message of the first flush window of s that raises
     failures = []
     checked = 1  # the empty string, mapped to itself
+
+    def flush(s):
+        f = cancel.get(s)
+        if f is None:
+            w = s + (0,) * (h + 1 - len(s))
+            try:
+                e = window(w) - w[t]
+            except ValueError as exc:
+                f = str(exc)  # not exc, whose traceback would keep this sweep's frames alive
+            else:
+                f = flush(s[1:])
+                if e and not isinstance(f, str):
+                    f = tuple([a - e * b for a, b in zip(f, powers[len(s) - 1])])
+            cancel[s] = f
+        return f
 
     def fail(word, output, reason):
         failures.append((format_digits(DigitString(word, len(word) - 1)), output, reason))

@@ -13,19 +13,17 @@ traced pass.  Runs of the workloads alternate, so a slow spell of the
 machine spreads over all of them.  Then tier-1 runs once with
 ``--durations=20``, and every ``betapar`` command of the README's CLI quick
 start runs once as ``python3 -m betapar.cli ...`` in a fresh process, timed
-from outside.  Last, three searches are timed in process, each the median of
+from outside.  Last, two searches are timed in process, each the median of
 three runs on a fresh base: ``certify_s`` of the d-bonacci bases for d = 3,
-4 and 5; ``BlockAdder.decompose`` of the Tribonacci (14, 2, 5) adder, in µs
-per block over the blocks outside B among 2,000 seeded ones, read cold (a
-fresh adder) and then warm (the same adder again); and the exhaustive
-sweep of the six GDE presets of the ``sweep`` workload at length 2, in ms
-for the six, read cold (fresh rules) and then warm (the same rules again).
+4 and 5, and ``BlockAdder.decompose`` of the Tribonacci (14, 2, 5) adder,
+in µs per block over the blocks outside B among 2,000 seeded ones, read
+cold (a fresh adder) and then warm (the same adder again).
 
 The script writes ``BENCH_<LABEL>.json`` at that root: the git commit, the
 Python version, the line count of each ``src/betapar/*.py`` by module name
 as ``src_lines_by_module`` and their total as ``src_lines``, and for every run the command and its result: the JSON line
 the benchmark printed, tier-1's wall time, summary line and slowest tests,
-or a CLI command's wall time and exit code, and the three searches as
+or a CLI command's wall time and exit code, and the two searches as
 ``searches``.  Its ``spread`` entry gives,
 for every workload, the min, median and max of every end-to-end metric of
 ``BENCHMARK.json`` over the ``--trace 0`` runs and of every per-layer
@@ -150,15 +148,12 @@ def run_cli(line):
 
 
 def run_searches():
-    """Median of three in-process timings of certify_s (s), decompose (µs per block)
-    and the GDE preset sweep (ms)."""
+    """Median of three in-process timings of certify_s (s) and of decompose (µs per block)."""
     sys.path.insert(0, os.path.join(ROOT, "src"))
     import random
 
     from betapar.algebraic import dbonacci_base
     from betapar.blocks import BlockAdder, certify_s, make_block_params
-    from betapar.conversion import exhaustive, verify_conversion
-    from betapar.quadratic import gde_rule
 
     def median_of_three(measure):
         return statistics.median(measure() for _ in range(RUNS))
@@ -184,23 +179,9 @@ def run_searches():
             return (time.perf_counter() - start) / len(blocks) * 1e6
         return measure
 
-    presets = [("plus", 4, 2), ("plus", 5, 3), ("plus_special", 3, None),
-               ("plus_special", 4, None), ("minus", 3, 1), ("minus", 4, 2)]
-
-    def sweep(passes):
-        def measure():
-            rules = [gde_rule(*preset) for preset in presets]
-            for _ in range(passes):
-                start = time.perf_counter()
-                for rule in rules:
-                    verify_conversion(rule, exhaustive(2))
-            return (time.perf_counter() - start) * 1e3
-        return measure
-
     return {"certify_s_s": {str(d): median_of_three(lambda: certify(d)) for d in (3, 4, 5)},
             "decompose_us_per_block": {"cold": median_of_three(decompose(1)),
-                                       "warm": median_of_three(decompose(2))},
-            "sweep_ms": {"cold": median_of_three(sweep(1)), "warm": median_of_three(sweep(2))}}
+                                       "warm": median_of_three(decompose(2))}}
 
 
 def main(argv=None):
