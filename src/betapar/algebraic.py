@@ -10,20 +10,22 @@ values is equality of vectors.
 A :class:`QuotientValue` represents beta**(-e) * (c_0 + c_1 beta + ... +
 c_{d-1} beta**(d-1)) with the non-negative integer scale e it is built
 with.  Every digit string evaluates to such a value through
-:meth:`BetaBase.digits_vector`, the one routine that sums digits against
-powers of beta, and exact equality of two values is decided by raising
-the smaller scale to the larger and comparing vectors.  Since beta != 0,
-two digit strings have equal values iff their digitwise difference
-evaluates to the zero vector: the oracle check every conversion in the
-package is verified with.
+:meth:`BetaBase.digits_vector`, the one evaluation of digits, by Horner
+steps, and exact equality of two values is decided by raising the smaller
+scale to the larger and comparing vectors.  Since beta != 0, two digit
+strings have equal values iff their digitwise difference evaluates to the
+zero vector: the oracle check every conversion in the package is verified
+with, linear in the length on a Pisot base, where the Horner steps of a
+zero value stay bounded (C. Frougny, Math. Systems Theory 25, 1992).
 
 Certified comparisons (floors, signs) use dyadic interval enclosures of the
 powers of beta obtained by bisection of f, with precision doubled, in one
 loop, until the enclosure decides the question; a floor is refined until
 the enclosure pins it to n or n + 1, and one exact sign picks between them.
 
-Values are immutable.  A base's power caches grow by building each
-extension privately and publishing it in one assignment, and its dyadic
+Values are immutable.  A base caches the power vectors asked for by
+exponent, never an evaluation's, and grows the cache by building each
+extension privately and publishing it in one assignment; its dyadic
 precision, enclosure of beta and power enclosures form one immutable
 snapshot, replaced in one assignment; 8-thread tests check that threads
 sharing a base read what a fresh base computes.
@@ -184,37 +186,31 @@ class BetaBase:
             return (c * red[0],) + tuple([a + c * r for a, r in zip(v, red[1:])])
         return (0,) + v[:-1]
 
-    def _powers(self, n):
-        """The cached power vectors through beta**n; callers read only the list returned."""
+    def power_vector(self, n):
+        """Reduced vector of beta**n, n >= 0; cached."""
+        if n < 0:
+            raise ValueError("negative power %d" % n)
         pv = self._powvecs
         if len(pv) <= n:
             pv = list(pv)
             while len(pv) <= n:
                 pv.append(self.shift_vector(pv[-1]))
             self._powvecs = pv  # one assignment: no thread sees a partial extension
-        return pv
-
-    def power_vector(self, n):
-        """Reduced vector of beta**n, n >= 0; cached."""
-        if n < 0:
-            raise ValueError("negative power %d" % n)
-        return self._powers(n)[n]
+        return pv[n]
 
     def digits_vector(self, digits, low=0):
         """Vector of sum digits[i] * beta**(low + i), the digits least significant first.
 
-        The one evaluation of digits in Z[beta]: a digit string, a block, or
-        a vector times beta**low, summed against the cached power vectors;
-        the part of low beyond the cache shifts the sum instead of growing it.
+        The one evaluation of digits in Z[beta], by Horner steps from the
+        most significant digit, then low shifts; it reads and grows no cache.
         """
         if low < 0:
             raise ValueError("negative low %d" % low)
-        digits = tuple(digits)
-        pv = self._powers(len(digits) - 1)
-        cached = min(low, len(pv) - len(digits))
-        terms = [(dig, pv[i]) for i, dig in enumerate(digits, cached) if dig]
-        v = tuple([sum([dig * pw[c] for dig, pw in terms]) for c in range(self.degree)])
-        for _ in range(low - cached):
+        v = (0,) * self.degree
+        for dig in reversed(tuple(digits)):
+            v = self.shift_vector(v)
+            v = (v[0] + dig,) + v[1:]
+        for _ in range(low):
             v = self.shift_vector(v)
         return v
 

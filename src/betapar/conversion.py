@@ -171,10 +171,10 @@ def apply_local(layer, u, plateau=0):
     c = plateau
     if not u.alphabet_ok(layer.input_alphabet.shifted(c)):
         raise ValueError("digit out of alphabet %s in %s" % (layer.input_alphabet.shifted(c), u))
-    if u.is_zero():
-        return DigitString()
     if c and not fixes(layer, c):
         raise ValueError("plateau %d is not a fixed letter of %s" % (c, layer.name))
+    if u.is_zero():
+        return DigitString()
     k = layer.k
     top = (u.msd_exponent // k + 1 + layer.memory) * k
     frame = _laid_out(u, top, (u.lsd_exponent // k - layer.anticipation) * k)

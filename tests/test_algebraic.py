@@ -169,16 +169,17 @@ class TestEvalDigitString:
         v = eval_digit_string(parse_digits("0.0,1"), fib)
         assert values_equal(v, QuotientValue.beta_power(fib, -2))
 
-    def test_a_high_offset_leaves_the_power_cache_at_the_string_length(self):
-        # the offset beyond the cache is applied by shifting the sum, so a
-        # one-off evaluation at beta^3000 caches no power above the digits
+    def test_a_high_offset_leaves_the_base_unchanged(self):
+        # an evaluation reads and grows no cache, even at beta^3000, and
+        # gives the same vector once the cache holds those powers
         base = dbonacci_base(2)
         digits = (1, 0, -2, 1)
+        before = dict(vars(base))
         v = base.digits_vector(digits, 3000)
-        assert len(base._powvecs) == len(digits)
+        assert vars(base) == before
         assert v == tuple(sum(dig * p for dig, p in zip(digits, col))
                           for col in zip(*(base.power_vector(3000 + i) for i in range(4))))
-        assert base.digits_vector(digits, 3000) == v  # now read from the cache
+        assert base.digits_vector(digits, 3000) == v
 
 
 class TestRefineAndFloor:
@@ -381,23 +382,22 @@ class TestConcurrency:
         finally:
             sys.setswitchinterval(interval)
 
-    def test_digit_evaluations_of_different_lengths_agree_across_threads(self, monkeypatch):
-        # eight threads evaluate strings of different lengths on one fresh
-        # base; shift_vector is slowest in the threads with the shortest
-        # strings, so short extensions of the power cache are published
-        # after long ones, and every publication pauses, so other threads
-        # publish between it and the caller's next read.  Each thread must
-        # read what a base of its own computes
+    def test_power_vectors_of_different_exponents_agree_across_threads(self, monkeypatch):
+        # eight threads ask one fresh base for different powers; shift_vector
+        # is slowest in the threads with the smallest exponents, so short
+        # extensions of the power cache are published after long ones, and
+        # every publication pauses, so other threads publish between it and
+        # the caller's next read.  Each thread must read what a base of its
+        # own computes
         class Pausing(BetaBase):
             def __setattr__(self, name, value):
                 super().__setattr__(name, value)
                 if name == "_powvecs":
                     time.sleep(0.002)
 
-        lengths = [10 + 13 * i for i in range(8)]
-        strings = [[(3 * j + i) % 3 for j in range(n)] for i, n in enumerate(lengths)]
+        exponents = [10 + 13 * i for i in range(8)]
         fresh = tribonacci_base()
-        want = [[fresh.digits_vector(s, low) for low in (0, 7)] for s in strings]
+        want = [[fresh.power_vector(n + extra) for extra in (0, 7)] for n in exponents]
         shift = BetaBase.shift_vector
         pace = threading.local()
 
@@ -415,7 +415,7 @@ class TestConcurrency:
                 pace.delay = 2e-3 / (i + 1) ** 2
                 barrier.wait()
                 try:
-                    got[i] = [base.digits_vector(strings[i], low) for low in (0, 7)]
+                    got[i] = [base.power_vector(exponents[i] + extra) for extra in (0, 7)]
                 except Exception as exc:
                     got[i] = exc
 

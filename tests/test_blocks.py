@@ -676,8 +676,9 @@ class TestDbonacci:
     def test_unfixed_plateau_rejected_by_apply_local(self):
         # the block map fixes only 0^k and 1^k, so 2^k plateaus do not cancel far out
         adder = dbonacci_block_adder(3, s=5)
-        with pytest.raises(ValueError, match="plateau 2 is not a fixed letter of block:14,2,5"):
-            apply_local(adder, parse_digits("1"), 2)
+        for u in (parse_digits("1"), DigitString()):
+            with pytest.raises(ValueError, match="plateau 2 is not a fixed letter of block:14,2,5"):
+                apply_local(adder, u, 2)
 
     def test_signed_fibonacci_constructs(self):
         adder = dbonacci_block_adder(2, signed=True, s=2)

@@ -3,6 +3,7 @@ import itertools
 import random
 import sys
 import threading
+import tracemalloc
 import weakref
 
 import pytest
@@ -339,8 +340,9 @@ class TestShiftRule:
 
     def test_unfixed_plateau_rejected_by_apply_local(self):
         # computing only near the support would give -1,-1,-1,0.-1,-1,-1, worth not 1
-        with pytest.raises(ValueError, match="plateau 3 is not a fixed letter of gde-minus:4,2"):
-            apply_local(gde_minus(4, 2), parse_digits("1"), 3)
+        for u in (parse_digits("1"), DigitString()):
+            with pytest.raises(ValueError, match="plateau 3 is not a fixed letter of gde-minus:4,2"):
+                apply_local(gde_minus(4, 2), u, 3)
 
     def test_shifted_rule_verifies(self, rule_plus42):
         base = rule_plus42.base
@@ -576,3 +578,30 @@ class TestCheckSum:
         adder = ChainAdder(rule_plus42, Alphabet(0, 6))
         x, y = parse_digits("6"), parse_digits("6")
         assert not check_sum(adder, x, y, parse_digits("12"))
+
+    @pytest.mark.parametrize("make", [lambda: quadratic_adder("minus", 4, 2),
+                                      lambda: dbonacci_block_adder(3, signed=True, s=5)],
+                             ids=["minus:4,2", "signed-tribonacci"])
+    def test_a_long_check_is_lean_and_caches_nothing(self, make):
+        # the Horner steps of the difference of two equal 20,000-digit sums
+        # stay small, so the check traces well under 5 MB and leaves the
+        # base's power cache as it was; a sum against 20,000 cached powers
+        # peaks at 88-134 MB
+        adder = make()
+        lo, hi = adder.alphabet.min_digit, adder.alphabet.max_digit
+        rng = random.Random(20000)
+        x, y = (DigitString(tuple(rng.randint(lo, hi) for _ in range(20000)), 19999)
+                for _ in range(2))
+        out = adder.add(x, y)
+        cached = len(adder.base._powvecs)
+        tracemalloc.start()
+        try:
+            assert check_sum(adder, x, y, out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 << 20
+        assert len(adder.base._powvecs) == cached
+        top = out.digits[0]
+        wrong = DigitString((lo if top != lo else hi,) + out.digits[1:], out.msd_exponent)
+        assert not check_sum(adder, x, y, wrong)

@@ -1,12 +1,16 @@
-"""Every ``betapar`` command of the README's CLI quick start runs and exits 0.
+"""Both README quick starts run as written.
 
-The command list is the one ``tools/bench.py`` times, read by its own
+Every ``betapar`` command of the CLI quick start exits 0.  The command list
+is the one ``tools/bench.py`` times, read by its own
 ``readme_cli_commands``, so a stale README line fails here rather than as a
 silently failing timing.  Each line runs in-process through
-:func:`betapar.cli.main`.
+:func:`betapar.cli.main`.  The library quick start prints, line by line,
+what the comments of its ``print`` lines say, up to the first two-space
+gap of each comment.
 """
 
 import importlib.util
+import re
 import shlex
 from pathlib import Path
 
@@ -14,7 +18,8 @@ import pytest
 
 from betapar.cli import main
 
-_BENCH = Path(__file__).resolve().parent.parent / "tools" / "bench.py"
+_ROOT = Path(__file__).resolve().parent.parent
+_BENCH = _ROOT / "tools" / "bench.py"
 
 
 def _load_bench():
@@ -30,3 +35,13 @@ _COMMANDS = _load_bench().readme_cli_commands()
 @pytest.mark.parametrize("line", _COMMANDS, ids=_COMMANDS)
 def test_readme_command_exits_0(line, capsys):
     assert main(shlex.split(line)[1:]) == 0, capsys.readouterr()
+
+
+def test_readme_library_quick_start_prints_its_comments(capsys):
+    readme = (_ROOT / "README.md").read_text(encoding="utf-8")
+    code = re.search(r"## Quick start \(library\)\n+```python\n(.*?)```", readme, re.S).group(1)
+    want = [line.split("#", 1)[1].strip().split("  ")[0]
+            for line in code.splitlines() if line.startswith("print(")]
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines() == want
+    assert len(want) == 5
