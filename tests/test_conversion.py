@@ -585,8 +585,7 @@ class TestCheckSum:
     def test_a_long_check_is_lean_and_caches_nothing(self, make):
         # the Horner steps of the difference of two equal 20,000-digit sums
         # stay small, so the check traces well under 5 MB and leaves the
-        # base's power cache as it was; a sum against 20,000 cached powers
-        # peaks at 88-134 MB
+        # base's power cache as it was
         adder = make()
         lo, hi = adder.alphabet.min_digit, adder.alphabet.max_digit
         rng = random.Random(20000)
