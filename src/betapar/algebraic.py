@@ -581,8 +581,6 @@ def _bracket_dominant_root(poly):
         while x - step > 1:
             y = x - step
             fy = poly.evaluate(y)
-            if fy == 0:
-                break
             if (fy > 0) != (fx > 0):
                 return (y, x)
             x, fx = y, fy

@@ -187,17 +187,9 @@ class BlockAdder:
         C, j = _read_back(path, j)
         return BlockDecomposition(walk.head_digits[j], C, S)
 
-    def _block_map(self, df, dg, dh):
-        """Phi from decomposed neighbours: digit i is C(g)_i plus digit i of L(h) S(f).
-
-        Every part lies over B by construction (see decompose), so each
-        digit lies in B + B = A.
-        """
-        return [c + t for c, t in zip(dg.C, dh.L + df.S)]
-
     def phi(self, f, g, h):
         """Output block: digit i is C(g)_i + L(h)_i below 2l, C(g)_i + S(f)_{i-2l} above."""
-        return tuple(self._block_map(self.decompose(f), self.decompose(g), self.decompose(h)))
+        return tuple(self.outputs((*h, *g, *f)[::-1])[::-1])
 
     def outputs(self, padded):
         """The output blocks of every 3-block window of padded, most significant first.
@@ -205,12 +197,14 @@ class BlockAdder:
         Each block is decomposed once, its digits reversed into the LSD-first
         order of decompose (as a list: a traced call may read it again);
         f, the first block of a window, is the more significant neighbour.
+        Digit i of the block is C(g)_i plus digit i of L(h) S(f); every part
+        lies over B by construction (see decompose), so each digit lies in A.
         """
         k = self.k
         decs = [self.decompose(padded[i:i + k][::-1]) for i in range(0, len(padded), k)]
         out = []
         for f, g, h in zip(decs, decs[1:], decs[2:]):
-            out.extend(reversed(self._block_map(f, g, h)))
+            out.extend(reversed([c + t for c, t in zip(g.C, h.L + f.S)]))
         return out
 
     # -- string-level addition ---------------------------------------------------
@@ -434,8 +428,6 @@ def dbonacci_block_adder(d, signed=False, s=None):
     s defaults to the exact bound from :func:`certify_s`; for the
     Tribonacci base that is 5, giving the 14-block 3-local adder.
     """
-    if d < 2:
-        raise ValueError("d-bonacci needs d >= 2")
     from .algebraic import dbonacci_base
 
     base = dbonacci_base(d)

@@ -33,10 +33,6 @@ def lower_bound_1block(poly):
     return abs(poly.evaluate(1)) + 2
 
 
-def _sequence_digits(d, count):
-    return [d.digit_at(i) for i in range(count)]
-
-
 def block_lower_bound_simple(d):
     """Cardinality bound t_1 + t_m + 1 for simple Parry bases, or None.
 
@@ -77,7 +73,7 @@ def block_lower_bound_nonsimple(d):
     p = len(d.period)
     m_min = len(d.preperiod)
     horizon = m_min + 2 * p + 2
-    ts = _sequence_digits(d, horizon + 1)
+    ts = [d.digit_at(i) for i in range(horizon + 1)]
 
     def case_holds(m):
         t = ts  # 0-based: t[j-1] is the paper's t_j

@@ -98,13 +98,10 @@ def cmd_verify(args):
     else:
         raise ValueError("choose --exhaustive L or --random N")
     report = verify_conversion(rule, strategy)
-    if args.json:
-        print(report.to_json(indent=2))
-    else:
-        print("%s over %s: %s (%d strings checked)"
-              % (report.rule_name, report.strategy, report.verdict, report.checked_count))
-        for f in report.failures:
-            print("  counterexample: %s -> %s (%s)" % f)
+    _emit(args, report.to_dict(),
+          ["%s over %s: %s (%d strings checked)"
+           % (report.rule_name, report.strategy, report.verdict, report.checked_count)]
+          + ["  counterexample: %s -> %s (%s)" % f for f in report.failures])
     return 0 if report.verdict == "pass" else 2
 
 

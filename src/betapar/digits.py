@@ -134,8 +134,6 @@ class DigitString(Immutable):
     @property
     def fractional_depth(self):
         """Number of fractional positions, max(0, -lsd_exponent)."""
-        if self.is_zero():
-            return 0
         return max(0, -self.lsd_exponent)
 
     def digit_at(self, exponent):
@@ -210,14 +208,9 @@ def format_digits(s):
 def parse_digits(text):
     """Parse the comma/radix-point digit-string format."""
     text = text.strip()
-    if not text:
-        return DigitString()
-    if text.count(".") > 1:
+    int_text, _, frac_text = text.partition(".")
+    if "." in frac_text:
         raise ValueError("more than one radix point in %r" % text)
-    if "." in text:
-        int_text, frac_text = text.split(".")
-    else:
-        int_text, frac_text = text, ""
 
     def split(part):
         part = part.strip()
@@ -226,9 +219,4 @@ def parse_digits(text):
         return [int(tok) for tok in part.split(",")]
 
     int_digits = split(int_text)
-    frac_digits = split(frac_text)
-    digits = int_digits + frac_digits
-    if not digits:
-        return DigitString()
-    msd = len(int_digits) - 1
-    return DigitString(tuple(digits), msd)
+    return DigitString(int_digits + split(frac_text), len(int_digits) - 1)

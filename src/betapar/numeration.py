@@ -110,8 +110,6 @@ def parse_eventually_periodic(text):
 
     def digits_of(part):
         part = part.strip()
-        if not part:
-            return ()
         if "," in part or "-" in part:
             return tuple(int(t) for t in part.split(","))
         return tuple(int(ch) for ch in part)
@@ -203,8 +201,7 @@ def _greedy_down_to(x, base, lowest):
         raise ValueError("x is a value over %r, not over %r" % (x.base, base))
     e = x.scale
     ints, frac, exact = greedy_vector_digits(base, x.coeffs, lowest + e)
-    keep = max(0, len(ints) - e - lowest)
-    return GreedyExpansion(DigitString((ints[::-1] + frac)[:keep], len(ints) - 1 - e), exact)
+    return GreedyExpansion(DigitString(ints[::-1] + frac, len(ints) - 1 - e), exact)
 
 
 def renyi_dbeta(base):

@@ -143,8 +143,6 @@ def gde_plus_special(a):
 
 def gde_minus(a, b):
     """Greatest digit elimination for beta^2 = a beta - b, a >= b+2, b >= 1."""
-    if not (b >= 1 and a >= b + 2):
-        raise ValueError("gde_minus needs a >= b+2 and b >= 1")
 
     def q(zpp, zp, z, zm, zmm):
         if z == a + b - 1:

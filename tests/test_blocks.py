@@ -384,19 +384,24 @@ class TestBlockAdd:
 def _lsd_first_convert(adder, u, c):
     """Reference block conversion: u + c laid out least significant digit
     first, from two blocks below the support to two above it, each block
-    decomposed once and every output block built from its neighbours."""
+    decomposed once and every output block built from its neighbours:
+    digit i of C(g) plus digit i of L(h) S(f), h the less significant."""
     if u.is_zero():
         return DigitString()
+
+    def block_map(f, g, h):
+        return [x + y for x, y in zip(g.C, h.L + f.S)]
+
     k = adder.params.k
     msd, lsd = u.support()
     lo = (lsd // k - 2) * k  # exponent of padded[0]
     padded = [c] * ((msd // k + 3) * k - lo)
     padded[lsd - lo:msd - lo + 1] = [dig + c for dig in reversed(u.digits)]
     decs = [adder.decompose(padded[i:i + k]) for i in range(0, len(padded), k)]
-    assert adder._block_map(decs[0], decs[0], decs[0]) == [c] * k  # decs[0] is c^k
+    assert block_map(decs[0], decs[0], decs[0]) == [c] * k  # decs[0] is c^k
     out = []
     for j in range(1, len(decs) - 1):
-        out.extend(adder._block_map(decs[j + 1], decs[j], decs[j - 1]))
+        out.extend(block_map(decs[j + 1], decs[j], decs[j - 1]))
     return DigitString([dig - c for dig in reversed(out)], lo + k + len(out) - 1)
 
 

@@ -16,6 +16,11 @@ def test_parse_examples():
     assert s.fractional_depth == 1
     assert parse_digits("0").is_zero()
     assert parse_digits("0.0,1").digit_at(-2) == 1
+    for text in ("", "  ", "."):
+        assert parse_digits(text) == DigitString()
+    assert parse_digits("1.") == DigitString((1,), 0)
+    assert parse_digits(".5") == DigitString((5,), -1)
+    assert DigitString().fractional_depth == 0
 
 
 def test_canonical_strips_zeros():
@@ -61,7 +66,7 @@ def test_alphabet_contract():
 
 
 def test_malformed_parse():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="more than one radix point"):
         parse_digits("1.2.3")
 
 

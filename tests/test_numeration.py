@@ -54,7 +54,7 @@ class TestEventuallyPeriodic:
         assert [s.digit_at(i) for i in range(6)] == [2, 1, 2, 1, 2, 1]
 
     def test_parse_format(self):
-        for text in ["42", "111", "2(1)", "3(1)", "1(10)"]:
+        for text in ["42", "111", "2(1)", "3(1)", "1(10)", "", "(1)"]:
             assert str(eps(text)) == text
         assert eps("10,11").preperiod == (10, 11)
 
