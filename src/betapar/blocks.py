@@ -189,6 +189,8 @@ class BlockAdder:
 
     def phi(self, f, g, h):
         """Output block: digit i is C(g)_i + L(h)_i below 2l, C(g)_i + S(f)_{i-2l} above."""
+        if not len(f) == len(g) == len(h) == self.k:
+            raise ValueError("block must have exactly k=%d digits" % self.k)
         return tuple(self.outputs((*h, *g, *f)[::-1])[::-1])
 
     def outputs(self, padded):

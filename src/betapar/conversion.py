@@ -71,10 +71,19 @@ digit outside the output alphabet.  :func:`apply_local(layer, u, c)
 <apply_local>` applies one layer to a digit string through the same
 padding (:func:`_outputs`), and checks u's alphabet and the letter c.
 
-Rules are shareable: their two memos, of window outputs and flush sums
--K(s), hold pure functions of the rule, one dict assignment per entry, so
-racing threads at worst compute an entry twice.  A faster path, such as the
-GDE carry path, must stay bit-identical to the window loop; tests check it.
+A layer may also offer ``packed_step(width)``: the same layer on a padded
+frame packed into one int, one byte per digit, or None when its sums may
+not fit a byte.  The GDE rules offer it, and the fold then runs word-parallel
+(:meth:`ChainAdder._packed_fold`): it packs x and y once, builds each
+layer's input from threshold masks of the packed y in a few big-int
+operations, runs the layer as one step over every digit at once, and
+unpacks once.  Block layers keep the list fold.
+
+Rules are shareable: their memos, of window outputs, of flush sums -K(s)
+and a GDE rule's carry program, hold pure functions of the rule, each entry
+stored in one assignment, so racing threads at worst compute an entry
+twice.  A faster path, such as the GDE carry path or the packed step, must
+stay bit-identical to the window loop; tests check it.
 """
 
 from __future__ import annotations
@@ -82,6 +91,7 @@ from __future__ import annotations
 import itertools
 import json
 import random as _random
+import struct
 from typing import NamedTuple
 
 from .digits import Alphabet, DigitString, format_digits
@@ -448,8 +458,10 @@ class ChainAdder:
     of ints, as the module docstring sets out: a positive layer reads
     s + d + [y_j >= i] and its output less d is the new s, a negative one
     reads M - d - s + [y_j <= -i] and M - d less its output is the new s.
-    Construction checks with :func:`fixes` that both plateau letters in use
-    are fixed, and only then is the fold's frame exact.
+    A layer with a packed step runs the same fold on packed ints
+    (:meth:`_packed_fold`).  Construction checks with :func:`fixes` that
+    both plateau letters in use are fixed, and only then is the fold's frame
+    exact.
     """
 
     def __init__(self, layer, alphabet):
@@ -488,6 +500,10 @@ class ChainAdder:
         # a layer grows the support by r blocks up and t blocks down: the frame holds n of each
         top = (max(s.msd_exponent for s in operands) // k + 1 + n * layer.memory) * k
         bottom = (min(s.lsd_exponent for s in operands) // k - n * layer.anticipation) * k
+        packed = getattr(layer, "packed_step", None)
+        step = packed and packed(top - bottom + (layer.p - 1) * k)
+        if step:
+            return DigitString(self._packed_fold(step, x, y, bottom, top - bottom), top - 1)
         w = _laid_out(y, top, bottom)
         d = self.lo_layers
         c = self.hi_layers  # M - d
@@ -503,3 +519,44 @@ class ChainAdder:
         for i in range(1, d + 1):
             u = _outputs(layer, [v + (b <= -i) for v, b in zip(u, w)], c)
         return DigitString([c - v for v in u], top - 1)
+
+    def _packed_fold(self, step, x, y, bottom, n):
+        """The fold's n frame digits, most significant first, the last at exponent bottom.
+
+        A padded frame packs into one int, one byte per digit, digit i of
+        the list in byte ``width - 1 - i``.  H holds bit 7 of every byte and
+        ONES a 1 in each, and ((V | H) - v ONES) & H holds bit 7 of every
+        byte of V that is at least v.  So the indicators [y_j >= i] and
+        [y_j <= -i] are threshold masks of y + d and of its mirror c - y, the
+        plateau letter refills a step's pad bytes in one OR, and the mirror
+        of the negative phase is (c + d) ONES - u.
+        """
+        layer = self.layer
+        t, r = layer.anticipation * layer.k, layer.memory * layer.k
+        width = t + n + r
+        ones = (1 << 8 * width) // 255
+        hi = ones << 7
+        pads = ones - (((1 << 8 * n) // 255) << 8 * r)
+        d = self.lo_layers
+        c = self.hi_layers
+
+        def packed(s):
+            """The frame of s + d, with d in every other byte."""
+            if s.is_zero():
+                return d * ones
+            signed = int.from_bytes(struct.pack("%db" % len(s.digits), *s.digits), "big")
+            # a byte holds s_j + 256 [s_j < 0], and bit 7 marks s_j < 0
+            lifted = (signed - ((signed & hi) << 1)) << 8 * (s.lsd_exponent - bottom + r)
+            return d * ones + lifted
+
+        u = packed(x)
+        ys = packed(y) | hi
+        for i in range(1, c + 1):
+            u = step(u + (((ys - (d + i) * ones) & hi) >> 7)) | d * pads
+        if d:
+            u = (c + d) * ones - u
+            ys = ((c + d) * ones - (ys ^ hi)) | hi  # c - y_j
+            for i in range(1, d + 1):
+                u = step(u + (((ys - (c + i) * ones) & hi) >> 7)) | c * pads
+            u = ((c + 128) * ones - u) ^ hi  # 128 + s_j, as a signed byte s_j
+        return memoryview(u.to_bytes(width, "big")[t:t + n]).cast("b")

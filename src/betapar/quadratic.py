@@ -16,9 +16,12 @@ representation of zero (beta^2 - a beta -+ b) and therefore cannot change
 the value.  The three rules differ only in their case tables, which are
 transcribed verbatim; :func:`_gde` is the rest of the construction.  It
 tabulates the carry once, and the rule applies itself through that table:
-no window table is built.  Every output digit is still checked against the
-declared alphabet when it is produced, and any transcription slip fails
-loudly there or in the exhaustive verification sweeps.
+no window table is built.  A digit list reads it by a rolling index
+(:meth:`_CarryRule.outputs`); an adder's fold reads it word-parallel, as a
+carry program compiled from the table on the first fold
+(:meth:`_CarryRule.packed_step`).  Every output digit is still checked
+against the declared alphabet when it is produced, and any transcription
+slip fails loudly there or in the exhaustive verification sweeps.
 
 Note on window widths: the carry q_j reads one digit each way (two ahead
 for the special table, two each way for the minus table), but the output
@@ -32,6 +35,8 @@ neighbour-sensitive.
 from __future__ import annotations
 
 import itertools
+from functools import reduce
+from operator import and_, or_
 
 from .algebraic import quadratic_minus_base, quadratic_plus_base
 from .conversion import ChainAdder, LocalRule
@@ -52,6 +57,107 @@ class _CarryRule(LocalRule):
         if min(out) < 0 or max(out) > n - 2:  # outside {0..top-1}
             return LocalRule.outputs(self, padded)  # raises ValueError naming the window
         return out
+
+    def packed_step(self, width):
+        """The layer on a packed padded frame of ``width`` digits, or None if a byte may overflow.
+
+        Digit i of the padded list sits in byte width - 1 - i of the packed
+        int z, so a shift by 8 bits moves every digit one place.  The step
+        returns the packed outputs, 0 in the t pad bytes above and the r
+        below, computed on every byte at once (SIMD within a register):
+
+        * [z >= v] is ((z | H) - v ONES) & H, H bit 7 of every byte and ONES
+          a 1 in each, and an interval of values is the XOR of two of them;
+        * [q_j = +1] and [q_j = -1] are ORs of ANDs of interval masks
+          shifted onto q_j's byte, one AND per box of the carry program
+          (:func:`_carry_program`), compiled on the first call and kept on
+          the rule in one assignment;
+        * x_j = z_j - a q_j - b q_{j+1} + q_{j-1} is pos - neg, pos the terms
+          that add and neg those that subtract, so (pos | H) - neg holds
+          128 + x_j in every byte where x_j >= 0, and no borrow crosses a
+          byte.
+
+        pos stays below top + a + |b| + 2, which must not reach bit 7; a
+        rule whose sums may is folded as lists.  If a byte leaves
+        {0..top-1}, the window loop reads the unpacked frame and raises
+        ValueError naming the window, as :meth:`outputs` does.
+        """
+        carry, n, high, a, b = self._carry
+        if n + a + abs(b) >= 128:
+            return None
+        try:
+            cuts, terms, plus, minus = self._program
+        except AttributeError:
+            cuts, terms, plus, minus = self._program = _carry_program(
+                carry, n, self.anticipation - 1)
+        r, t = self.memory, self.anticipation
+        ones = (1 << 8 * width) // 255
+        hi = ones << 7
+        # bit 7 of the bytes whose carry reads the frame only, and of the output bytes
+        exact = ((1 << 8 * (width - r - t + 2)) // 255) << 8 * (r - 1) + 7
+        mid = ((1 << 8 * (width - r - t)) // 255) << 8 * r
+        mid_hi = mid << 7
+        low = mid * 127
+        tops = mid * (n - 1)
+        subs = [v * ones for v in cuts]
+        bb = abs(b)
+
+        def step(z):
+            zh = z | hi
+            ge = [hi, *[(zh - s) & hi for s in subs], 0]  # [z >= v] for v = 0, the cuts, top + 1
+            masks = [(ge[i] ^ ge[j]) >> s if s >= 0 else (ge[i] ^ ge[j]) << -s
+                     for i, j, s in terms]
+            qp, qm = [(reduce(or_, [reduce(and_, map(masks.__getitem__, box)) for box in boxes], 0)
+                       & exact) >> 7 for boxes in (plus, minus)]  # 1 where q_j = +1, -1
+            up, down = (qm, qp) if b > 0 else (qp, qm)  # q_{j+1} where -b q_{j+1} adds, subtracts
+            pos = z + a * qm + bb * (up >> 8) + (qp << 8)
+            neg = a * qp + bb * (down >> 8) + (qm << 8)
+            x = (pos | hi) - neg  # 128 + x_j in every output byte where x_j >= 0
+            if x & mid_hi == mid_hi and not (x - tops) & mid_hi:  # and x_j <= top - 1
+                return x & low
+            # the window loop raises ValueError naming the window
+            out = LocalRule.outputs(self, list(z.to_bytes(width, "big")))
+            return int.from_bytes(bytes(out), "big") << 8 * r
+
+        return step
+
+
+def _carry_program(carry, n, ahead):
+    """The carry table as boxes of threshold masks, for :meth:`_CarryRule.packed_step`.
+
+    The flat table splits on its most significant digit into runs of equal
+    sub-tables, and each run recursively, until a piece is constant.  A
+    piece worth q = +1 or -1 is a box: an interval [v, w) of values for each
+    digit it constrains, so [q_j = q] is the OR of its boxes' ANDs of
+    interval masks [z >= v] ^ [z >= w].  Returns the cuts v, 0 < v <= top,
+    whose threshold masks the intervals read; the terms, one per distinct
+    (digit, interval): the indices of its two masks in [H, *cuts, 0] and the
+    shift in bits that moves the digit's byte onto q_j's; and the boxes of
+    q = +1 and of q = -1 as tuples of term indices.
+    """
+    boxes = {1: [], -1: []}
+
+    def split(start, size, k, box):
+        piece = carry[start:start + size]
+        if piece.count(piece[0]) == size:
+            if piece[0]:
+                boxes[piece[0]].append(box)
+            return
+        size //= n
+        runs = itertools.groupby(range(n), lambda v: carry[start + v * size:start + (v + 1) * size])
+        for _, run in runs:
+            v, *rest = run
+            w = v + 1 + len(rest)
+            split(start + v * size, size, k + 1, box if (v, w) == (0, n) else box + ((k, v, w),))
+
+    split(0, len(carry), 0, ())
+    intervals = sorted({term for box in boxes[1] + boxes[-1] for term in box})
+    cuts = sorted({v for _, lo, hi in intervals for v in (lo, hi)} - {0, n})
+    index = {v: i for i, v in enumerate([0, *cuts, n])}
+    terms = [(index[lo], index[hi], 8 * (ahead - k)) for k, lo, hi in intervals]
+    term = {interval: i for i, interval in enumerate(intervals)}
+    plus, minus = ([tuple(term[i] for i in box) for box in boxes[q]] for q in (1, -1))
+    return cuts, terms, plus, minus
 
 
 def _gde(base, a, b_signed, top, ahead, behind, q, name):

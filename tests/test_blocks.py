@@ -253,6 +253,15 @@ class TestPhi:
             out = tribonacci_adder.phi(f, g, h)
             assert all(d in A for d in out)
 
+    def test_blocks_of_other_lengths_rejected(self, tribonacci_adder):
+        # blocks of k + 1, k and k - 1 digits fill a 3k-digit window, but
+        # each block is read on its own
+        k = tribonacci_adder.params.k
+        for f, g, h in [((1,) * (k + 1), (0,) * k, (1,) * (k - 1)),
+                        ((0,) * k, (0,) * k, (0,) * (k - 1))]:
+            with pytest.raises(ValueError, match="block must have exactly k=%d digits" % k):
+                tribonacci_adder.phi(f, g, h)
+
 
 class TestBlockAdd:
     def test_zero(self, tribonacci_adder):

@@ -285,10 +285,12 @@ class TestResidueWalk:
         assert not any(isinstance(f, BaseException) for f in raising._flushes.values())
 
     def test_shared_adder_sums_agree_across_threads(self):
-        # the fold keeps its frame to itself: neither the carry path of a
+        # the fold keeps its frame to itself: neither the packed steps of a
         # shared shifted adder nor the block map of the signed Tribonacci
-        # adder holds state between calls
+        # adder holds state between calls, and the threads race the first
+        # compile of a fresh rule's carry program
         for make in (lambda: shifted_adder("minus", 4, 2, d=2),
+                     lambda: quadratic_adder("plus_special", 3),
                      lambda: dbonacci_block_adder(3, signed=True, s=5)):
             adder = make()
             lo, hi = adder.alphabet.min_digit, adder.alphabet.max_digit
@@ -297,6 +299,7 @@ class TestResidueWalk:
                            for n in (rng.randint(0, 40), rng.randint(0, 40)))
                      for _ in range(20)]
             expected = [make().add(x, y) for x, y in pairs]
+            assert not hasattr(adder.layer, "_program")
             sums = _in_threads(lambda: [adder.add(x, y) for x, y in pairs])
             assert all(out == expected for out in sums)
             assert all(check_sum(adder, x, y, out) for (x, y), out in zip(pairs, expected))
@@ -432,6 +435,9 @@ FOLD_ADDERS = {
     "plus:4,2-shift3": lambda: shifted_adder("plus", 4, 2, d=3),
     "minus:4,2-shift2": lambda: shifted_adder("minus", 4, 2, d=2),
     "minus:3,1-shift1": lambda: shifted_adder("minus", 3, 1, d=1),
+    "plus:5,3": lambda: quadratic_adder("plus", 5, 3),
+    "plus-special:4": lambda: quadratic_adder("plus_special", 4),
+    "minus:3,1": lambda: quadratic_adder("minus", 3, 1),
     "signed-tribonacci": lambda: dbonacci_block_adder(3, signed=True, s=5),
     "signed-fibonacci": lambda: dbonacci_block_adder(2, signed=True),
 }
@@ -466,17 +472,38 @@ class TestChainFold:
             assert out == _layer_by_layer_add(adder, x, y), (x, y)
             assert check_sum(adder, x, y, out)
 
+    @pytest.mark.parametrize("a,b,packed", [(40, 22, True), (40, 23, False)])
+    def test_byte_guard(self, a, b, packed):
+        # top + a + b + 1 reaches 125 on plus:40,22 and 127 on plus:40,23, whose
+        # sums would reach bit 7 of a byte: that rule keeps the list fold
+        adder = quadratic_adder("plus", a, b)
+        assert (adder.layer.packed_step(10) is not None) == packed
+        for x, y in _fold_pairs(adder.alphabet, 30, 29):
+            assert adder.add(x, y) == _layer_by_layer_add(adder, x, y), (x, y)
+
     @pytest.mark.parametrize("name", ["minus:4,2-shift2", "signed-tribonacci"])
     def test_one_outputs_call_per_layer(self, monkeypatch, name):
+        # a GDE layer is one packed step and calls no outputs; a block
+        # layer, which has no packed step, is one outputs call
         adder = FOLD_ADDERS[name]()
         cls = type(adder.layer)
         outputs = cls.outputs
+        packed_step = getattr(cls, "packed_step", None)
         calls = []
-        monkeypatch.setattr(cls, "outputs", lambda self, padded: calls.append(1) or outputs(self, padded))
 
         def forbidden(*args):
             raise AssertionError("the fold makes no per-layer application or plateau check")
 
+        if packed_step:
+            def counted(self, width):
+                step = packed_step(self, width)
+                return lambda z: calls.append(1) or step(z)
+
+            monkeypatch.setattr(cls, "packed_step", counted)
+            monkeypatch.setattr(cls, "outputs", forbidden)
+        else:
+            monkeypatch.setattr(cls, "outputs",
+                                lambda self, padded: calls.append(1) or outputs(self, padded))
         monkeypatch.setattr(conversion, "apply_local", forbidden)
         monkeypatch.setattr(conversion, "fixes", forbidden)
         x, y = _fold_pairs(adder.alphabet, 7, 5)[-1]  # the first random pair

@@ -10,6 +10,7 @@ from betapar.algebraic import (
     values_equal,
 )
 from betapar.conversion import (
+    ChainAdder,
     LocalRule,
     apply_local,
     check_sum,
@@ -290,6 +291,24 @@ class TestCarryPath:
                 assert apply_local(rule, u, c) == apply_local(plain, u, c), (c, u)
 
 
+class TestPackedStep:
+    """A GDE rule's packed step is its outputs on every padded list, packed."""
+
+    @pytest.mark.parametrize("kind,a,b", PRESETS)
+    def test_packed_step_equals_outputs(self, kind, a, b):
+        # random pads, unlike a fold's plateau, make the carries next to
+        # the pads count
+        rule = gde_rule(kind, a, b)
+        top = rule.input_alphabet.max_digit
+        t, r = rule.anticipation, rule.memory
+        rng = random.Random(2025)
+        for _ in range(200):
+            padded = [rng.randint(0, top) for _ in range(rng.randint(rule.p, 40))]
+            step = rule.packed_step(len(padded))
+            out = step(int.from_bytes(bytes(padded), "big")).to_bytes(len(padded), "big")
+            assert out == bytes(t) + bytes(rule.outputs(padded)) + bytes(r), padded
+
+
 class TestOutputGuard:
     """Construction reads no window table, so output digits are guarded where they are made."""
 
@@ -324,3 +343,6 @@ class TestOutputGuard:
             with pytest.raises(ValueError, match=re.escape(error)):
                 apply_local(rule, parse_digits(text))
         assert verify_conversion(rule, exhaustive(1)).failures[-1] == ("5", "", "error: " + error)
+        # the packed fold of an adder hands the failing layer to the window loop too
+        with pytest.raises(ValueError, match=re.escape(error)):
+            ChainAdder(rule, rule.output_alphabet).add(parse_digits("4"), parse_digits("1"))

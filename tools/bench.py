@@ -17,14 +17,17 @@ from outside.  Last, two searches are timed in process, each the median of
 three runs on a fresh base: ``certify_s`` of the d-bonacci bases for d = 3,
 4 and 5, and ``BlockAdder.decompose`` of the Tribonacci (14, 2, 5) adder,
 in µs per block over the blocks outside B among 2,000 seeded ones, read
-cold (a fresh adder) and then warm (the same adder again).
+cold (a fresh adder) and then warm (the same adder again).  Beside them,
+one sum of two seeded 100,000-digit operands is timed in process on the
+minus:4,2 and plus:4,2 GDE adders and the signed Tribonacci block adder, in
+µs per operand digit, the median of three runs, each on a fresh adder.
 
 The script writes ``BENCH_<LABEL>.json`` at that root: the git commit, the
 Python version, the line count of each ``src/betapar/*.py`` by module name
 as ``src_lines_by_module`` and their total as ``src_lines``, and for every run the command and its result: the JSON line
 the benchmark printed, tier-1's wall time, summary line and slowest tests,
-or a CLI command's wall time and exit code, and the two searches as
-``searches``.  Its ``spread`` entry gives,
+or a CLI command's wall time and exit code, the two searches as
+``searches`` and the long sums as ``chain_add_us_per_digit``.  Its ``spread`` entry gives,
 for every workload, the min, median and max of every end-to-end metric of
 ``BENCHMARK.json`` over the ``--trace 0`` runs and of every per-layer
 metric over the ``--trace 1`` runs, so the run-to-run noise of each metric
@@ -184,6 +187,45 @@ def run_searches():
                                        "warm": median_of_three(decompose(2))}}
 
 
+LONG_DIGITS = 100_000
+
+
+def run_long_additions():
+    """Median of three in-process timings of one long sum on a fresh adder, in µs per digit.
+
+    Each sum adds two seeded operands of LONG_DIGITS digits over the
+    adder's alphabet; the time counts the addition only, cold: the adder is
+    built anew before each run, outside the timing, so every run pays what a
+    first addition pays.
+    """
+    sys.path.insert(0, os.path.join(ROOT, "src"))
+    import random
+
+    from betapar.blocks import dbonacci_block_adder
+    from betapar.digits import DigitString
+    from betapar.quadratic import quadratic_adder
+
+    adders = {"minus:4,2": lambda: quadratic_adder("minus", 4, 2),
+              "plus:4,2": lambda: quadratic_adder("plus", 4, 2),
+              "signed-tribonacci": lambda: dbonacci_block_adder(3, signed=True, s=5)}
+    rng = random.Random(SEED)
+
+    def us_per_digit(make):
+        alphabet = make().alphabet
+        lo, hi = alphabet.min_digit, alphabet.max_digit
+        x, y = (DigitString([rng.randint(lo, hi) for _ in range(LONG_DIGITS)], LONG_DIGITS - 1)
+                for _ in range(2))
+
+        def measure():
+            adder = make()
+            start = time.perf_counter()
+            adder.add(x, y)
+            return (time.perf_counter() - start) / (len(x.digits) + len(y.digits)) * 1e6
+        return statistics.median(measure() for _ in range(RUNS))
+
+    return {name: us_per_digit(make) for name, make in adders.items()}
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("label", help="the file written is BENCH_<label>.json")
@@ -207,6 +249,8 @@ def main(argv=None):
               file=sys.stderr)
     searches = run_searches()
     print("searches  %s" % json.dumps(searches), file=sys.stderr)
+    long_additions = run_long_additions()
+    print("long adds %s" % json.dumps(long_additions), file=sys.stderr)
     lines = src_lines_by_module()
     per_layer = spread(runs, "per_layer")
     table = spread(runs, "end_to_end")
@@ -218,7 +262,8 @@ def main(argv=None):
               "src_lines_by_module": lines, "runs": runs, "spread": table,
               "per_layer": {workload: {name: stats["median"] for name, stats in metrics.items()}
                             for workload, metrics in per_layer.items()},
-              "tier1": tier1, "cli": cli, "searches": searches}
+              "tier1": tier1, "cli": cli, "searches": searches,
+              "chain_add_us_per_digit": long_additions}
     path = os.path.join(ROOT, "BENCH_%s.json" % args.label)
     with open(path, "w") as fh:
         json.dump(record, fh, indent=1)
