@@ -474,8 +474,8 @@ class TestChainFold:
 
     @pytest.mark.parametrize("a,b,packed", [(40, 22, True), (40, 23, False)])
     def test_byte_guard(self, a, b, packed):
-        # top + a + b + 1 reaches 125 on plus:40,22 and 127 on plus:40,23, whose
-        # sums would reach bit 7 of a byte: that rule keeps the list fold
+        # top + a + b + 1 is 126 on plus:40,22 and 128 on plus:40,23, whose
+        # sums could set bit 7 of a byte: that rule keeps the list fold
         adder = quadratic_adder("plus", a, b)
         assert (adder.layer.packed_step(10) is not None) == packed
         for x, y in _fold_pairs(adder.alphabet, 30, 29):
