@@ -73,14 +73,17 @@ padding (:func:`_outputs`), and checks u's alphabet and the letter c.
 
 A layer may also offer ``packed_step(width)``: the same layer on a padded
 frame packed into one int, one byte per digit, or None when its sums may
-not fit a byte.  The GDE rules offer it, and the fold then runs word-parallel
-(:meth:`ChainAdder._packed_fold`): it packs x and y once, builds each
-layer's input from threshold masks of the packed y in a few big-int
-operations, runs the layer as one step over every digit at once, and
-unpacks once.  Block layers keep the list fold.
+not fit a byte.  The GDE rules offer it, a step that reads its carries
+through byte tables with ``bytes.translate``, and the fold then runs
+word-parallel (:meth:`ChainAdder._packed_fold`): it packs x and y once,
+checking their digits as it packs them, builds each layer's input from
+threshold masks of the packed y in a few big-int operations, runs the
+layer as one step over every digit at once, and hands back the frame's
+bytes, which become the sum with no Python loop over the digits.  Block
+layers keep the list fold.
 
 Rules are shareable: their memos, of window outputs, of flush sums -K(s)
-and a GDE rule's carry program, hold pure functions of the rule, each entry
+and a GDE rule's carry tables, hold pure functions of the rule, each entry
 stored in one assignment, so racing threads at worst compute an entry
 twice.  A faster path, such as the GDE carry path or the packed step, must
 stay bit-identical to the window loop; tests check it.
@@ -488,9 +491,6 @@ class ChainAdder:
         return (1 + (self.hi_layers + self.lo_layers) * (layer.p - 1)) * layer.k
 
     def add(self, x, y):
-        for s in (x, y):
-            if not s.alphabet_ok(self.alphabet):
-                raise ValueError("digit out of adder alphabet %s in %s" % (self.alphabet, s))
         operands = [s for s in (x, y) if not s.is_zero()]
         if not operands:
             return DigitString()
@@ -503,7 +503,11 @@ class ChainAdder:
         packed = getattr(layer, "packed_step", None)
         step = packed and packed(top - bottom + (layer.p - 1) * k)
         if step:
-            return DigitString(self._packed_fold(step, x, y, bottom, top - bottom), top - 1)
+            frame = self._packed_fold(step, x, y, bottom, top - bottom)
+            return DigitString._from_bytes(frame, top - 1)
+        for s in operands:
+            if not s.alphabet_ok(self.alphabet):
+                raise ValueError("digit out of adder alphabet %s in %s" % (self.alphabet, s))
         w = _laid_out(y, top, bottom)
         d = self.lo_layers
         c = self.hi_layers  # M - d
@@ -521,7 +525,8 @@ class ChainAdder:
         return DigitString([c - v for v in u], top - 1)
 
     def _packed_fold(self, step, x, y, bottom, n):
-        """The fold's n frame digits, most significant first, the last at exponent bottom.
+        """The fold's n frame digits as signed bytes, most significant first, the last at
+        exponent bottom.
 
         A padded frame packs into one int, one byte per digit, digit i of
         the list in byte ``width - 1 - i``.  H holds bit 7 of every byte and
@@ -529,7 +534,9 @@ class ChainAdder:
         byte of V that is at least v.  So the indicators [y_j >= i] and
         [y_j <= -i] are threshold masks of y + d and of its mirror c - y, the
         plateau letter refills a step's pad bytes in one OR, and the mirror
-        of the negative phase is (c + d) ONES - u.
+        of the negative phase is (c + d) ONES - u.  An operand is in the
+        alphabet iff deleting the alphabet's bytes from its packed digits
+        leaves none, which raises ValueError as the list fold does.
         """
         layer = self.layer
         t, r = layer.anticipation * layer.k, layer.memory * layer.k
@@ -539,12 +546,19 @@ class ChainAdder:
         pads = ones - (((1 << 8 * n) // 255) << 8 * r)
         d = self.lo_layers
         c = self.hi_layers
+        allowed = bytes(range(c + 1)) + bytes(range(256 - d, 256))  # {-d..c} as signed bytes
 
         def packed(s):
             """The frame of s + d, with d in every other byte."""
             if s.is_zero():
                 return d * ones
-            signed = int.from_bytes(struct.pack("%db" % len(s.digits), *s.digits), "big")
+            try:
+                raw = struct.pack("%db" % len(s.digits), *s.digits)
+            except struct.error:  # a digit outside -128..127
+                raw = None
+            if raw is None or raw.translate(None, allowed):
+                raise ValueError("digit out of adder alphabet %s in %s" % (self.alphabet, s))
+            signed = int.from_bytes(raw, "big")
             # a byte holds s_j + 256 [s_j < 0], and bit 7 marks s_j < 0
             lifted = (signed - ((signed & hi) << 1)) << 8 * (s.lsd_exponent - bottom + r)
             return d * ones + lifted
@@ -559,4 +573,4 @@ class ChainAdder:
             for i in range(1, d + 1):
                 u = step(u + (((ys - (c + i) * ones) & hi) >> 7)) | c * pads
             u = ((c + 128) * ones - u) ^ hi  # 128 + s_j, as a signed byte s_j
-        return memoryview(u.to_bytes(width, "big")[t:t + n]).cast("b")
+        return u.to_bytes(width, "big")[t:t + n]

@@ -113,6 +113,22 @@ class DigitString(Immutable):
         object.__setattr__(self, "msd_exponent", msd_exponent)
 
     @classmethod
+    def _from_bytes(cls, raw, msd_exponent):
+        """The string of the signed bytes raw, the first at msd_exponent.
+
+        It equals the constructor's result on those digits, but strips the
+        zeros with ``bytes.strip`` and reads the digits through a signed
+        memoryview, with no Python loop over them.
+        """
+        body = raw.rstrip(b"\0")
+        digits = body.lstrip(b"\0")
+        s = object.__new__(cls)
+        object.__setattr__(s, "digits", tuple(memoryview(digits).cast("b")))
+        msd_exponent -= len(body) - len(digits)  # the leading zeros stripped
+        object.__setattr__(s, "msd_exponent", msd_exponent if digits else 0)
+        return s
+
+    @classmethod
     def from_pairs(cls, pairs):
         """Build from (exponent, digit) pairs; repeated exponents add."""
         acc = {}

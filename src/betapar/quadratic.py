@@ -17,9 +17,9 @@ the value.  The three rules differ only in their case tables, which are
 transcribed verbatim; :func:`_gde` is the rest of the construction.  It
 tabulates the carry once, and the rule applies itself through that table:
 no window table is built.  A digit list reads it by a rolling index
-(:meth:`_CarryRule.outputs`); an adder's fold reads it word-parallel, as a
-carry program compiled from the table on the first fold
-(:meth:`_CarryRule.packed_step`).  Every output digit is still checked
+(:meth:`_CarryRule.outputs`); an adder's fold reads it word-parallel, one
+``bytes.translate`` per digit of the window, through the tables of an
+automaton compiled from it on the first fold (:meth:`_CarryRule.packed_step`).  Every output digit is still checked
 against the declared alphabet when it is produced, and any transcription
 slip fails loudly there or in the exhaustive verification sweeps.
 
@@ -35,8 +35,6 @@ neighbour-sensitive.
 from __future__ import annotations
 
 import itertools
-from functools import reduce
-from operator import and_, or_
 
 from .algebraic import quadratic_minus_base, quadratic_plus_base
 from .conversion import ChainAdder, LocalRule
@@ -66,49 +64,51 @@ class _CarryRule(LocalRule):
         returns the packed outputs, 0 in the t pad bytes above and the r
         below, computed on every byte at once (SIMD within a register):
 
-        * [z >= v] is ((z | H) - v ONES) & H, H bit 7 of every byte and ONES
-          a 1 in each, and an interval of values is the XOR of two of them;
-        * [q_j = +1] and [q_j = -1] are ORs of ANDs of interval masks
-          shifted onto q_j's byte, one AND per box of the carry program
-          (:func:`_carry_program`), compiled on the first call and kept on
-          the rule in one assignment;
+        * the carries come from an automaton that reads each window most
+          significant digit first (:func:`_carry_tables`, compiled on the
+          first call and kept on the rule in one assignment): one
+          ``bytes.translate`` of z gives every byte its first state, and
+          each later digit is one more translate of the state shifted one
+          byte down plus the packed digit classes of z, so after reach
+          passes every byte holds 1 where q = +1 and 2 where q = -1 for the
+          window whose last digit it is;
         * x_j = z_j - a q_j - b q_{j+1} + q_{j-1} is pos - neg, pos the terms
           that add and neg those that subtract, so (pos | H) - neg holds
-          128 + x_j in every byte where x_j >= 0, and no borrow crosses a
-          byte.
+          128 + x_j in every byte where x_j >= 0, H bit 7 of every byte, and
+          no borrow crosses a byte.
 
-        pos stays below top + a + |b| + 2, which must not reach bit 7; a
-        rule whose sums may is folded as lists.  If a byte leaves
-        {0..top-1}, the window loop reads the unpacked frame and raises
-        ValueError naming the window, as :meth:`outputs` does.
+        pos stays below top + a + |b| + 2, which must not reach bit 7, and
+        no automaton index may reach 256; a rule that breaks either is
+        folded as lists.  If a byte leaves {0..top-1}, the window loop reads
+        the unpacked frame and raises ValueError naming the window, as
+        :meth:`outputs` does.
         """
         carry, n, high, a, b = self._carry
-        if n + a + abs(b) >= 128:
-            return None
         try:
-            cuts, terms, plus, minus = self._program
+            tables = self._tables
         except AttributeError:
-            cuts, terms, plus, minus = self._program = _carry_program(
-                carry, n, self.anticipation - 1)
+            tables = self._tables = n + a + abs(b) < 128 and _carry_tables(carry, n, self.p - 2)
+        if not tables:
+            return None
+        digit_class, first, *rest = tables
         r, t = self.memory, self.anticipation
-        ones = (1 << 8 * width) // 255
-        hi = ones << 7
-        # bit 7 of the bytes whose carry reads the frame only, and of the output bytes
-        exact = ((1 << 8 * (width - r - t + 2)) // 255) << 8 * (r - 1) + 7
+        hi = ((1 << 8 * width) // 255) << 7
+        # 1 in the bytes whose carry reads the frame only, and in the output bytes
+        exact = ((1 << 8 * (width - r - t + 2)) // 255) << 8 * (r - 1)
         mid = ((1 << 8 * (width - r - t)) // 255) << 8 * r
         mid_hi = mid << 7
         low = mid * 127
         tops = mid * (n - 1)
-        subs = [v * ones for v in cuts]
         bb = abs(b)
 
         def step(z):
-            zh = z | hi
-            ge = [hi, *[(zh - s) & hi for s in subs], 0]  # [z >= v] for v = 0, the cuts, top + 1
-            masks = [(ge[i] ^ ge[j]) >> s if s >= 0 else (ge[i] ^ ge[j]) << -s
-                     for i, j, s in terms]
-            qp, qm = [(reduce(or_, [reduce(and_, map(masks.__getitem__, box)) for box in boxes], 0)
-                       & exact) >> 7 for boxes in (plus, minus)]  # 1 where q_j = +1, -1
+            frame = z.to_bytes(width, "big")
+            dc = int.from_bytes(frame.translate(digit_class), "big")
+            q = int.from_bytes(frame.translate(first), "big")
+            for table in rest:
+                q = int.from_bytes(((q >> 8) + dc).to_bytes(width, "big").translate(table), "big")
+            q <<= 8 * (r - 1)  # from the byte of the window's last digit onto z_j's
+            qp, qm = q & exact, (q >> 1) & exact  # 1 where q_j = +1, -1
             up, down = (qm, qp) if b > 0 else (qp, qm)  # q_{j+1} where -b q_{j+1} adds, subtracts
             pos = z + a * qm + bb * (up >> 8) + (qp << 8)
             neg = a * qp + bb * (down >> 8) + (qm << 8)
@@ -116,48 +116,48 @@ class _CarryRule(LocalRule):
             if x & mid_hi == mid_hi and not (x - tops) & mid_hi:  # and x_j <= top - 1
                 return x & low
             # the window loop raises ValueError naming the window
-            out = LocalRule.outputs(self, list(z.to_bytes(width, "big")))
+            out = LocalRule.outputs(self, list(frame))
             return int.from_bytes(bytes(out), "big") << 8 * r
 
         return step
 
 
-def _carry_program(carry, n, ahead):
-    """The carry table as boxes of threshold masks, for :meth:`_CarryRule.packed_step`.
+def _carry_tables(carry, n, reach):
+    """The carry table as an automaton of 256-byte translate tables, for
+    :meth:`_CarryRule.packed_step`; None if an index may reach 256.
 
-    The flat table splits on its most significant digit into runs of equal
-    sub-tables, and each run recursively, until a piece is constant.  A
-    piece worth q = +1 or -1 is a box: an interval [v, w) of values for each
-    digit it constrains, so [q_j = q] is the OR of its boxes' ANDs of
-    interval masks [z >= v] ^ [z >= w].  Returns the cuts v, 0 < v <= top,
-    whose threshold masks the intervals read; the terms, one per distinct
-    (digit, interval): the indices of its two masks in [H, *cuts, 0] and the
-    shift in bits that moves the digit's byte onto q_j's; and the boxes of
-    q = +1 and of q = -1 as tuples of term indices.
+    The automaton reads a window of ``reach`` digits most significant
+    first.  Its state after k digits is the class of the prefix: the
+    distinct sub-tables carry[idx*size:(idx+1)*size] of the n^k prefixes
+    idx, each held by the start of its first occurrence.  From the second
+    digit on, a digit moves it by the digit's class, the interval between
+    two cuts v, where some state's next state differs at v - 1 and v.
+    Returns the digit class of each digit and one table per digit read: the
+    first maps a digit to its state, each later one maps state + digit
+    class to the next state, and the last maps it to 1 where q = +1 and 2
+    where q = -1.  A state is stored times the number of classes, so that
+    one addition forms the next index.
     """
-    boxes = {1: [], -1: []}
-
-    def split(start, size, k, box):
-        piece = carry[start:start + size]
-        if piece.count(piece[0]) == size:
-            if piece[0]:
-                boxes[piece[0]].append(box)
-            return
+    size = len(carry)
+    starts = [0]
+    rows = []  # per digit read: for each state, the next state of every digit
+    for _ in range(reach):
         size //= n
-        runs = itertools.groupby(range(n), lambda v: carry[start + v * size:start + (v + 1) * size])
-        for _, run in runs:
-            v, *rest = run
-            w = v + 1 + len(rest)
-            split(start + v * size, size, k + 1, box if (v, w) == (0, n) else box + ((k, v, w),))
-
-    split(0, len(carry), 0, ())
-    intervals = sorted({term for box in boxes[1] + boxes[-1] for term in box})
-    cuts = sorted({v for _, lo, hi in intervals for v in (lo, hi)} - {0, n})
-    index = {v: i for i, v in enumerate([0, *cuts, n])}
-    terms = [(index[lo], index[hi], 8 * (ahead - k)) for k, lo, hi in intervals]
-    term = {interval: i for i, interval in enumerate(intervals)}
-    plus, minus = ([tuple(term[i] for i in box) for box in boxes[q]] for q in (1, -1))
-    return cuts, terms, plus, minus
+        seen = {}  # sub-table: (its state, its first start)
+        rows.append([[seen.setdefault(tuple(carry[s:s + size]), (len(seen), s))[0]
+                      for s in range(start, start + n * size, size)] for start in starts])
+        starts = [s for _, s in seen.values()]
+    cuts = [v for v in range(1, n)
+            if any(row[v] != row[v - 1] for level in rows[1:] for row in level)]
+    radix = len(cuts) + 1
+    if max(len(level) for level in rows[1:]) * radix > 256:
+        return None
+    # what a table stores for each next state: the state times radix, or the carry's mask
+    stored = [range(0, 256 * radix, radix)] * (reach - 1) + [[carry[s] % 3 for s in starts]]
+    tables = [[stored[k][row[v]] for row in level for v in ([0, *cuts] if k else range(n))]
+              for k, level in enumerate(rows)]
+    digit_class = [sum(c <= v for c in cuts) for v in range(n)]
+    return [bytes(table).ljust(256, b"\0") for table in (digit_class, *tables)]
 
 
 def _gde(base, a, b_signed, top, ahead, behind, q, name):

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import random
+import re
 import sys
 import threading
 import tracemalloc
@@ -288,7 +289,7 @@ class TestResidueWalk:
         # the fold keeps its frame to itself: neither the packed steps of a
         # shared shifted adder nor the block map of the signed Tribonacci
         # adder holds state between calls, and the threads race the first
-        # compile of a fresh rule's carry program
+        # compile of a fresh rule's carry tables
         for make in (lambda: shifted_adder("minus", 4, 2, d=2),
                      lambda: quadratic_adder("plus_special", 3),
                      lambda: dbonacci_block_adder(3, signed=True, s=5)):
@@ -299,7 +300,7 @@ class TestResidueWalk:
                            for n in (rng.randint(0, 40), rng.randint(0, 40)))
                      for _ in range(20)]
             expected = [make().add(x, y) for x, y in pairs]
-            assert not hasattr(adder.layer, "_program")
+            assert not hasattr(adder.layer, "_tables")
             sums = _in_threads(lambda: [adder.add(x, y) for x, y in pairs])
             assert all(out == expected for out in sums)
             assert all(check_sum(adder, x, y, out) for (x, y), out in zip(pairs, expected))
@@ -404,6 +405,24 @@ class TestEliminationAdder:
                 for n, dig in enumerate(changed.digits):
                     if dig:
                         assert i - ant <= changed.msd_exponent - n <= i + mem
+
+    @pytest.mark.parametrize("make", [lambda: quadratic_adder("plus", 4, 2),
+                                      lambda: shifted_adder("minus", 4, 2, d=2),
+                                      lambda: dbonacci_block_adder(3, signed=True, s=5)])
+    def test_operand_outside_alphabet_raises(self, make):
+        # the packed fold checks each operand where it packs it, the list
+        # fold of the block adder before it lays it out; the message is the same
+        adder = make()
+        if isinstance(adder.layer, LocalRule):
+            assert adder.layer.packed_step(10) is not None
+        lo, hi = adder.alphabet.min_digit, adder.alphabet.max_digit
+        good = DigitString((hi, 0, lo, 1), 2)
+        for bad_digit in (lo - 1, hi + 1, 300):
+            bad = DigitString((1, bad_digit, 0, hi), 1)
+            error = "digit out of adder alphabet %s in %s" % (adder.alphabet, bad)
+            for x, y in ((bad, good), (good, bad), (bad, DigitString())):
+                with pytest.raises(ValueError, match=re.escape(error)):
+                    adder.add(x, y)
 
     def test_construction_adds_nothing(self, monkeypatch):
         # shifted and signed adders keep the value by construction: building

@@ -31,6 +31,14 @@ def test_canonical_strips_zeros():
     assert DigitString((0, 0, 0), 5).is_zero()
 
 
+def test_from_bytes_is_the_constructor():
+    # the packed fold's path: signed bytes, stripped with bytes.strip
+    for digits in [(0, 0, 1, -1, 0, 2, 0, 0), (-128, 127), (0, 0, 0), (), (5,)]:
+        raw = bytes(d & 255 for d in digits)
+        for msd in (-3, 0, 4):
+            assert DigitString._from_bytes(raw, msd) == DigitString(digits, msd), (digits, msd)
+
+
 def test_digitwise_add_examples():
     x = parse_digits("1,1")
     y = parse_digits("1,0.1")

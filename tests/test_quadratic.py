@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 
@@ -307,6 +308,40 @@ class TestPackedStep:
             step = rule.packed_step(len(padded))
             out = step(int.from_bytes(bytes(padded), "big")).to_bytes(len(padded), "big")
             assert out == bytes(t) + bytes(rule.outputs(padded)) + bytes(r), padded
+
+
+class TestCarryTables:
+    """The translate tables of a GDE rule are its carry table read one digit at a time."""
+
+    @pytest.mark.parametrize("kind,a,b", PRESETS + [("plus", 40, 22)])
+    def test_tables_walk_to_the_carry_table(self, kind, a, b):
+        rule = gde_rule(kind, a, b)
+        assert rule.packed_step(rule.p) is not None
+        carry, n = rule._carry[:2]
+        digit_class, first, *rest = rule._tables
+        reach = rule.p - 2
+        assert len(rest) == reach - 1
+        for index, window in enumerate(itertools.product(range(n), repeat=reach)):
+            state = first[window[0]]
+            for table, d in zip(rest, window[1:]):
+                state = table[state + digit_class[d]]
+            assert (0, 1, -1)[state] == carry[index], window
+
+    def test_index_past_a_byte_keeps_the_list_fold(self, monkeypatch):
+        # a synthetic carry of plus:40,22 that is 1 where the first and last
+        # digits of the window agree: the automaton has a state for every
+        # first digit and a class for every digit, and 64 * 64 indices do
+        # not fit a byte, although top + a + b + 1 is 126
+        gde = quadratic._gde
+
+        def synthetic(base, a, b, top, ahead, behind, q, name):
+            return gde(base, a, b, top, ahead, behind,
+                       lambda *z: int(z[0] == z[-1] > 0), name + "-synthetic")
+
+        monkeypatch.setattr(quadratic, "_gde", synthetic)
+        rule = gde_plus(40, 22)
+        assert rule.packed_step(10) is None
+        assert rule._tables is None  # kept, so the next fold does not compile again
 
 
 class TestOutputGuard:

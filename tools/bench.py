@@ -2,7 +2,7 @@
 
 Usage, from anywhere:
 
-    python3 tools/bench.py LABEL
+    python3 tools/bench.py LABEL [--against OTHER]
 
 Each workload run is one ``python3 perfbench/run.py --workload W --seed 1
 --trace T`` in a fresh interpreter, from the root of the checkout that holds
@@ -20,19 +20,27 @@ in µs per block over the blocks outside B among 2,000 seeded ones, read
 cold (a fresh adder) and then warm (the same adder again).  Beside them,
 one sum of two seeded 100,000-digit operands is timed in process on the
 minus:4,2 and plus:4,2 GDE adders and the signed Tribonacci block adder, in
-µs per operand digit, the median of three runs, each on a fresh adder.
+µs per operand digit, the median of three runs, each on a fresh adder, and
+the first ``packed_step`` call of each GDE preset and of plus:40,22 is
+timed on a freshly built rule, in ms, the median of three: it compiles the
+rule's carry tables, the one cost of the packed fold that no later fold
+pays.
 
 The script writes ``BENCH_<LABEL>.json`` at that root: the git commit, the
 Python version, the line count of each ``src/betapar/*.py`` by module name
-as ``src_lines_by_module`` and their total as ``src_lines``, and for every run the command and its result: the JSON line
-the benchmark printed, tier-1's wall time, summary line and slowest tests,
-or a CLI command's wall time and exit code, the two searches as
-``searches`` and the long sums as ``chain_add_us_per_digit``.  Its ``spread`` entry gives,
-for every workload, the min, median and max of every end-to-end metric of
-``BENCHMARK.json`` over the ``--trace 0`` runs and of every per-layer
-metric over the ``--trace 1`` runs, so the run-to-run noise of each metric
-is in the file beside its runs.  Its ``per_layer`` entry records each
-per-layer metric as that median: one traced pass spreads up to 2.5x.
+as ``src_lines_by_module`` and their total as ``src_lines``, and for every
+run the command and its result: the JSON line the benchmark printed,
+tier-1's wall time, summary line and slowest tests, or a CLI command's wall
+time and exit code, the two searches as ``searches``, the long sums as
+``chain_add_us_per_digit`` and the compiles as ``packed_compile_ms``.  With
+``--against OTHER``, it also holds each module's line count less its count
+in ``BENCH_<OTHER>.json`` as ``src_lines_net_by_module``, and their total as
+``src_lines_net``.  Its ``spread`` entry gives, for every workload, the
+min, median and max of every end-to-end metric of ``BENCHMARK.json`` over
+the ``--trace 0`` runs and of every per-layer metric over the ``--trace 1``
+runs, so the run-to-run noise of each metric is in the file beside its
+runs.  Its ``per_layer`` entry records each per-layer metric as that
+median: one traced pass spreads up to 2.5x.
 """
 
 from __future__ import annotations
@@ -226,10 +234,39 @@ def run_long_additions():
     return {name: us_per_digit(make) for name, make in adders.items()}
 
 
+COMPILE_PRESETS = (("plus", 4, 2), ("plus", 5, 3), ("plus_special", 3, None),
+                   ("plus_special", 4, None), ("minus", 3, 1), ("minus", 4, 2), ("plus", 40, 22))
+
+
+def run_compiles():
+    """Median of three timings, in ms, of the first packed_step call on a fresh GDE rule.
+
+    Building the rule is not timed; the call compiles the rule's carry
+    tables, as the first packed fold of an adder does.
+    """
+    sys.path.insert(0, os.path.join(ROOT, "src"))
+    from betapar.quadratic import gde_rule
+
+    def measure(spec):
+        rule = gde_rule(*spec)
+        start = time.perf_counter()
+        rule.packed_step(rule.p)
+        return (time.perf_counter() - start) * 1e3
+
+    return {"%s:%s" % (kind, a if b is None else "%d,%d" % (a, b)):
+            statistics.median(measure((kind, a, b)) for _ in range(RUNS))
+            for kind, a, b in COMPILE_PRESETS}
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("label", help="the file written is BENCH_<label>.json")
+    parser.add_argument("--against", metavar="OTHER",
+                        help="record src/ lines net of those in BENCH_<OTHER>.json")
     args = parser.parse_args(argv)
+    if args.against:  # before the runs, so a missing file fails fast
+        with open(os.path.join(ROOT, "BENCH_%s.json" % args.against)) as fh:
+            other_lines = json.load(fh)["src_lines_by_module"]
     commands = readme_cli_commands()  # before the runs, so a missing section fails fast
     runs = []
     for trace in [0] * RUNS + [1] * RUNS:
@@ -251,6 +288,8 @@ def main(argv=None):
     print("searches  %s" % json.dumps(searches), file=sys.stderr)
     long_additions = run_long_additions()
     print("long adds %s" % json.dumps(long_additions), file=sys.stderr)
+    compiles = run_compiles()
+    print("compiles  %s" % json.dumps(compiles), file=sys.stderr)
     lines = src_lines_by_module()
     per_layer = spread(runs, "per_layer")
     table = spread(runs, "end_to_end")
@@ -263,7 +302,13 @@ def main(argv=None):
               "per_layer": {workload: {name: stats["median"] for name, stats in metrics.items()}
                             for workload, metrics in per_layer.items()},
               "tier1": tier1, "cli": cli, "searches": searches,
-              "chain_add_us_per_digit": long_additions}
+              "chain_add_us_per_digit": long_additions, "packed_compile_ms": compiles}
+    if args.against:
+        net = {name: lines.get(name, 0) - other_lines.get(name, 0)
+               for name in sorted(set(lines) | set(other_lines))}
+        record.update(src_lines_net=sum(net.values()), src_lines_net_by_module=net)
+        print("src lines %+d against %s: %s" % (sum(net.values()), args.against, json.dumps(net)),
+              file=sys.stderr)
     path = os.path.join(ROOT, "BENCH_%s.json" % args.label)
     with open(path, "w") as fh:
         json.dump(record, fh, indent=1)
