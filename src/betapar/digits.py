@@ -117,8 +117,8 @@ class DigitString(Immutable):
         """The string of the signed bytes raw, the first at msd_exponent.
 
         It equals the constructor's result on those digits, but strips the
-        zeros with ``bytes.strip`` and reads the digits through a signed
-        memoryview, with no Python loop over them.
+        zeros with ``bytes.lstrip`` and ``rstrip`` and reads the digits
+        through a signed memoryview, with no Python loop over them.
         """
         body = raw.rstrip(b"\0")
         digits = body.lstrip(b"\0")
