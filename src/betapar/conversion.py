@@ -85,8 +85,8 @@ layers keep the list fold.
 Rules are shareable: their memos, of window outputs, of flush sums -K(s)
 and a GDE rule's carry tables, hold pure functions of the rule, each entry
 stored in one assignment, so racing threads at worst compute an entry
-twice.  A faster path, such as the GDE carry path or the packed step, must
-stay bit-identical to the window loop; tests check it.
+twice.  The packed step must stay bit-identical to the window loop; tests
+check it.
 """
 
 from __future__ import annotations
@@ -111,8 +111,7 @@ class LocalRule:
     checks each output against the output alphabet and memoises it.
     Construction checks Phi(0^p) = 0, and reads every window when there are
     at most ``tabulate_threshold``, which proves the output alphabet up
-    front.  :meth:`outputs` is the window loop, which a subclass may
-    replace by an equal computation.
+    front.  :meth:`outputs` is the window loop.
     """
 
     k = 1  # a 1-block map: each window position is one digit

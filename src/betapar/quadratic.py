@@ -15,21 +15,19 @@ x_j = z_j - a q_j -(+) b q_{j+1} + q_{j-1}, which deducts q_j times a
 representation of zero (beta^2 - a beta -+ b) and therefore cannot change
 the value.  The three rules differ only in their case tables, which are
 transcribed verbatim; :func:`_gde` is the rest of the construction.  It
-tabulates the carry once, and the rule applies itself through that table:
-no window table is built.  A digit list reads it by a rolling index
-(:meth:`_CarryRule.outputs`); an adder's fold reads it word-parallel, one
-``bytes.translate`` per digit of the window, through the tables of an
-automaton compiled from it on the first fold (:meth:`_CarryRule.packed_step`).  Every output digit is still checked
+tabulates the carry once and reads no window when built: a digit list goes
+through the memoised window loop, and an adder's fold reads the carry
+table word-parallel, one ``bytes.translate`` per digit of the window,
+through an automaton compiled from it on the first fold
+(:meth:`_CarryRule.packed_step`).  Every output digit is still checked
 against the declared alphabet when it is produced, and any transcription
 slip fails loudly there or in the exhaustive verification sweeps.
 
 Note on window widths: the carry q_j reads one digit each way (two ahead
 for the special table, two each way for the minus table), but the output
 x_j also consumes q_{j+1} and q_{j-1}, so the full digit maps are 5-, 6-
-and 7-local respectively.  Every adder takes its alphabet from its rule.
-
-The carry choice depends on neighbouring digits, so all three rules are
-neighbour-sensitive.
+and 7-local respectively, and all three are neighbour-sensitive.  Every
+adder takes its alphabet from its rule.
 """
 
 from __future__ import annotations
@@ -42,19 +40,7 @@ from .digits import Alphabet
 
 
 class _CarryRule(LocalRule):
-    """A GDE rule that applies itself through its carry table; see :func:`_gde`."""
-
-    def outputs(self, padded):
-        """The window loop's outputs: a rolling carry index gives every q_j, then x_j."""
-        carry, n, high, a, b = self._carry
-        i = 0
-        q = [carry[(i := i % high * n + d)] for d in padded]  # q[k]: carry of digits ending at k
-        k = self.p - 3  # from q[k] on, each index holds all reach = p - 2 digits
-        out = [z - a * q0 - b * qa + qb for z, qa, q0, qb
-               in zip(padded[self.anticipation:], q[k:], q[k + 1:], q[k + 2:])]
-        if min(out) < 0 or max(out) > n - 2:  # outside {0..top-1}
-            return LocalRule.outputs(self, padded)  # raises ValueError naming the window
-        return out
+    """A GDE rule: its window loop, and a packed step for folds; see :func:`_gde`."""
 
     def packed_step(self, width):
         """The layer on a packed padded frame of ``width`` digits, or None if a byte may overflow.
@@ -80,10 +66,9 @@ class _CarryRule(LocalRule):
         pos stays below top + a + |b| + 2, which must not reach bit 7, and
         no automaton index may reach 256; a rule that breaks either is
         folded as lists.  If a byte leaves {0..top-1}, the window loop reads
-        the unpacked frame and raises ValueError naming the window, as
-        :meth:`outputs` does.
+        the unpacked frame and raises ValueError naming the window.
         """
-        carry, n, high, a, b = self._carry
+        carry, n, a, b = self._carry
         try:
             tables = self._tables
         except AttributeError:
@@ -116,7 +101,7 @@ class _CarryRule(LocalRule):
             if x & mid_hi == mid_hi and not (x - tops) & mid_hi:  # and x_j <= top - 1
                 return x & low
             # the window loop raises ValueError naming the window
-            out = LocalRule.outputs(self, list(frame))
+            out = self.outputs(list(frame))
             return int.from_bytes(bytes(out), "big") << 8 * r
 
         return step
@@ -167,8 +152,8 @@ def _gde(base, a, b_signed, top, ahead, behind, q, name):
     digits below it, most significant first.  It is tabulated once, as a
     flat list indexed by those digits in radix top + 1; the output
     x_j = z_j - a q_j - b_signed q_{j+1} + q_{j-1} reads it at j+1, j and
-    j-1 (strings by a rolling index, single windows through ``window_fn``),
-    so the rule has memory behind+1 and anticipation ahead+1.
+    j-1 (through ``window_fn``, or packed in a fold), so the rule has
+    memory behind+1 and anticipation ahead+1.
     """
     if base.poly.reduction_vector() != (b_signed, a):  # f is minimal: beta^2 = a beta + b_signed
         raise AssertionError("base polynomial does not match the elimination identity")
@@ -189,7 +174,7 @@ def _gde(base, a, b_signed, top, ahead, behind, q, name):
 
     rule = _CarryRule(base, behind + 1, ahead + 1, Alphabet(0, top), Alphabet(0, top - 1),
                       window_fn, name=name, tabulate_threshold=0)
-    rule._carry = carry, n, high, a, b_signed
+    rule._carry = carry, n, a, b_signed
     return rule
 
 
@@ -276,6 +261,8 @@ def gde_rule(kind, a, b=None):
     if kind == "plus":
         return gde_plus(a, b)
     if kind == "plus_special":
+        if b not in (None, a - 1):
+            raise ValueError("the plus_special family has b = a-1 = %d, got b=%r" % (a - 1, b))
         return gde_plus_special(a)
     if kind == "minus":
         return gde_minus(a, b)

@@ -1,5 +1,6 @@
-"""Source hygiene of the library: no unused imports and no private helper
-left without a reader (ROADMAP aim 2, "no unused helpers").
+"""Source hygiene of the library: no unused imports, no private helper
+left without a reader and no private attribute that is written but never
+read (ROADMAP aim 2, "no unused helpers", "no write-only attributes").
 
 The check reads ``src/betapar/*.py`` with :mod:`ast` only; nothing is
 imported or run.  ``__init__.py`` re-exports the public names, so its
@@ -34,9 +35,12 @@ def _bound_names(stmt):
     return [t.id for t in targets if isinstance(t, ast.Name)]
 
 
+def _modules():
+    return {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
+
+
 def test_imports_are_read_and_private_names_have_a_reader():
-    modules = {path.name: ast.parse(path.read_text(), str(path))
-               for path in sorted(SRC.glob("*.py"))}
+    modules = _modules()
     loads = {name: _loads(tree) for name, tree in modules.items()}
     imported = {name: {alias.name for node in ast.walk(tree)
                        if isinstance(node, ast.ImportFrom) for alias in node.names}
@@ -59,3 +63,47 @@ def test_imports_are_read_and_private_names_have_a_reader():
                 if not elsewhere and bound not in _loads(tree, skip=stmt):
                     unused.append("%s: private %s" % (name, bound))
     assert unused == []
+
+
+def _is_private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _attributes(tree):
+    """(stored, read): the private attribute names that tree writes and reads.
+
+    A write is ``obj._x = ...`` (also augmented, annotated or in a tuple) or
+    ``object.__setattr__(obj, "_x", ...)``; a read is ``obj._x`` in any other
+    context, or ``getattr(obj, "_x", ...)`` or ``hasattr(obj, "_x")``.
+    """
+    stored, read = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and _is_private(node.attr):
+            (stored if isinstance(node.ctx, ast.Store) else read).add(node.attr)
+        elif isinstance(node, ast.Call) and len(node.args) >= 2:
+            name = node.args[1]
+            if not (isinstance(name, ast.Constant) and isinstance(name.value, str)
+                    and _is_private(name.value)):
+                continue
+            func = node.func
+            if isinstance(func, ast.Attribute) and func.attr == "__setattr__":
+                stored.add(name.value)
+            elif isinstance(func, ast.Name) and func.id in ("getattr", "hasattr"):
+                read.add(name.value)
+    return stored, read
+
+
+def test_attribute_scan_sees_both_writes():
+    stored, read = _attributes(ast.parse(
+        "self._a = 1\nobject.__setattr__(self, '_b', 2)\nself._c += self._d\n"
+        "x = getattr(self, '_e', None)\nself.__dict__ = {}\n"))
+    assert stored == {"_a", "_b", "_c"} and read == {"_d", "_e"}  # a += alone is no read
+
+
+def test_private_attributes_written_are_read():
+    stored, read = set(), set()
+    for tree in _modules().values():
+        module_stored, module_read = _attributes(tree)
+        stored |= module_stored
+        read |= module_read
+    assert stored and sorted(stored - read) == []

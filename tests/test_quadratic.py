@@ -12,7 +12,6 @@ from betapar.algebraic import (
 )
 from betapar.conversion import (
     ChainAdder,
-    LocalRule,
     apply_local,
     check_sum,
     exhaustive,
@@ -51,6 +50,15 @@ class TestHypotheses:
         for fn, args in calls:
             with pytest.raises(ValueError, match=r"\bneeds b\b"):
                 fn(*args)
+
+    def test_special_takes_no_other_b(self):
+        # b is a - 1 in the special family: any other b is an error, not dropped
+        for fn, args in [(gde_rule, ("plus_special", 3, 7)),
+                         (quadratic_adder, ("plus_special", 3, 99))]:
+            with pytest.raises(ValueError, match=r"b = a-1 = 2, got b=\d+"):
+                fn(*args)
+        assert gde_rule("plus_special", 3, 2).name == gde_rule("plus_special", 3).name
+        assert quadratic_adder("plus_special", 4, 3).alphabet == Alphabet(0, 7)
 
 
 class TestAlphabets:
@@ -250,12 +258,11 @@ class TestShiftedAdder:
             assert check_sum(adder, x, y, adder.add(x, y)), (x, y)
 
     def test_minus_d2_tabulates_one_table(self):
-        # the one table is the gde's carry table, 6^5 entries; no window
-        # is read: ChainAdder checks the plateau letter through the carry path
+        # the one table is the gde's carry table, 6^5 entries; the one window
+        # read is the plateau window that ChainAdder checks through the window loop
         adder = shifted_adder("minus", 4, 2, d=2)
-        assert type(adder.layer).outputs is not LocalRule.outputs
         assert len(adder.layer._carry[0]) == 6 ** 5
-        assert adder.layer._windows == {}
+        assert adder.layer._windows == {(2,) * 7: 2}
 
 
 # the presets of acceptance criterion 2
@@ -270,41 +277,29 @@ def _plateaus(kind, a, b, M):
     return sorted({c for d in shifts for c, used in ((d, d < M), (M - d, d > 0)) if used})
 
 
-class TestCarryPath:
-    """A GDE rule's carry path agrees with the window loop of a plain LocalRule."""
-
-    @pytest.mark.parametrize("kind,a,b", PRESETS)
-    def test_carry_path_equals_window_loop(self, kind, a, b):
-        rule = gde_rule(kind, a, b)
-        plain = LocalRule(rule.base, rule.memory, rule.anticipation, rule.input_alphabet,
-                          rule.output_alphabet, rule.window_fn, tabulate_threshold=0)
-        assert type(rule).outputs is not LocalRule.outputs
-        top = rule.input_alphabet.max_digit
-        M = rule.output_alphabet.max_digit
-        rng = random.Random(2024)
-        for c in _plateaus(kind, a, b, M):
-            words = [(), (top - c,), (top - c,) * 12]
-            while len(words) < 200:
-                n = rng.randint(1, 12)
-                words.append(tuple(rng.randint(-c, top - c) for _ in range(n)))
-            for word in words:
-                u = DigitString(word, rng.randint(-3, 3))
-                assert apply_local(rule, u, c) == apply_local(plain, u, c), (c, u)
-
-
 class TestPackedStep:
     """A GDE rule's packed step is its outputs on every padded list, packed."""
 
     @pytest.mark.parametrize("kind,a,b", PRESETS)
     def test_packed_step_equals_outputs(self, kind, a, b):
-        # random pads, unlike a fold's plateau, make the carries next to
-        # the pads count
+        # random pads, unlike a fold's plateau, make the carries next to the
+        # pads count; the plateau frames are those a fold and apply_local
+        # read: a word lifted by a plateau letter c of the family's adders,
+        # its frame and pads filled with c
         rule = gde_rule(kind, a, b)
         top = rule.input_alphabet.max_digit
         t, r = rule.anticipation, rule.memory
         rng = random.Random(2025)
-        for _ in range(200):
-            padded = [rng.randint(0, top) for _ in range(rng.randint(rule.p, 40))]
+        frames = [[rng.randint(0, top) for _ in range(rng.randint(rule.p, 40))]
+                  for _ in range(200)]
+        rng = random.Random(2024)
+        for c in _plateaus(kind, a, b, rule.output_alphabet.max_digit):
+            words = [(), (top - c,), (top - c,) * 12]
+            while len(words) < 200:
+                n = rng.randint(1, 12)
+                words.append(tuple(rng.randint(-c, top - c) for _ in range(n)))
+            frames += [[c] * (t + r) + [v + c for v in word] + [c] * (t + r) for word in words]
+        for padded in frames:
             step = rule.packed_step(len(padded))
             out = step(int.from_bytes(bytes(padded), "big")).to_bytes(len(padded), "big")
             assert out == bytes(t) + bytes(rule.outputs(padded)) + bytes(r), padded

@@ -20,11 +20,13 @@ in µs per block over the blocks outside B among 2,000 seeded ones, read
 cold (a fresh adder) and then warm (the same adder again).  Beside them,
 one sum of two seeded 100,000-digit operands is timed in process on the
 minus:4,2 and plus:4,2 GDE adders and the signed Tribonacci block adder, in
-µs per operand digit, the median of three runs, each on a fresh adder, and
-the first ``packed_step`` call of each GDE preset and of plus:40,22 is
-timed on a freshly built rule, in ms, the median of three: it compiles the
-rule's carry tables, the one cost of the packed fold that no later fold
-pays.
+µs per operand digit, the median of three runs, each on a fresh adder;
+one ``apply_local`` of a seeded 100,000-digit string is timed on a fresh
+minus:4,2 and a fresh plus:4,2 GDE rule, cold and then warm on the same
+rule, in µs per digit, the median of three; and the first ``packed_step``
+call of each GDE preset and of plus:40,22 is timed on a freshly built rule,
+in ms, the median of three: it compiles the rule's carry tables, the one
+cost of the packed fold that no later fold pays.
 
 The script writes ``BENCH_<LABEL>.json`` at that root: the git commit, the
 Python version, the line count of each ``src/betapar/*.py`` by module name
@@ -32,7 +34,8 @@ as ``src_lines_by_module`` and their total as ``src_lines``, and for every
 run the command and its result: the JSON line the benchmark printed,
 tier-1's wall time, summary line and slowest tests, or a CLI command's wall
 time and exit code, the two searches as ``searches``, the long sums as
-``chain_add_us_per_digit`` and the compiles as ``packed_compile_ms``.  With
+``chain_add_us_per_digit``, the long applications as
+``apply_local_us_per_digit`` and the compiles as ``packed_compile_ms``.  With
 ``--against OTHER``, it also holds each module's line count less its count
 in ``BENCH_<OTHER>.json`` as ``src_lines_net_by_module``, and their total as
 ``src_lines_net``.  Its ``spread`` entry gives, for every workload, the
@@ -234,6 +237,42 @@ def run_long_additions():
     return {name: us_per_digit(make) for name, make in adders.items()}
 
 
+def run_long_applications():
+    """Median of three in-process timings of apply_local on a fresh GDE rule, in µs per digit.
+
+    Each run builds the rule anew, outside the timing, and applies it twice
+    to one seeded string of LONG_DIGITS digits over its input alphabet: the
+    cold call reads every window of the string through the window loop and
+    memoises it, and the warm call finds them in the rule's memo.
+    """
+    sys.path.insert(0, os.path.join(ROOT, "src"))
+    import random
+
+    from betapar.conversion import apply_local
+    from betapar.digits import DigitString
+    from betapar.quadratic import gde_rule
+
+    rng = random.Random(SEED)
+
+    def us_per_digit(spec):
+        alphabet = gde_rule(*spec).input_alphabet
+        lo, hi = alphabet.min_digit, alphabet.max_digit
+        u = DigitString([rng.randint(lo, hi) for _ in range(LONG_DIGITS)], LONG_DIGITS - 1)
+        runs = []
+        for _ in range(RUNS):
+            rule = gde_rule(*spec)
+            times = []
+            for _ in ("cold", "warm"):
+                start = time.perf_counter()
+                apply_local(rule, u)
+                times.append((time.perf_counter() - start) / LONG_DIGITS * 1e6)
+            runs.append(times)
+        return {"cold": statistics.median(cold for cold, _ in runs),
+                "warm": statistics.median(warm for _, warm in runs)}
+
+    return {"minus:4,2": us_per_digit(("minus", 4, 2)), "plus:4,2": us_per_digit(("plus", 4, 2))}
+
+
 COMPILE_PRESETS = (("plus", 4, 2), ("plus", 5, 3), ("plus_special", 3, None),
                    ("plus_special", 4, None), ("minus", 3, 1), ("minus", 4, 2), ("plus", 40, 22))
 
@@ -288,6 +327,8 @@ def main(argv=None):
     print("searches  %s" % json.dumps(searches), file=sys.stderr)
     long_additions = run_long_additions()
     print("long adds %s" % json.dumps(long_additions), file=sys.stderr)
+    long_applications = run_long_applications()
+    print("long apps %s" % json.dumps(long_applications), file=sys.stderr)
     compiles = run_compiles()
     print("compiles  %s" % json.dumps(compiles), file=sys.stderr)
     lines = src_lines_by_module()
@@ -302,7 +343,8 @@ def main(argv=None):
               "per_layer": {workload: {name: stats["median"] for name, stats in metrics.items()}
                             for workload, metrics in per_layer.items()},
               "tier1": tier1, "cli": cli, "searches": searches,
-              "chain_add_us_per_digit": long_additions, "packed_compile_ms": compiles}
+              "chain_add_us_per_digit": long_additions,
+              "apply_local_us_per_digit": long_applications, "packed_compile_ms": compiles}
     if args.against:
         net = {name: lines.get(name, 0) - other_lines.get(name, 0)
                for name in sorted(set(lines) | set(other_lines))}
