@@ -12,6 +12,7 @@ from betapar.algebraic import (
 )
 from betapar.conversion import (
     ChainAdder,
+    LocalRule,
     apply_local,
     check_sum,
     exhaustive,
@@ -277,29 +278,48 @@ def _plateaus(kind, a, b, M):
     return sorted({c for d in shifts for c, used in ((d, d < M), (M - d, d > 0)) if used})
 
 
+class TestCarryPath:
+    """A GDE rule's carry path, its packed step, agrees with the window loop of a plain LocalRule."""
+
+    @pytest.mark.parametrize("kind,a,b", PRESETS)
+    def test_carry_path_equals_window_loop(self, kind, a, b):
+        # the frames are those a fold and apply_local read: a word lifted by
+        # a plateau letter c of the family's adders, its frame and pads filled with c
+        rule = gde_rule(kind, a, b)
+        plain = LocalRule(rule.base, rule.memory, rule.anticipation, rule.input_alphabet,
+                          rule.output_alphabet, rule.window_fn, tabulate_threshold=0)
+        assert type(rule).outputs is LocalRule.outputs  # digit lists go through the window loop
+        top = rule.input_alphabet.max_digit
+        M = rule.output_alphabet.max_digit
+        t, r = rule.anticipation, rule.memory
+        rng = random.Random(2024)
+        for c in _plateaus(kind, a, b, M):
+            words = [(), (top - c,), (top - c,) * 12]
+            while len(words) < 200:
+                n = rng.randint(1, 12)
+                words.append(tuple(rng.randint(-c, top - c) for _ in range(n)))
+            for word in words:
+                u = DigitString(word, rng.randint(-3, 3))
+                assert apply_local(rule, u, c) == apply_local(plain, u, c), (c, u)
+                padded = [c] * (t + r) + [v + c for v in word] + [c] * (t + r)
+                step = rule.packed_step(len(padded))
+                out = step(int.from_bytes(bytes(padded), "big")).to_bytes(len(padded), "big")
+                assert out == bytes(t) + bytes(plain.outputs(padded)) + bytes(r), (c, word)
+
+
 class TestPackedStep:
     """A GDE rule's packed step is its outputs on every padded list, packed."""
 
     @pytest.mark.parametrize("kind,a,b", PRESETS)
     def test_packed_step_equals_outputs(self, kind, a, b):
-        # random pads, unlike a fold's plateau, make the carries next to the
-        # pads count; the plateau frames are those a fold and apply_local
-        # read: a word lifted by a plateau letter c of the family's adders,
-        # its frame and pads filled with c
+        # random pads, unlike a fold's plateau, make the carries next to
+        # the pads count
         rule = gde_rule(kind, a, b)
         top = rule.input_alphabet.max_digit
         t, r = rule.anticipation, rule.memory
         rng = random.Random(2025)
-        frames = [[rng.randint(0, top) for _ in range(rng.randint(rule.p, 40))]
-                  for _ in range(200)]
-        rng = random.Random(2024)
-        for c in _plateaus(kind, a, b, rule.output_alphabet.max_digit):
-            words = [(), (top - c,), (top - c,) * 12]
-            while len(words) < 200:
-                n = rng.randint(1, 12)
-                words.append(tuple(rng.randint(-c, top - c) for _ in range(n)))
-            frames += [[c] * (t + r) + [v + c for v in word] + [c] * (t + r) for word in words]
-        for padded in frames:
+        for _ in range(200):
+            padded = [rng.randint(0, top) for _ in range(rng.randint(rule.p, 40))]
             step = rule.packed_step(len(padded))
             out = step(int.from_bytes(bytes(padded), "big")).to_bytes(len(padded), "big")
             assert out == bytes(t) + bytes(rule.outputs(padded)) + bytes(r), padded
