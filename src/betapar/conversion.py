@@ -82,11 +82,11 @@ layer as one step over every digit at once, and hands back the frame's
 bytes, which become the sum with no Python loop over the digits.  Block
 layers keep the list fold.
 
-Rules are shareable: their memos, of window outputs, of flush sums -K(s)
-and a GDE rule's carry tables, hold pure functions of the rule, each entry
-stored in one assignment, so racing threads at worst compute an entry
-twice.  The packed step must stay bit-identical to the window loop; tests
-check it.
+Rules are shareable: their memos, of window outputs (filled by
+construction and by ``window``), of flush sums -K(s) and a GDE rule's
+carry tables, hold pure functions of the rule, each entry stored in one
+assignment, so racing threads at worst compute an entry twice.  The
+packed step must stay bit-identical to the window loop; tests check it.
 """
 
 from __future__ import annotations
@@ -111,7 +111,9 @@ class LocalRule:
     checks each output against the output alphabet and memoises it.
     Construction checks Phi(0^p) = 0, and reads every window when there are
     at most ``tabulate_threshold``, which proves the output alphabet up
-    front.  :meth:`outputs` is the window loop.
+    front.  :meth:`outputs` is the window loop: it reads a tabulated rule's
+    memo, and on any other rule calls ``window_fn`` afresh with the same
+    check, so a long string leaves no memo behind.
     """
 
     k = 1  # a 1-block map: each window position is one digit
@@ -133,9 +135,11 @@ class LocalRule:
         zero_out = window_fn((0,) * self.p)
         if zero_out != 0:
             raise ValueError("window_fn(0^p) = %r; finite support would break" % (zero_out,))
-        if tabulate_threshold and len(input_alphabet) ** self.p <= tabulate_threshold:
+        tabulated = tabulate_threshold and len(input_alphabet) ** self.p <= tabulate_threshold
+        if tabulated:
             for w in itertools.product(input_alphabet, repeat=self.p):
                 self.window(w)
+        self._read = self.window if tabulated else self._windows.checked
 
     @property
     def p(self):
@@ -143,8 +147,7 @@ class LocalRule:
 
     def outputs(self, padded):
         """Phi of every p-digit window of the list padded, most significant first."""
-        p = self.p
-        return [self.window(tuple(padded[i:i + p])) for i in range(len(padded) - p + 1)]
+        return list(map(self._read, zip(*[padded[i:] for i in range(self.p)])))
 
     def __repr__(self):
         return "LocalRule(%s, r=%d, t=%d, %s -> %s)" % (
@@ -159,12 +162,16 @@ class _WindowMemo(dict):
         self.rule = rule
 
     def __missing__(self, w):
+        out = self[w] = self.checked(w)
+        return out
+
+    def checked(self, w):
+        """Phi(w), or ValueError naming w if it lies outside the output alphabet."""
         rule = self.rule
         out = rule.window_fn(w)
         alphabet = rule.output_alphabet
         if not alphabet.min_digit <= out <= alphabet.max_digit:
             raise ValueError("%s: window %r maps to %r outside %s" % (rule.name, w, out, alphabet))
-        self[w] = out
         return out
 
 

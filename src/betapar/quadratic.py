@@ -16,7 +16,7 @@ representation of zero (beta^2 - a beta -+ b) and therefore cannot change
 the value.  The three rules differ only in their case tables, which are
 transcribed verbatim; :func:`_gde` is the rest of the construction.  It
 tabulates the carry once and reads no window when built: a digit list goes
-through the memoised window loop, and an adder's fold reads the carry
+through the window loop, which keeps no memo, and a fold reads the carry
 table word-parallel, one ``bytes.translate`` per digit of the window,
 through an automaton compiled from it on the first fold
 (:meth:`_CarryRule.packed_step`).  Every output digit is still checked

@@ -53,6 +53,23 @@ class TestLocalRule:
         assert apply_local(rule, s) == s
         assert fixed_letters(rule) == {0, 1, 2, 3}
 
+    def test_untabulated_window_loop_keeps_no_memo(self):
+        # a long string through an untabulated rule's window loop leaves no
+        # window behind, and a window outside the output alphabet still raises
+        rule = gde_rule("minus", 4, 2)
+        rng = random.Random(5)
+        u = DigitString([rng.randint(0, 5) for _ in range(2000)], 1999)
+        assert conversion._same_value(rule.base, apply_local(rule, u), u)
+        assert rule._windows == {}
+        slip = (0, 0, 0, 5, 0, 0, 0)
+        slipped = LocalRule(rule.base, rule.memory, rule.anticipation, rule.input_alphabet,
+                            rule.output_alphabet, lambda w: 9 if w == slip else rule.window_fn(w),
+                            name="slipped", tabulate_threshold=0)
+        with pytest.raises(ValueError, match=re.escape("window %r maps to 9" % (slip,))):
+            apply_local(slipped, DigitString((5,), 0))
+        assert slipped._windows == {}
+        assert slipped.window((0,) * 7) == 0 and slipped._windows == {(0,) * 7: 0}
+
 
 class TestApplyLocal:
     def test_zero_maps_to_zero(self, rule_plus42):

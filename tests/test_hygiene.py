@@ -72,14 +72,18 @@ def _is_private(name):
 def _attributes(tree):
     """(stored, read): the private attribute names that tree writes and reads.
 
-    A write is ``obj._x = ...`` (also augmented, annotated or in a tuple) or
-    ``object.__setattr__(obj, "_x", ...)``; a read is ``obj._x`` in any other
-    context, or ``getattr(obj, "_x", ...)`` or ``hasattr(obj, "_x")``.
+    A write is ``obj._x = ...`` (also augmented, annotated or in a tuple),
+    ``setattr(obj, "_x", ...)`` or ``object.__setattr__(obj, "_x", ...)``; a
+    read is ``obj._x`` in a load, or ``getattr(obj, "_x", ...)`` or
+    ``hasattr(obj, "_x")``.  ``del obj._x`` is neither.
     """
     stored, read = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and _is_private(node.attr):
-            (stored if isinstance(node.ctx, ast.Store) else read).add(node.attr)
+            if isinstance(node.ctx, ast.Store):
+                stored.add(node.attr)
+            elif isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
         elif isinstance(node, ast.Call) and len(node.args) >= 2:
             name = node.args[1]
             if not (isinstance(name, ast.Constant) and isinstance(name.value, str)
@@ -87,6 +91,8 @@ def _attributes(tree):
                 continue
             func = node.func
             if isinstance(func, ast.Attribute) and func.attr == "__setattr__":
+                stored.add(name.value)
+            elif isinstance(func, ast.Name) and func.id == "setattr":
                 stored.add(name.value)
             elif isinstance(func, ast.Name) and func.id in ("getattr", "hasattr"):
                 read.add(name.value)
@@ -96,8 +102,10 @@ def _attributes(tree):
 def test_attribute_scan_sees_both_writes():
     stored, read = _attributes(ast.parse(
         "self._a = 1\nobject.__setattr__(self, '_b', 2)\nself._c += self._d\n"
-        "x = getattr(self, '_e', None)\nself.__dict__ = {}\n"))
-    assert stored == {"_a", "_b", "_c"} and read == {"_d", "_e"}  # a += alone is no read
+        "x = getattr(self, '_e', None)\nself.__dict__ = {}\n"
+        "setattr(self, '_f', 3)\ndel self._a\n"))
+    # a += alone is no read, nor is a del
+    assert stored == {"_a", "_b", "_c", "_f"} and read == {"_d", "_e"}
 
 
 def test_private_attributes_written_are_read():

@@ -21,9 +21,11 @@ cold (a fresh adder) and then warm (the same adder again).  Beside them,
 one sum of two seeded 100,000-digit operands is timed in process on the
 minus:4,2 and plus:4,2 GDE adders and the signed Tribonacci block adder, in
 µs per operand digit, the median of three runs, each on a fresh adder;
-one ``apply_local`` of a seeded 100,000-digit string is timed on a fresh
-minus:4,2 and a fresh plus:4,2 GDE rule, cold and then warm on the same
-rule, in µs per digit, the median of three; and the first ``packed_step``
+a GDE rule's window loop is timed on long strings, cold and then warm, the
+median of three, with the windows its memo keeps: one ``apply_local`` of a
+seeded 100,000-digit string on a fresh minus:4,2 and plus:4,2 rule, and
+one sum of two seeded 2,000-digit operands on a fresh plus:40,23 adder,
+which folds as lists; and the first ``packed_step``
 call of each GDE preset and of plus:40,22 is timed on a freshly built rule,
 in ms, the median of three: it compiles the rule's carry tables, the one
 cost of the packed fold that no later fold pays.
@@ -237,40 +239,63 @@ def run_long_additions():
     return {name: us_per_digit(make) for name, make in adders.items()}
 
 
-def run_long_applications():
-    """Median of three in-process timings of apply_local on a fresh GDE rule, in µs per digit.
+LIST_FOLD_DIGITS = 2_000
 
-    Each run builds the rule anew, outside the timing, and applies it twice
-    to one seeded string of LONG_DIGITS digits over its input alphabet: the
-    cold call reads every window of the string through the window loop and
-    memoises it, and the warm call finds them in the rule's memo.
+
+def run_long_applications():
+    """Median of three in-process timings of a GDE rule's window loop on long strings.
+
+    "minus:4,2" and "plus:4,2" apply a fresh rule by ``apply_local`` to one
+    seeded string of LONG_DIGITS digits over its input alphabet, in µs per
+    digit.  "plus:40,23 fold" adds two seeded operands of LIST_FOLD_DIGITS
+    digits on a fresh plus:40,23 adder, whose sums do not fit a byte, so
+    that its 63 layers run as lists through the window loop, in µs per
+    operand digit.  Each run builds the rule or adder anew, outside the
+    timing, and times two calls on it, cold and then warm; ``windows_kept``
+    is the size of the rule's window memo after them.
     """
     sys.path.insert(0, os.path.join(ROOT, "src"))
     import random
 
     from betapar.conversion import apply_local
     from betapar.digits import DigitString
-    from betapar.quadratic import gde_rule
+    from betapar.quadratic import gde_rule, quadratic_adder
 
     rng = random.Random(SEED)
 
-    def us_per_digit(spec):
-        alphabet = gde_rule(*spec).input_alphabet
-        lo, hi = alphabet.min_digit, alphabet.max_digit
-        u = DigitString([rng.randint(lo, hi) for _ in range(LONG_DIGITS)], LONG_DIGITS - 1)
+    def seeded(alphabet, n):
+        return DigitString([rng.randint(alphabet.min_digit, alphabet.max_digit)
+                            for _ in range(n)], n - 1)
+
+    def measure(make, operands):
+        digits = sum(len(s.digits) for s in operands)
         runs = []
         for _ in range(RUNS):
-            rule = gde_rule(*spec)
+            rule, call = make()
             times = []
             for _ in ("cold", "warm"):
                 start = time.perf_counter()
-                apply_local(rule, u)
-                times.append((time.perf_counter() - start) / LONG_DIGITS * 1e6)
-            runs.append(times)
-        return {"cold": statistics.median(cold for cold, _ in runs),
-                "warm": statistics.median(warm for _, warm in runs)}
+                call(*operands)
+                times.append((time.perf_counter() - start) / digits * 1e6)
+            runs.append((*times, len(rule._windows)))
+        return {key: statistics.median(run[i] for run in runs)
+                for i, key in enumerate(("cold", "warm", "windows_kept"))}
 
-    return {"minus:4,2": us_per_digit(("minus", 4, 2)), "plus:4,2": us_per_digit(("plus", 4, 2))}
+    def applying(spec):
+        rule = gde_rule(*spec)
+        return rule, lambda u: apply_local(rule, u)
+
+    def folding():
+        adder = quadratic_adder("plus", 40, 23)
+        return adder.layer, adder.add
+
+    results = {"%s:%d,%d" % spec: measure(lambda: applying(spec),
+                                          [seeded(gde_rule(*spec).input_alphabet, LONG_DIGITS)])
+               for spec in (("minus", 4, 2), ("plus", 4, 2))}
+    alphabet = quadratic_adder("plus", 40, 23).alphabet
+    results["plus:40,23 fold"] = measure(folding, [seeded(alphabet, LIST_FOLD_DIGITS)
+                                                   for _ in range(2)])
+    return results
 
 
 COMPILE_PRESETS = (("plus", 4, 2), ("plus", 5, 3), ("plus_special", 3, None),
