@@ -405,7 +405,7 @@ class SignedBlockAdder(ChainAdder):
 
     The layered fold of :class:`ChainAdder` over the non-negative block
     adder ``inner``: each layer is one ``inner.outputs`` call over the
-    fold's frame of ints, conjugated by the plateau letter c = floor(beta).
+    fold's unpacked frame, conjugated by the plateau letter c = floor(beta).
     The constant-c block is a fixed point of the block map, so finite
     support survives.  Positive layers of y go through the conjugated map,
     negative layers through its mirror image under digit negation.  The

@@ -62,25 +62,26 @@ padded digit list, most significant first.  A :class:`LocalRule` is one
 with k = 1, a k-block adder one with r = t = 1.  A layer moves the support
 of a string at most r blocks up and t blocks down, and its fixed plateau
 letter keeps every digit farther out at 0.  So :meth:`ChainAdder.add` lays
-x and y once into a frame of ints grown by n = M such steps on each side,
-which holds every intermediate sum, and runs each layer as one
-``outputs`` call over the frame padded with c, with no digit string, no
-alphabet check and no plateau check between layers: the chain argument
-keeps every read in the input alphabet, and ``outputs`` still raises on a
-digit outside the output alphabet.  :func:`apply_local(layer, u, c)
-<apply_local>` applies one layer to a digit string through the same
-padding (:func:`_outputs`), and checks u's alphabet and the letter c.
+x and y once into a frame grown by n = M such steps on each side, which
+holds every intermediate sum, and runs each layer as one step over the
+frame padded with c, with no digit string, no alphabet check and no
+plateau check between layers: the chain argument keeps every read in the
+input alphabet, and a step still raises on a digit outside the output
+alphabet.  :func:`apply_local(layer, u, c) <apply_local>` applies one
+layer to a digit string through the same padding, and checks u's alphabet
+and the letter c.
 
-A layer may also offer ``packed_step(width)``: the same layer on a padded
-frame packed into one int, one byte per digit, or None when its sums may
-not fit a byte.  The GDE rules offer it, a step that reads its carries
-through byte tables with ``bytes.translate``, and the fold then runs
-word-parallel (:meth:`ChainAdder._packed_fold`): it packs x and y once,
-checking their digits as it packs them, builds each layer's input from
-threshold masks of the packed y in a few big-int operations, runs the
-layer as one step over every digit at once, and hands back the frame's
-bytes, which become the sum with no Python loop over the digits.  Block
-layers keep the list fold.
+The fold runs word-parallel (:meth:`ChainAdder._packed_fold`): it packs x
+and y once into one int, one byte per digit, checking their digits as it
+packs them, builds each layer's input from threshold masks of the packed y
+in a few big-int operations, runs the layer as one step over every digit
+at once, and hands back the frame's bytes, which become the sum with no
+Python loop over the digits.  A layer's step is its own
+``packed_step(width)`` when it offers one: the GDE rules do, a step that
+reads its carries through byte tables with ``bytes.translate``, or None
+when their sums may not fit a byte.  Any other layer steps through its
+window loop, one ``outputs`` call on the unpacked frame
+(:func:`_window_step`).
 
 Rules are shareable: their memos, of window outputs (filled by
 construction and by ``window``), of flush sums -K(s) and a GDE rule's
@@ -182,10 +183,11 @@ def apply_local(layer, u, plateau=0):
     u + c at every position on a block grid fixed at multiples of k, c the
     plateau letter, and c is subtracted from each output digit, so u must
     lie in the input alphabet shifted down by c.  The output frame is u's
-    support grown by r blocks up and t blocks down, which :func:`_outputs`
-    pads with c; output blocks farther out are 0 because c is a fixed
-    letter (:func:`fixes`), and any other c != 0 raises ValueError (c = 0 is
-    fixed by construction).
+    support grown by r blocks up and t blocks down.  ``layer.outputs`` reads
+    it padded with t blocks of c above and r blocks below, so output digit
+    i sits at the exponent of frame digit i; output blocks farther out are 0
+    because c is a fixed letter (:func:`fixes`), and any other c != 0
+    raises ValueError (c = 0 is fixed by construction).
     """
     c = plateau
     if not u.alphabet_ok(layer.input_alphabet.shifted(c)):
@@ -195,29 +197,23 @@ def apply_local(layer, u, plateau=0):
     if u.is_zero():
         return DigitString()
     k = layer.k
+    h = (layer.p - 1) * k  # r + t blocks each side, then up to k - 1 digits onto the block grid
+    out = layer.outputs([c] * (h + k - 1 - u.msd_exponent % k) + [v + c for v in u.digits]
+                        + [c] * (h + u.lsd_exponent % k))
     top = (u.msd_exponent // k + 1 + layer.memory) * k
-    frame = _laid_out(u, top, (u.lsd_exponent // k - layer.anticipation) * k)
-    out = _outputs(layer, [v + c for v in frame] if c else frame, c)
-    return DigitString([v - c for v in out] if c else out, top - 1)
+    return DigitString([v - c for v in out], top - 1)
 
 
-def _laid_out(u, top, bottom):
-    """The digits of u at exponents top - 1 down to bottom, most significant first."""
-    frame = [0] * (top - bottom)
-    start = top - 1 - u.msd_exponent
-    frame[start:start + len(u.digits)] = u.digits
-    return frame
+def _window_step(layer, width):
+    """The layer on a packed padded frame of ``width`` digits, through its window loop.
 
-
-def _outputs(layer, frame, c):
-    """The layer's output digits over a frame of read digits, most significant first.
-
-    ``layer.outputs`` reads the frame padded with t blocks of the plateau
-    letter c above and r blocks below, so output digit i sits at the
-    exponent of frame digit i.
+    The frame is unpacked, one byte per digit, read by one ``outputs``
+    call, and the outputs packed again with 0 in the t pad blocks above
+    and the r below, as ``packed_step`` returns them.
     """
-    k = layer.k
-    return layer.outputs([c] * (layer.anticipation * k) + frame + [c] * (layer.memory * k))
+    shift = 8 * layer.memory * layer.k
+    return lambda z: int.from_bytes(
+        bytes(layer.outputs(list(z.to_bytes(width, "big")))), "big") << shift
 
 
 def fixes(layer, c):
@@ -463,14 +459,13 @@ class ChainAdder:
 
     ``layer`` converts {0..M+1} (or more) to {0..M}: a
     greatest-digit-elimination :class:`LocalRule` or a k-block adder.
-    Addition of x and y folds the indicator layers of y into x on one frame
-    of ints, as the module docstring sets out: a positive layer reads
+    Addition of x and y folds the indicator layers of y into x on one
+    packed frame, as the module docstring sets out: a positive layer reads
     s + d + [y_j >= i] and its output less d is the new s, a negative one
     reads M - d - s + [y_j <= -i] and M - d less its output is the new s.
-    A layer with a packed step runs the same fold on packed ints
-    (:meth:`_packed_fold`).  Construction checks with :func:`fixes` that
-    both plateau letters in use are fixed, and only then is the fold's frame
-    exact.
+    Construction checks that M + 1 < 128, so that every digit the layer
+    reads fits below bit 7 of its byte, and with :func:`fixes` that both
+    plateau letters in use are fixed; only then is the fold's frame exact.
     """
 
     def __init__(self, layer, alphabet):
@@ -478,6 +473,8 @@ class ChainAdder:
         if layer.output_alphabet != Alphabet(0, M) or M + 1 not in layer.input_alphabet:
             raise ValueError("layer must convert {0..%d} to {0..%d}, got %s -> %s"
                              % (M + 1, M, layer.input_alphabet, layer.output_alphabet))
+        if M + 1 >= 128:
+            raise ValueError("digit sums up to %d overflow a byte lane of the fold" % (M + 1))
         self.layer = layer
         self.base = layer.base
         self.alphabet = alphabet
@@ -506,33 +503,14 @@ class ChainAdder:
         # a layer grows the support by r blocks up and t blocks down: the frame holds n of each
         top = (max(s.msd_exponent for s in operands) // k + 1 + n * layer.memory) * k
         bottom = (min(s.lsd_exponent for s in operands) // k - n * layer.anticipation) * k
+        width = top - bottom + (layer.p - 1) * k
         packed = getattr(layer, "packed_step", None)
-        step = packed and packed(top - bottom + (layer.p - 1) * k)
-        if step:
-            frame = self._packed_fold(step, x, y, bottom, top - bottom)
-            return DigitString._from_bytes(frame, top - 1)
-        for s in operands:
-            if not s.alphabet_ok(self.alphabet):
-                raise ValueError("digit out of adder alphabet %s in %s" % (self.alphabet, s))
-        w = _laid_out(y, top, bottom)
-        d = self.lo_layers
-        c = self.hi_layers  # M - d
-        # positive layers read s + d and the indicator [w_j >= i]; a layer's output is the next s + d
-        u = [v + d for v in _laid_out(x, top, bottom)]
-        for i in range(1, c + 1):
-            u = _outputs(layer, [v + (b >= i) for v, b in zip(u, w)], d)
-        if not d:
-            return DigitString(u, top - 1)
-        # negative layers read the mirror image c - s and the indicator [w_j <= -i];
-        # a layer's output is the next c - s
-        u = [c + d - v for v in u]
-        for i in range(1, d + 1):
-            u = _outputs(layer, [v + (b <= -i) for v, b in zip(u, w)], c)
-        return DigitString([c - v for v in u], top - 1)
+        step = packed and packed(width) or _window_step(layer, width)
+        return DigitString._from_bytes(self._packed_fold(step, x, y, bottom, top - bottom), top - 1)
 
     def _packed_fold(self, step, x, y, bottom, n):
         """The fold's n frame digits as signed bytes, most significant first, the last at
-        exponent bottom.
+        exponent bottom, each layer one call of ``step`` on the packed padded frame.
 
         A padded frame packs into one int, one byte per digit, digit i of
         the list in byte ``width - 1 - i``.  H holds bit 7 of every byte and
@@ -542,7 +520,7 @@ class ChainAdder:
         plateau letter refills a step's pad bytes in one OR, and the mirror
         of the negative phase is (c + d) ONES - u.  An operand is in the
         alphabet iff deleting the alphabet's bytes from its packed digits
-        leaves none, which raises ValueError as the list fold does.
+        leaves none; otherwise ValueError names the operand.
         """
         layer = self.layer
         t, r = layer.anticipation * layer.k, layer.memory * layer.k

@@ -35,7 +35,7 @@ from __future__ import annotations
 import itertools
 
 from .algebraic import quadratic_minus_base, quadratic_plus_base
-from .conversion import ChainAdder, LocalRule
+from .conversion import ChainAdder, LocalRule, _window_step
 from .digits import Alphabet
 
 
@@ -64,9 +64,10 @@ class _CarryRule(LocalRule):
           no borrow crosses a byte.
 
         pos stays below top + a + |b| + 2, which must not reach bit 7, and
-        no automaton index may reach 256; a rule that breaks either is
-        folded as lists.  If a byte leaves {0..top-1}, the window loop reads
-        the unpacked frame and raises ValueError naming the window.
+        no automaton index may reach 256; a rule that breaks either returns
+        None, and the fold steps it through its window loop.  If a byte
+        leaves {0..top-1}, the window loop reads the unpacked frame and
+        raises ValueError naming the window.
         """
         carry, n, a, b = self._carry
         try:
@@ -101,8 +102,7 @@ class _CarryRule(LocalRule):
             if x & mid_hi == mid_hi and not (x - tops) & mid_hi:  # and x_j <= top - 1
                 return x & low
             # the window loop raises ValueError naming the window
-            out = self.outputs(list(frame))
-            return int.from_bytes(bytes(out), "big") << 8 * r
+            return _window_step(self, width)(z)
 
         return step
 

@@ -694,6 +694,15 @@ class TestDbonacci:
             with pytest.raises(ValueError, match="plateau 2 is not a fixed letter of block:14,2,5"):
                 apply_local(adder, u, 2)
 
+    def test_signed_insufficient_params_error_names_block(self, fib):
+        # the block error surfaces from the fold's window-loop step as it is,
+        # not as an error of the packed frame's bytes
+        adder = SignedBlockAdder(fib, make_block_params(fib, 3, 0))
+        one = DigitString((1,), 0)
+        with pytest.raises(InsufficientParamsError,
+                           match=re.escape("insufficient for block (3, 1, 1, 1, 1, 1)")):
+            adder.add(one, one)
+
     def test_signed_fibonacci_constructs(self):
         adder = dbonacci_block_adder(2, signed=True, s=2)
         assert isinstance(adder, SignedBlockAdder)

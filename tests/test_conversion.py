@@ -427,8 +427,8 @@ class TestEliminationAdder:
                                       lambda: shifted_adder("minus", 4, 2, d=2),
                                       lambda: dbonacci_block_adder(3, signed=True, s=5)])
     def test_operand_outside_alphabet_raises(self, make):
-        # the packed fold checks each operand where it packs it, the list
-        # fold of the block adder before it lays it out; the message is the same
+        # the fold checks each operand where it packs it, whether its layers
+        # run a GDE rule's packed step or the block adder's window loop
         adder = make()
         if isinstance(adder.layer, LocalRule):
             assert adder.layer.packed_step(10) is not None
@@ -440,6 +440,13 @@ class TestEliminationAdder:
             for x, y in ((bad, good), (good, bad), (bad, DigitString())):
                 with pytest.raises(ValueError, match=re.escape(error)):
                     adder.add(x, y)
+
+    def test_byte_lane_overflow_rejected(self, rule_plus42):
+        # a layer over {0..128} reads digit sums up to 128, which set bit 7 of a byte
+        stub = LocalRule(rule_plus42.base, 0, 0, Alphabet(0, 128), Alphabet(0, 127),
+                         lambda w: min(w[0], 127))
+        with pytest.raises(ValueError, match="overflow a byte lane"):
+            ChainAdder(stub, Alphabet(0, 127))
 
     def test_construction_adds_nothing(self, monkeypatch):
         # shifted and signed adders keep the value by construction: building
@@ -511,26 +518,30 @@ class TestChainFold:
     @pytest.mark.parametrize("a,b,packed", [(40, 22, True), (40, 23, False)])
     def test_byte_guard(self, a, b, packed):
         # top + a + b + 1 is 126 on plus:40,22 and 128 on plus:40,23, whose
-        # sums could set bit 7 of a byte: that rule keeps the list fold
+        # sums could set bit 7 of a byte: that rule has no packed step, and
+        # the fold steps it through its window loop
         adder = quadratic_adder("plus", a, b)
         assert (adder.layer.packed_step(10) is not None) == packed
         for x, y in _fold_pairs(adder.alphabet, 30, 29):
             assert adder.add(x, y) == _layer_by_layer_add(adder, x, y), (x, y)
 
-    @pytest.mark.parametrize("name", ["minus:4,2-shift2", "signed-tribonacci"])
+    @pytest.mark.parametrize("name", ["minus:4,2-shift2", "signed-tribonacci", "plus:40,23"])
     def test_one_outputs_call_per_layer(self, monkeypatch, name):
-        # a GDE layer is one packed step and calls no outputs; a block
-        # layer, which has no packed step, is one outputs call
-        adder = FOLD_ADDERS[name]()
+        # a GDE layer within the byte guard is one packed step and calls no
+        # outputs; a block layer, which has no packed step, and a GDE rule
+        # past the guard, whose packed step is None, are one outputs call
+        # each, through the window-loop step
+        adder = {**FOLD_ADDERS, "plus:40,23": lambda: quadratic_adder("plus", 40, 23)}[name]()
         cls = type(adder.layer)
         outputs = cls.outputs
-        packed_step = getattr(cls, "packed_step", None)
         calls = []
 
         def forbidden(*args):
             raise AssertionError("the fold makes no per-layer application or plateau check")
 
-        if packed_step:
+        if getattr(adder.layer, "packed_step", lambda width: None)(10):
+            packed_step = cls.packed_step
+
             def counted(self, width):
                 step = packed_step(self, width)
                 return lambda z: calls.append(1) or step(z)

@@ -25,12 +25,13 @@ a GDE rule's window loop is timed on long strings, cold and then warm, the
 median of three, with the windows its memo keeps: one ``apply_local`` of a
 seeded 100,000-digit string on a fresh minus:4,2 and plus:4,2 rule, and
 one sum of two seeded 2,000-digit operands on a fresh plus:40,23 adder,
-which folds as lists; and the first ``packed_step``
+whose fold steps through the window loop; and the first ``packed_step``
 call of each GDE preset and of plus:40,22 is timed on a freshly built rule,
 in ms, the median of three: it compiles the rule's carry tables, the one
 cost of the packed fold that no later fold pays.
 
-The script writes ``BENCH_<LABEL>.json`` at that root: the git commit, the
+The script writes ``BENCH_<LABEL>.json`` at that root: the git commit, with
+``"dirty": true`` beside it when tracked files differ from that commit, the
 Python version, the line count of each ``src/betapar/*.py`` by module name
 as ``src_lines_by_module`` and their total as ``src_lines``, and for every
 run the command and its result: the JSON line the benchmark printed,
@@ -67,10 +68,17 @@ RUNS = 3
 SEED = 1
 
 
+def git(*args):
+    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True,
+                          check=True).stdout.strip()
+
+
 def git_commit():
-    out = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True,
-                         text=True, check=True)
-    return out.stdout.strip()
+    """{"commit": HEAD}, and ``"dirty": true`` beside it if tracked files differ from HEAD."""
+    commit = {"commit": git("rev-parse", "HEAD")}
+    if git("status", "--porcelain", "--untracked-files=no"):
+        commit["dirty"] = True
+    return commit
 
 
 def src_lines_by_module():
@@ -239,7 +247,7 @@ def run_long_additions():
     return {name: us_per_digit(make) for name, make in adders.items()}
 
 
-LIST_FOLD_DIGITS = 2_000
+WINDOW_FOLD_DIGITS = 2_000
 
 
 def run_long_applications():
@@ -247,10 +255,10 @@ def run_long_applications():
 
     "minus:4,2" and "plus:4,2" apply a fresh rule by ``apply_local`` to one
     seeded string of LONG_DIGITS digits over its input alphabet, in µs per
-    digit.  "plus:40,23 fold" adds two seeded operands of LIST_FOLD_DIGITS
+    digit.  "plus:40,23 fold" adds two seeded operands of WINDOW_FOLD_DIGITS
     digits on a fresh plus:40,23 adder, whose sums do not fit a byte, so
-    that its 63 layers run as lists through the window loop, in µs per
-    operand digit.  Each run builds the rule or adder anew, outside the
+    that its 63 layers step through the window loop, in µs per operand
+    digit.  Each run builds the rule or adder anew, outside the
     timing, and times two calls on it, cold and then warm; ``windows_kept``
     is the size of the rule's window memo after them.
     """
@@ -293,7 +301,7 @@ def run_long_applications():
                                           [seeded(gde_rule(*spec).input_alphabet, LONG_DIGITS)])
                for spec in (("minus", 4, 2), ("plus", 4, 2))}
     alphabet = quadratic_adder("plus", 40, 23).alphabet
-    results["plus:40,23 fold"] = measure(folding, [seeded(alphabet, LIST_FOLD_DIGITS)
+    results["plus:40,23 fold"] = measure(folding, [seeded(alphabet, WINDOW_FOLD_DIGITS)
                                                    for _ in range(2)])
     return results
 
@@ -361,7 +369,7 @@ def main(argv=None):
     table = spread(runs, "end_to_end")
     for workload in WORKLOADS:
         table[workload].update(per_layer[workload])
-    record = {"label": args.label, "commit": git_commit(),
+    record = {"label": args.label, **git_commit(),
               "python": platform.python_version(), "machine": platform.processor() or
               platform.machine(), "cpus": os.cpu_count(), "src_lines": sum(lines.values()),
               "src_lines_by_module": lines, "runs": runs, "spread": table,
