@@ -73,14 +73,6 @@ def git(*args):
                           check=True).stdout.strip()
 
 
-def git_commit():
-    """{"commit": HEAD}, and ``"dirty": true`` beside it if tracked files differ from HEAD."""
-    commit = {"commit": git("rev-parse", "HEAD")}
-    if git("status", "--porcelain", "--untracked-files=no"):
-        commit["dirty"] = True
-    return commit
-
-
 def src_lines_by_module():
     """Line count of each src/betapar/*.py, keyed by module name."""
     pkg = os.path.join(ROOT, "src", "betapar")
@@ -369,7 +361,7 @@ def main(argv=None):
     table = spread(runs, "end_to_end")
     for workload in WORKLOADS:
         table[workload].update(per_layer[workload])
-    record = {"label": args.label, **git_commit(),
+    record = {"label": args.label, "commit": git("rev-parse", "HEAD"),
               "python": platform.python_version(), "machine": platform.processor() or
               platform.machine(), "cpus": os.cpu_count(), "src_lines": sum(lines.values()),
               "src_lines_by_module": lines, "runs": runs, "spread": table,
@@ -378,6 +370,8 @@ def main(argv=None):
               "tier1": tier1, "cli": cli, "searches": searches,
               "chain_add_us_per_digit": long_additions,
               "apply_local_us_per_digit": long_applications, "packed_compile_ms": compiles}
+    if git("status", "--porcelain", "--untracked-files=no"):
+        record["dirty"] = True  # the files measured are not the commit's
     if args.against:
         net = {name: lines.get(name, 0) - other_lines.get(name, 0)
                for name in sorted(set(lines) | set(other_lines))}
