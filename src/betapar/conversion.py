@@ -87,7 +87,7 @@ Rules are shareable: their memos, of window outputs (filled by
 construction and by ``window``), of flush sums -K(s) and a GDE rule's
 carry tables, hold pure functions of the rule, each entry stored in one
 assignment, so racing threads at worst compute an entry twice.  The
-packed step must stay bit-identical to the window loop; tests check it.
+packed step is proved bit-identical to the window loop on every window.
 """
 
 from __future__ import annotations

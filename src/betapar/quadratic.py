@@ -10,16 +10,16 @@ Three explicit eliminations are shipped, one per family of quadratic bases:
   {0..a+b-1} -> {0..a+b-2}
 
 Each rule first selects a carry q_j from a short case table reading the
-digits near position j, then outputs
-x_j = z_j - a q_j -(+) b q_{j+1} + q_{j-1}, which deducts q_j times a
-representation of zero (beta^2 - a beta -+ b) and therefore cannot change
-the value.  The three rules differ only in their case tables, which are
-transcribed verbatim; :func:`_gde` is the rest of the construction.  It
-tabulates the carry once and reads no window when built: a digit list goes
-through the window loop, which keeps no memo, and a fold reads the carry
-table word-parallel, one ``bytes.translate`` per digit of the window,
-through an automaton compiled from it on the first fold
-(:meth:`_CarryRule.packed_step`).  Every output digit is still checked
+digits near position j, then outputs x_j = z_j + g_0 q_{j+1} + g_1 q_j +
+g_2 q_{j-1}, where g_0 + g_1 X + g_2 X^2 = g = f is the base's own minimal
+polynomial, a representation of zero: the layer adds q_j beta^(j-1) g(beta)
+= 0 at every j and therefore cannot change the value.  The three rules
+differ only in their case tables, which are transcribed verbatim; :func:`_gde`
+is the rest of the construction.  It tabulates the carry once and reads no
+window when built: a digit list goes through the window loop, which keeps no
+memo, and a fold reads the carry table word-parallel, one ``bytes.translate``
+per digit of the window, through an automaton compiled from it on the first
+fold (:meth:`_CarryRule.packed_step`).  Every output digit is still checked
 against the declared alphabet when it is produced, and any transcription
 slip fails loudly there or in the exhaustive verification sweeps.
 
@@ -50,42 +50,47 @@ class _CarryRule(LocalRule):
         returns the packed outputs, 0 in the t pad bytes above and the r
         below, computed on every byte at once (SIMD within a register):
 
-        * the carries come from an automaton that reads each window most
-          significant digit first (:func:`_carry_tables`, compiled on the
-          first call and kept on the rule in one assignment): one
-          ``bytes.translate`` of z gives every byte its first state, and
-          each later digit is one more translate of the state shifted one
-          byte down plus the packed digit classes of z, so after reach
-          passes every byte holds 1 where q = +1 and 2 where q = -1 for the
-          window whose last digit it is;
-        * x_j = z_j - a q_j - b q_{j+1} + q_{j-1} is pos - neg, pos the terms
-          that add and neg those that subtract, so (pos | H) - neg holds
-          128 + x_j in every byte where x_j >= 0, H bit 7 of every byte, and
-          no borrow crosses a byte.
+        * an automaton reads each carry window most significant digit first
+          (:func:`_carry_tables`, compiled on the first call and kept on the
+          rule in one assignment): one ``bytes.translate`` of z gives every
+          byte its first state, each later digit one more translate of the
+          state shifted a byte down plus the packed digit classes of z, and
+          after reach passes every byte holds 1 where q = +1 and 2 where
+          q = -1 for the window whose last digit it is;
+        * lifted r - 2 bytes, the carry masks q+ and q- hold q_{j+1} on z_j's
+          byte, so x = z + (q+ - q-) g(256) adds g_i q_{j+1-i} to z_j.  With
+          g(256) = kp - kn, its positive and negative coefficients, x is
+          (pos | H) - neg for pos = z + q+ kp + q- kn and neg = q- kp + q+ kn,
+          H bit 7 of every byte: 128 + x_j in every byte where x_j >= 0.
 
-        pos stays below top + a + |b| + 2, which must not reach bit 7, and
-        no automaton index may reach 256; a rule that breaks either returns
-        None, and the fold steps it through its window loop.  If a byte
-        leaves {0..top-1}, the window loop reads the unpacked frame and
-        raises ValueError naming the window.
+        A rule returns None, and the fold steps it through its window loop,
+        unless pos stays below bit 7 (top + sum |g_i| < 128) and no automaton
+        index reaches 256.  Then no carry or borrow crosses a byte, and each
+        carry reads its own window, so an output byte is a function of the p
+        digits the window loop reads for it: the step equals the window loop
+        on every frame once it does on a frame holding every window.  If a
+        byte leaves {0..top-1}, the window loop raises ValueError naming the
+        window.
         """
-        carry, n, a, b = self._carry
+        carry, n, reach, g = self._carry
         try:
             tables = self._tables
         except AttributeError:
-            tables = self._tables = n + a + abs(b) < 128 and _carry_tables(carry, n, self.p - 2)
+            tables = self._tables = n + sum(map(abs, g)) <= 128 and _carry_tables(carry, n, reach)
         if not tables:
             return None
         digit_class, first, *rest = tables
         r, t = self.memory, self.anticipation
-        hi = ((1 << 8 * width) // 255) << 7
-        # 1 in the bytes whose carry reads the frame only, and in the output bytes
-        exact = ((1 << 8 * (width - r - t + 2)) // 255) << 8 * (r - 1)
-        mid = ((1 << 8 * (width - r - t)) // 255) << 8 * r
+        kp = sum(c << 8 * i for i, c in enumerate(g) if c > 0)
+        kn = sum(-c << 8 * i for i, c in enumerate(g) if c < 0)
+        ones = (1 << 8 * width) // 255
+        hi = ones << 7
+        # 1 in the bytes whose q_{j+1} reads the frame only, and in the output bytes
+        exact = ones >> 8 * (r + t - 2) << 8 * (r - 2)
+        mid = ones >> 8 * (r + t) << 8 * r
         mid_hi = mid << 7
         low = mid * 127
         tops = mid * (n - 1)
-        bb = abs(b)
 
         def step(z):
             frame = z.to_bytes(width, "big")
@@ -93,16 +98,12 @@ class _CarryRule(LocalRule):
             q = int.from_bytes(frame.translate(first), "big")
             for table in rest:
                 q = int.from_bytes(((q >> 8) + dc).to_bytes(width, "big").translate(table), "big")
-            q <<= 8 * (r - 1)  # from the byte of the window's last digit onto z_j's
-            qp, qm = q & exact, (q >> 1) & exact  # 1 where q_j = +1, -1
-            up, down = (qm, qp) if b > 0 else (qp, qm)  # q_{j+1} where -b q_{j+1} adds, subtracts
-            pos = z + a * qm + bb * (up >> 8) + (qp << 8)
-            neg = a * qp + bb * (down >> 8) + (qm << 8)
-            x = (pos | hi) - neg  # 128 + x_j in every output byte where x_j >= 0
-            if x & mid_hi == mid_hi and not (x - tops) & mid_hi:  # and x_j <= top - 1
+            q <<= 8 * (r - 2)  # from the byte of q_{j+1}'s last digit onto z_j's
+            qp, qm = q & exact, (q >> 1) & exact  # 1 where q_{j+1} = +1, -1
+            x = (z + qp * kp + qm * kn | hi) - qm * kp - qp * kn
+            if x & mid_hi == mid_hi and not (x - tops) & mid_hi:  # 0 <= x_j <= top - 1
                 return x & low
-            # the window loop raises ValueError naming the window
-            return _window_step(self, width)(z)
+            return _window_step(self, width)(z)  # which raises ValueError naming the window
 
         return step
 
@@ -145,36 +146,36 @@ def _carry_tables(carry, n, reach):
     return [bytes(table).ljust(256, b"\0") for table in (digit_class, *tables)]
 
 
-def _gde(base, a, b_signed, top, ahead, behind, q, name):
-    """The elimination {0..top} -> {0..top-1} with carry q, for beta^2 = a beta + b_signed.
+def _gde(base, top, ahead, behind, q, name):
+    """The elimination {0..top} -> {0..top-1} with carry q, adding q times g = f.
 
     q reads the ``ahead`` digits above z_j, z_j itself and the ``behind``
-    digits below it, most significant first.  It is tabulated once, as a
-    flat list indexed by those digits in radix top + 1; the output
-    x_j = z_j - a q_j - b_signed q_{j+1} + q_{j-1} reads it at j+1, j and
-    j-1 (through ``window_fn``, or packed in a fold), so the rule has
-    memory behind+1 and anticipation ahead+1.
+    digits below it, most significant first, and is tabulated once as a flat
+    list indexed by those digits in radix top + 1.  With g = (g_0, g_1, g_2)
+    the base's minimal polynomial, lowest degree first, the output x_j = z_j
+    + g_0 q_{j+1} + g_1 q_j + g_2 q_{j-1} reads the carry at j+1, j and j-1,
+    so the rule has memory behind+1 and anticipation ahead+1.
     """
-    if base.poly.reduction_vector() != (b_signed, a):  # f is minimal: beta^2 = a beta + b_signed
-        raise AssertionError("base polynomial does not match the elimination identity")
+    g = base.poly.coefficients[::-1]
     n = top + 1
     reach = ahead + 1 + behind
     carry = list(itertools.starmap(q, itertools.product(range(n), repeat=reach)))
-    high = n ** (reach - 1)
+    size = n ** reach
+    terms = [(gi, n ** (len(g) - 1 - i)) for i, gi in enumerate(g)]  # g_i, place of q_{j+1-i}
 
     def window_fn(w):
-        # w = (z_{j+ahead+1}, ..., z_j, ..., z_{j-behind-1}) with z_j at w[ahead + 1];
-        # q_{j+1}, q_j and q_{j-1} read w[0:reach], w[1:reach+1] and w[2:]
-        above = 0
-        for d in w[:reach]:
-            above = above * n + d
-        here = above % high * n + w[reach]
-        below = here % high * n + w[reach + 1]
-        return w[ahead + 1] - a * carry[here] - b_signed * carry[above] + carry[below]
+        # w = (z_{j+ahead+1}, ..., z_j, ..., z_{j-behind-1}) with z_j at w[ahead + 1]
+        index = 0
+        for d in w:
+            index = index * n + d
+        x = w[ahead + 1]
+        for gi, place in terms:
+            x += gi * carry[index // place % size]
+        return x
 
     rule = _CarryRule(base, behind + 1, ahead + 1, Alphabet(0, top), Alphabet(0, top - 1),
                       window_fn, name=name, tabulate_threshold=0)
-    rule._carry = carry, n, a, b_signed
+    rule._carry = carry, n, reach, g
     return rule
 
 
@@ -197,7 +198,7 @@ def gde_plus(a, b):
             return -1
         return 0
 
-    return _gde(quadratic_plus_base(a, b), a, b, top, 1, 1, q, "gde-plus:%d,%d" % (a, b))
+    return _gde(quadratic_plus_base(a, b), top, 1, 1, q, "gde-plus:%d,%d" % (a, b))
 
 
 def gde_plus_special(a):
@@ -228,8 +229,7 @@ def gde_plus_special(a):
             return -1
         return 0
 
-    return _gde(quadratic_plus_base(a, a - 1), a, a - 1, 2 * a, 2, 1, q,
-                "gde-plus-special:%d" % a)
+    return _gde(quadratic_plus_base(a, a - 1), 2 * a, 2, 1, q, "gde-plus-special:%d" % a)
 
 
 def gde_minus(a, b):
@@ -252,7 +252,7 @@ def gde_minus(a, b):
                 return 1
         return 0
 
-    return _gde(quadratic_minus_base(a, b), a, -b, a + b - 1, 2, 2, q, "gde-minus:%d,%d" % (a, b))
+    return _gde(quadratic_minus_base(a, b), a + b - 1, 2, 2, q, "gde-minus:%d,%d" % (a, b))
 
 
 def gde_rule(kind, a, b=None):

@@ -517,7 +517,7 @@ class TestChainFold:
 
     @pytest.mark.parametrize("a,b,packed", [(40, 22, True), (40, 23, False)])
     def test_byte_guard(self, a, b, packed):
-        # top + a + b + 1 is 126 on plus:40,22 and 128 on plus:40,23, whose
+        # top + sum |g_i| is 126 on plus:40,22 and 128 on plus:40,23, whose
         # sums could set bit 7 of a byte: that rule has no packed step, and
         # the fold steps it through its window loop
         adder = quadratic_adder("plus", a, b)

@@ -332,9 +332,8 @@ class TestCarryTables:
     def test_tables_walk_to_the_carry_table(self, kind, a, b):
         rule = gde_rule(kind, a, b)
         assert rule.packed_step(rule.p) is not None
-        carry, n = rule._carry[:2]
+        carry, n, reach = rule._carry[:3]
         digit_class, first, *rest = rule._tables
-        reach = rule.p - 2
         assert len(rest) == reach - 1
         for index, window in enumerate(itertools.product(range(n), repeat=reach)):
             state = first[window[0]]
@@ -346,17 +345,77 @@ class TestCarryTables:
         # a synthetic carry of plus:40,22 that is 1 where the first and last
         # digits of the window agree: the automaton has a state for every
         # first digit and a class for every digit, and 64 * 64 indices do
-        # not fit a byte, although top + a + b + 1 is 126
+        # not fit a byte, although top + sum |g_i| is 126
         gde = quadratic._gde
 
-        def synthetic(base, a, b, top, ahead, behind, q, name):
-            return gde(base, a, b, top, ahead, behind,
+        def synthetic(base, top, ahead, behind, q, name):
+            return gde(base, top, ahead, behind,
                        lambda *z: int(z[0] == z[-1] > 0), name + "-synthetic")
 
         monkeypatch.setattr(quadratic, "_gde", synthetic)
         rule = gde_plus(40, 22)
         assert rule.packed_step(10) is None
         assert rule._tables is None  # kept, so the next fold does not compile again
+
+
+def _de_bruijn(n, p):
+    """A de Bruijn sequence of order p over {0..n-1}: every p-digit word is one
+    of its cyclic windows, exactly once (Fredricksen-Kessler-Maiorana: the
+    Lyndon words of length dividing p, concatenated in lexicographic order)."""
+    seq, word = [], [-1]
+    while word:
+        word[-1] += 1
+        if p % len(word) == 0:
+            seq.extend(word)
+        m = len(word)
+        while len(word) < p:
+            word.append(word[-m])
+        while word and word[-1] == n - 1:
+            word.pop()
+    return seq
+
+
+def _packed_on_every_window(rule):
+    """Whether one packed step equals the window loop on a frame that holds
+    every window over the input alphabet, so by the locality of
+    ``packed_step`` on every frame."""
+    seq = _de_bruijn(rule.input_alphabet.max_digit + 1, rule.p)
+    frame = seq + seq[:rule.p - 1]
+    out = rule.packed_step(len(frame))(int.from_bytes(bytes(frame), "big"))
+    want = bytes(rule.anticipation) + bytes(rule.outputs(frame)) + bytes(rule.memory)
+    return out == int.from_bytes(want, "big")
+
+
+class TestEveryWindow:
+    """A GDE rule's packed step is its window map on every window."""
+
+    @pytest.fixture(autouse=True)
+    def no_replay(self, monkeypatch):
+        # a step that hands the frame to the window loop would compare the
+        # window loop with itself
+        def replay(rule, width):
+            raise AssertionError("%s: the packed step replayed the window loop" % rule.name)
+
+        monkeypatch.setattr(quadratic, "_window_step", replay)
+
+    def test_de_bruijn(self):
+        seq = _de_bruijn(3, 4)
+        cyclic = seq + seq[:3]
+        assert len(seq) == 81
+        assert len({tuple(cyclic[i:i + 4]) for i in range(81)}) == 81
+
+    @pytest.mark.parametrize("kind,a,b", PRESETS)
+    def test_packed_step_equals_window_map_on_every_window(self, kind, a, b):
+        assert _packed_on_every_window(gde_rule(kind, a, b))
+
+    def test_a_corrupted_table_fails_the_check(self):
+        # the all-zero window has carry 0; the last table now says +1 for it
+        rule = gde_rule("plus", 4, 2)
+        assert _packed_on_every_window(rule)
+        *tables, last = rule._tables
+        rule._tables = [*tables, bytes([(last[0] + 1) % 3]) + last[1:]]
+        with pytest.raises(AssertionError):
+            assert _packed_on_every_window(rule)
 
 
 class TestOutputGuard:
@@ -377,10 +436,10 @@ class TestOutputGuard:
         # string to the window loop, which names the window
         gde = quadratic._gde
 
-        def slipped(base, a, b, top, ahead, behind, q, name):
+        def slipped(base, top, ahead, behind, q, name):
             def q2(*z):
                 return 0 if z == (0,) * ahead + (top,) + (0,) * behind else q(*z)
-            return gde(base, a, b, top, ahead, behind, q2, name + "-slipped")
+            return gde(base, top, ahead, behind, q2, name + "-slipped")
 
         shipped = gde_minus(4, 2)
         monkeypatch.setattr(quadratic, "_gde", slipped)

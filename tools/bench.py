@@ -38,15 +38,17 @@ run the command and its result: the JSON line the benchmark printed,
 tier-1's wall time, summary line and slowest tests, or a CLI command's wall
 time and exit code, the two searches as ``searches``, the long sums as
 ``chain_add_us_per_digit``, the long applications as
-``apply_local_us_per_digit`` and the compiles as ``packed_compile_ms``.  With
-``--against OTHER``, it also holds each module's line count less its count
-in ``BENCH_<OTHER>.json`` as ``src_lines_net_by_module``, and their total as
-``src_lines_net``.  Its ``spread`` entry gives, for every workload, the
-min, median and max of every end-to-end metric of ``BENCHMARK.json`` over
-the ``--trace 0`` runs and of every per-layer metric over the ``--trace 1``
-runs, so the run-to-run noise of each metric is in the file beside its
-runs.  Its ``per_layer`` entry records each per-layer metric as that
-median: one traced pass spreads up to 2.5x.
+``apply_local_us_per_digit`` and the compiles as ``packed_compile_ms``, each
+the median of its three runs, and under ``in_process_range`` the min and max
+of those runs, keyed the same way.  With ``--against OTHER``, it also holds
+each module's line count less its count in ``BENCH_<OTHER>.json`` as
+``src_lines_net_by_module``, and their total as ``src_lines_net``.  Its
+``spread`` entry gives, for every workload, the min, median and max of
+every end-to-end metric of ``BENCHMARK.json`` over the ``--trace 0`` runs
+and of every per-layer metric over the ``--trace 1`` runs, so the
+run-to-run noise of each metric is in the file beside its runs.  Its
+``per_layer`` entry records each per-layer metric as that median: one
+traced pass spreads up to 2.5x.
 """
 
 from __future__ import annotations
@@ -163,16 +165,24 @@ def run_cli(line):
             "returncode": proc.returncode, "wall_s": round(wall, 3)}
 
 
+def runs_of(measure):
+    """RUNS calls of measure, in order."""
+    return [measure() for _ in range(RUNS)]
+
+
+def reduce_runs(tree, fn):
+    """tree, dicts nested around lists of run values, with fn of each list in its place."""
+    return {key: reduce_runs(value, fn) if isinstance(value, dict) else fn(value)
+            for key, value in tree.items()}
+
+
 def run_searches():
-    """Median of three in-process timings of certify_s (s) and of decompose (µs per block)."""
+    """Three in-process timings each of certify_s (s) and of decompose (µs per block)."""
     sys.path.insert(0, os.path.join(ROOT, "src"))
     import random
 
     from betapar.algebraic import dbonacci_base
     from betapar.blocks import BlockAdder, certify_s, make_block_params
-
-    def median_of_three(measure):
-        return statistics.median(measure() for _ in range(RUNS))
 
     def certify(d):
         base = dbonacci_base(d)
@@ -195,16 +205,16 @@ def run_searches():
             return (time.perf_counter() - start) / len(blocks) * 1e6
         return measure
 
-    return {"certify_s_s": {str(d): median_of_three(lambda: certify(d)) for d in (3, 4, 5)},
-            "decompose_us_per_block": {"cold": median_of_three(decompose(1)),
-                                       "warm": median_of_three(decompose(2))}}
+    return {"certify_s_s": {str(d): runs_of(lambda: certify(d)) for d in (3, 4, 5)},
+            "decompose_us_per_block": {"cold": runs_of(decompose(1)),
+                                       "warm": runs_of(decompose(2))}}
 
 
 LONG_DIGITS = 100_000
 
 
 def run_long_additions():
-    """Median of three in-process timings of one long sum on a fresh adder, in µs per digit.
+    """Three in-process timings of one long sum on a fresh adder, in µs per digit.
 
     Each sum adds two seeded operands of LONG_DIGITS digits over the
     adder's alphabet; the time counts the addition only, cold: the adder is
@@ -234,7 +244,7 @@ def run_long_additions():
             start = time.perf_counter()
             adder.add(x, y)
             return (time.perf_counter() - start) / (len(x.digits) + len(y.digits)) * 1e6
-        return statistics.median(measure() for _ in range(RUNS))
+        return runs_of(measure)
 
     return {name: us_per_digit(make) for name, make in adders.items()}
 
@@ -243,7 +253,7 @@ WINDOW_FOLD_DIGITS = 2_000
 
 
 def run_long_applications():
-    """Median of three in-process timings of a GDE rule's window loop on long strings.
+    """Three in-process timings of a GDE rule's window loop on long strings.
 
     "minus:4,2" and "plus:4,2" apply a fresh rule by ``apply_local`` to one
     seeded string of LONG_DIGITS digits over its input alphabet, in µs per
@@ -278,7 +288,7 @@ def run_long_applications():
                 call(*operands)
                 times.append((time.perf_counter() - start) / digits * 1e6)
             runs.append((*times, len(rule._windows)))
-        return {key: statistics.median(run[i] for run in runs)
+        return {key: [run[i] for run in runs]
                 for i, key in enumerate(("cold", "warm", "windows_kept"))}
 
     def applying(spec):
@@ -303,7 +313,7 @@ COMPILE_PRESETS = (("plus", 4, 2), ("plus", 5, 3), ("plus_special", 3, None),
 
 
 def run_compiles():
-    """Median of three timings, in ms, of the first packed_step call on a fresh GDE rule.
+    """Three timings, in ms, of the first packed_step call on a fresh GDE rule.
 
     Building the rule is not timed; the call compiles the rule's carry
     tables, as the first packed fold of an adder does.
@@ -318,8 +328,7 @@ def run_compiles():
         return (time.perf_counter() - start) * 1e3
 
     return {"%s:%s" % (kind, a if b is None else "%d,%d" % (a, b)):
-            statistics.median(measure((kind, a, b)) for _ in range(RUNS))
-            for kind, a, b in COMPILE_PRESETS}
+            runs_of(lambda: measure((kind, a, b))) for kind, a, b in COMPILE_PRESETS}
 
 
 def main(argv=None):
@@ -348,14 +357,14 @@ def main(argv=None):
         cli.append(run_cli(line))
         print("cli       exit=%d %.3f s  %s" % (cli[-1]["returncode"], cli[-1]["wall_s"], line),
               file=sys.stderr)
-    searches = run_searches()
-    print("searches  %s" % json.dumps(searches), file=sys.stderr)
-    long_additions = run_long_additions()
-    print("long adds %s" % json.dumps(long_additions), file=sys.stderr)
-    long_applications = run_long_applications()
-    print("long apps %s" % json.dumps(long_applications), file=sys.stderr)
-    compiles = run_compiles()
-    print("compiles  %s" % json.dumps(compiles), file=sys.stderr)
+    in_process = {}
+    for key, title, run in (("searches", "searches ", run_searches),
+                            ("chain_add_us_per_digit", "long adds", run_long_additions),
+                            ("apply_local_us_per_digit", "long apps", run_long_applications),
+                            ("packed_compile_ms", "compiles ", run_compiles)):
+        in_process[key] = run()
+        print("%s %s" % (title, json.dumps(reduce_runs(in_process[key], statistics.median))),
+              file=sys.stderr)
     lines = src_lines_by_module()
     per_layer = spread(runs, "per_layer")
     table = spread(runs, "end_to_end")
@@ -367,9 +376,9 @@ def main(argv=None):
               "src_lines_by_module": lines, "runs": runs, "spread": table,
               "per_layer": {workload: {name: stats["median"] for name, stats in metrics.items()}
                             for workload, metrics in per_layer.items()},
-              "tier1": tier1, "cli": cli, "searches": searches,
-              "chain_add_us_per_digit": long_additions,
-              "apply_local_us_per_digit": long_applications, "packed_compile_ms": compiles}
+              "tier1": tier1, "cli": cli, **reduce_runs(in_process, statistics.median),
+              "in_process_range": reduce_runs(in_process, lambda v: {"min": min(v),
+                                                                      "max": max(v)})}
     if git("status", "--porcelain", "--untracked-files=no"):
         record["dirty"] = True  # the files measured are not the commit's
     if args.against:
