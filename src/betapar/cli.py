@@ -1,9 +1,11 @@
 """Command-line front end: expansions, adders, verification sweeps, bounds.
 
-Digit strings on the command line use the comma/radix-point format
-(``1,2,2.2``; negative digits as ``-1``).  Exit codes: 0 success, 1
-validation error, 2 verification counterexample or oracle mismatch (the
-latter is a bug trap and should never fire).
+Every command takes ``--base`` and ``--json``, and ``add`` and
+``block-add`` their operands ``--x`` and ``--y``.  Digit strings on the
+command line use the comma/radix-point format (``1,2,2.2``; negative
+digits as ``-1``).  Exit codes: 0 success, 1 validation error, 2
+verification counterexample or oracle mismatch (the latter is a bug trap
+and should never fire), or a usage error such as an unknown option.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .bounds import (
     lower_bound_1block,
     upper_bound_corollaries,
 )
-from .conversion import LocalRule, check_sum, exhaustive, random_strings, verify_conversion
+from .conversion import check_sum, exhaustive, random_strings, verify_conversion
 from .digits import format_digits, parse_digits
 from .numeration import classify_parry, pf_sufficient
 from .quadratic import gde_rule, quadratic_family, shifted_adder
@@ -55,24 +57,6 @@ def cmd_dbeta(args):
     return 0
 
 
-def _corrupt_rule(rule):
-    """A deliberately broken rule (testing hook): every window whose centre digit is 1
-    has its output raised by 1.
-
-    On a string that holds a 1 the output then exceeds the rule's by the sum
-    of beta^j over the positions j of its 1s, which is positive, or a window
-    leaves the output alphabet and raises; either way the sweep reports a
-    counterexample.  Every exhaustive sweep of length 1 or more meets the
-    string 1, and a random string misses the digit 1 only rarely.  The rule
-    is left untabulated: a sweep reads only the windows it meets.
-    """
-    fn = rule.window_fn
-    t = rule.anticipation
-    return LocalRule(rule.base, rule.memory, t, rule.input_alphabet,
-                     rule.output_alphabet, lambda w: fn(w) + (w[t] == 1),
-                     name=rule.name + "-corrupt", tabulate_threshold=0)
-
-
 def _for_family(build, base, *args):
     """build(kind, a, b, *args) for the quadratic family of base.
 
@@ -89,8 +73,6 @@ def _for_family(build, base, *args):
 
 def cmd_verify(args):
     rule = _for_family(gde_rule, base_from_spec(args.base))
-    if args.corrupt:
-        rule = _corrupt_rule(rule)
     if args.exhaustive is not None:
         strategy = exhaustive(args.exhaustive)
     elif args.random is not None:
@@ -191,44 +173,32 @@ def build_parser():
         prog="betapar",
         description="Parallel and k-block parallel addition in algebraic bases.")
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--base", required=True,
+                        help="fibonacci, tribonacci, dbonacci:d, quadratic-plus:a,b, "
+                             "quadratic-minus:a,b or monic coefficients, highest degree first")
+    common.add_argument("--json", action="store_true")
+    operands = argparse.ArgumentParser(add_help=False)
+    operands.add_argument("--x", required=True)
+    operands.add_argument("--y", required=True)
 
-    p = sub.add_parser("dbeta", help="Renyi expansion of 1 and Parry classification")
-    p.add_argument("--base", required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_dbeta)
+    def command(name, func, text, *parents):
+        p = sub.add_parser(name, parents=[common, *parents], help=text, description=text)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("add", help="add two digit strings with a GDE-chain adder")
-    p.add_argument("--base", required=True, help="a quadratic base")
+    command("dbeta", cmd_dbeta, "Renyi expansion of 1 and Parry classification")
+    p = command("add", cmd_add, "add two digit strings with a quadratic base's GDE-chain adder",
+                operands)
     p.add_argument("--shift", type=int, default=0, help="alphabet shift d")
-    p.add_argument("--x", required=True)
-    p.add_argument("--y", required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_add)
-
-    p = sub.add_parser("verify", help="verify a base's GDE rule against the exact oracle")
-    p.add_argument("--base", required=True, help="a quadratic base")
+    p = command("verify", cmd_verify, "check a quadratic base's GDE rule against the exact oracle")
     p.add_argument("--exhaustive", type=int, metavar="MAXLEN")
     p.add_argument("--random", type=int, metavar="N")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--corrupt", action="store_true",
-                   help="raise every window output centred on a 1 by 1 (forces a counterexample)")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("block-add", help="k-block parallel addition")
-    p.add_argument("--base", required=True)
+    p = command("block-add", cmd_block_add, "k-block parallel addition", operands)
     p.add_argument("--ell", type=int)
     p.add_argument("--s", type=int)
-    p.add_argument("--x", required=True)
-    p.add_argument("--y", required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_block_add)
-
-    p = sub.add_parser("bounds", help="bound report for a base")
-    p.add_argument("--base", required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_bounds)
-
+    command("bounds", cmd_bounds, "bound report for a base")
     return parser
 
 

@@ -72,7 +72,7 @@ class _CarryRule(LocalRule):
         byte leaves {0..top-1}, the window loop raises ValueError naming the
         window.
         """
-        carry, n, reach, g = self._carry
+        carry, n, reach, g, kp, kn = self._carry
         try:
             tables = self._tables
         except AttributeError:
@@ -81,8 +81,6 @@ class _CarryRule(LocalRule):
             return None
         digit_class, first, *rest = tables
         r, t = self.memory, self.anticipation
-        kp = sum(c << 8 * i for i, c in enumerate(g) if c > 0)
-        kn = sum(-c << 8 * i for i, c in enumerate(g) if c < 0)
         ones = (1 << 8 * width) // 255
         hi = ones << 7
         # 1 in the bytes whose q_{j+1} reads the frame only, and in the output bytes
@@ -175,7 +173,9 @@ def _gde(base, top, ahead, behind, q, name):
 
     rule = _CarryRule(base, behind + 1, ahead + 1, Alphabet(0, top), Alphabet(0, top - 1),
                       window_fn, name=name, tabulate_threshold=0)
-    rule._carry = carry, n, reach, g
+    kp = sum(c << 8 * i for i, c in enumerate(g) if c > 0)  # g(256) = kp - kn
+    kn = sum(-c << 8 * i for i, c in enumerate(g) if c < 0)
+    rule._carry = carry, n, reach, g, kp, kn
     return rule
 
 

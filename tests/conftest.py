@@ -2,6 +2,7 @@ import pytest
 
 from betapar import (
     BlockAdder,
+    LocalRule,
     fibonacci_base,
     gde_minus,
     gde_plus,
@@ -51,3 +52,23 @@ def rule_minus41():
 @pytest.fixture(scope="session")
 def tribonacci_adder(tri):
     return BlockAdder(tri, make_block_params(tri, 2, 5))
+
+
+@pytest.fixture(scope="session")
+def corrupt():
+    """The function that breaks a rule on purpose: every window whose centre
+    digit is 1 has its output raised by 1, and the rule is left untabulated.
+
+    On a string that holds a 1 the output then exceeds the rule's by the sum
+    of beta^j over the positions j of its 1s, which is positive, or a window
+    leaves the output alphabet and raises; either way a sweep reports a
+    counterexample.  Every exhaustive sweep of length 1 or more meets the
+    string 1, and a random string misses the digit 1 only rarely.
+    ``tests/test_cli.py`` sweeps it through ``betapar verify``.
+    """
+    def corrupt(rule):
+        fn, t = rule.window_fn, rule.anticipation
+        return LocalRule(rule.base, rule.memory, t, rule.input_alphabet,
+                         rule.output_alphabet, lambda w: fn(w) + (w[t] == 1),
+                         name=rule.name + "-corrupt", tabulate_threshold=0)
+    return corrupt

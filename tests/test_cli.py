@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import betapar
-from betapar import numeration
+from betapar import cli, numeration
 from betapar.cli import main
 
 
@@ -105,6 +105,12 @@ class TestAdd:
 
 
 class TestVerify:
+    @pytest.fixture
+    def corrupted(self, monkeypatch, corrupt):
+        """verify sweeps the corrupted rule of the base (conftest's corrupt)."""
+        gde_rule = cli.gde_rule
+        monkeypatch.setattr(cli, "gde_rule", lambda *args: corrupt(gde_rule(*args)))
+
     def test_exhaustive_pass(self, capsys):
         code, out, _ = run(capsys, "verify", "--base", "quadratic-plus:4,2", "--exhaustive", "3")
         assert code == 0 and "pass" in out
@@ -114,14 +120,14 @@ class TestVerify:
                            "--random", "300", "--seed", "7")
         assert code == 0 and "pass" in out
 
-    def test_corrupt_fails_exit2(self, capsys):
+    def test_corrupt_fails_exit2(self, capsys, corrupted):
         code, out, _ = run(capsys, "verify", "--base", "quadratic-plus:4,2",
-                           "--exhaustive", "2", "--corrupt")
+                           "--exhaustive", "2")
         assert code == 2 and "counterexample" in out
 
-    def test_corrupt_json(self, capsys):
+    def test_corrupt_json(self, capsys, corrupted):
         code, out, _ = run(capsys, "verify", "--base", "quadratic-minus:3,1",
-                           "--random", "100", "--seed", "3", "--corrupt", "--json")
+                           "--random", "100", "--seed", "3", "--json")
         assert code == 2
         data = json.loads(out)
         assert data["verdict"] == "fail" and data["failures"]
@@ -129,9 +135,9 @@ class TestVerify:
     @pytest.mark.parametrize("base", ["quadratic-plus:4,2", "quadratic-plus:5,3",
                                       "quadratic-plus:3,2", "quadratic-plus:4,3",
                                       "quadratic-minus:3,1", "quadratic-minus:4,2"])
-    def test_corrupt_fails_every_preset(self, capsys, base):
+    def test_corrupt_fails_every_preset(self, capsys, corrupted, base):
         code, out, _ = run(capsys, "verify", "--base", base,
-                           "--random", "100", "--seed", "7", "--corrupt")
+                           "--random", "100", "--seed", "7")
         assert code == 2 and "counterexample" in out
 
     def test_needs_strategy(self, capsys):
@@ -156,6 +162,12 @@ class TestVerify:
                   "--exhaustive", "2"])
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_corrupt_option_removed(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--base", "quadratic-plus:4,2", "--exhaustive", "2", "--corrupt"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --corrupt" in capsys.readouterr().err
 
     def test_special_family_from_base(self, capsys):
         # beta^2 = 3 beta + 2 has b = a - 1, so its rule is gde-plus-special:3

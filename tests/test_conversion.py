@@ -12,7 +12,6 @@ import pytest
 from betapar import conversion
 from betapar.algebraic import eval_digit_string, values_equal
 from betapar.blocks import dbonacci_block_adder
-from betapar.cli import _corrupt_rule
 from betapar.conversion import (
     ChainAdder,
     LocalRule,
@@ -198,9 +197,9 @@ class TestResidueWalk:
     """The exhaustive sweep walks prefixes; its reports equal the per-string sweep's."""
 
     @pytest.mark.parametrize("form", ["plain", "untabulated-corrupted", "cli-corrupted"])
-    def test_presets_match_per_string_sweep(self, preset, form):
+    def test_presets_match_per_string_sweep(self, preset, form, corrupt):
         rule = {"plain": preset, "untabulated-corrupted": _untabulated_corruption(preset),
-                "cli-corrupted": _corrupt_rule(preset)}[form]
+                "cli-corrupted": corrupt(preset)}[form]
         for n in range(5):
             report = verify_conversion(rule, exhaustive(n)).to_dict()
             assert report == _per_string_report(rule, n)

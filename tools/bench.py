@@ -33,27 +33,30 @@ cost of the packed fold that no later fold pays.
 The script writes ``BENCH_<LABEL>.json`` at that root: the git commit, with
 ``"dirty": true`` beside it when tracked files differ from that commit, the
 Python version, the line count of each ``src/betapar/*.py`` by module name
-as ``src_lines_by_module`` and their total as ``src_lines``, and for every
-run the command and its result: the JSON line the benchmark printed,
-tier-1's wall time, summary line and slowest tests, or a CLI command's wall
-time and exit code, the two searches as ``searches``, the long sums as
-``chain_add_us_per_digit``, the long applications as
-``apply_local_us_per_digit`` and the compiles as ``packed_compile_ms``, each
-the median of its three runs, and under ``in_process_range`` the min and max
-of those runs, keyed the same way.  With ``--against OTHER``, it also holds
-each module's line count less its count in ``BENCH_<OTHER>.json`` as
-``src_lines_net_by_module``, and their total as ``src_lines_net``.  Its
-``spread`` entry gives, for every workload, the min, median and max of
-every end-to-end metric of ``BENCHMARK.json`` over the ``--trace 0`` runs
-and of every per-layer metric over the ``--trace 1`` runs, so the
-run-to-run noise of each metric is in the file beside its runs.  Its
-``per_layer`` entry records each per-layer metric as that median: one
-traced pass spreads up to 2.5x.
+as ``src_lines_by_module`` and their total as ``src_lines``, the same lines
+split into code, docstring, comment and blank lines as
+``src_lines_by_kind``, and for every run the command and its result: the
+JSON line the benchmark printed, tier-1's wall time, summary line and
+slowest tests, or a CLI command's wall time and exit code, the two searches
+as ``searches``, the long sums as ``chain_add_us_per_digit``, the long
+applications as ``apply_local_us_per_digit`` and the compiles as
+``packed_compile_ms``, each the median of its three runs, and under
+``in_process_range`` the min and max of those runs, keyed the same way.  With
+``--against OTHER``, it also holds each module's line count less its count
+in ``BENCH_<OTHER>.json`` as ``src_lines_net_by_module``, and their total as
+``src_lines_net``, and, when that file has a split by kind, each module's
+net by kind as ``src_lines_net_by_kind``.  Its ``spread`` entry gives, for
+every workload, the min, median and max of every end-to-end metric of
+``BENCHMARK.json`` over the ``--trace 0`` runs and of every per-layer metric
+over the ``--trace 1`` runs, so the run-to-run noise of each metric is in
+the file beside its runs.  Its ``per_layer`` entry records each per-layer
+metric as that median: one traced pass spreads up to 2.5x.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import os
 import platform
@@ -75,15 +78,35 @@ def git(*args):
                           check=True).stdout.strip()
 
 
-def src_lines_by_module():
-    """Line count of each src/betapar/*.py, keyed by module name."""
+KINDS = ("code", "docstring", "comment", "blank")
+
+
+def src_lines_by_kind():
+    """Each src/betapar/*.py's lines by kind, keyed by module name, then by KINDS.
+
+    A docstring line is a line of a module's, class's or function's
+    docstring, found with ast; of the other lines, a blank line holds only
+    whitespace and a comment line only a comment.  Every other line is code.
+    """
     pkg = os.path.join(ROOT, "src", "betapar")
-    lines = {}
+    table = {}
     for name in sorted(os.listdir(pkg)):
-        if name.endswith(".py"):
-            with open(os.path.join(pkg, name)) as fh:
-                lines[name[:-3]] = sum(1 for _ in fh)
-    return lines
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(pkg, name)) as fh:
+            text = fh.read()
+        docstrings = set()
+        for node in ast.walk(ast.parse(text)):
+            if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+                    and ast.get_docstring(node) is not None):
+                docstrings.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+        counts = dict.fromkeys(KINDS, 0)
+        for number, line in enumerate(text.splitlines(), 1):
+            stripped = line.strip()
+            counts["docstring" if number in docstrings else "blank" if not stripped
+                   else "comment" if stripped.startswith("#") else "code"] += 1
+        table[name[:-3]] = counts
+    return table
 
 
 def run_workload(workload, trace):
@@ -339,7 +362,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.against:  # before the runs, so a missing file fails fast
         with open(os.path.join(ROOT, "BENCH_%s.json" % args.against)) as fh:
-            other_lines = json.load(fh)["src_lines_by_module"]
+            other = json.load(fh)
     commands = readme_cli_commands()  # before the runs, so a missing section fails fast
     runs = []
     for trace in [0] * RUNS + [1] * RUNS:
@@ -365,7 +388,8 @@ def main(argv=None):
         in_process[key] = run()
         print("%s %s" % (title, json.dumps(reduce_runs(in_process[key], statistics.median))),
               file=sys.stderr)
-    lines = src_lines_by_module()
+    kinds = src_lines_by_kind()
+    lines = {name: sum(counts.values()) for name, counts in kinds.items()}
     per_layer = spread(runs, "per_layer")
     table = spread(runs, "end_to_end")
     for workload in WORKLOADS:
@@ -373,7 +397,8 @@ def main(argv=None):
     record = {"label": args.label, "commit": git("rev-parse", "HEAD"),
               "python": platform.python_version(), "machine": platform.processor() or
               platform.machine(), "cpus": os.cpu_count(), "src_lines": sum(lines.values()),
-              "src_lines_by_module": lines, "runs": runs, "spread": table,
+              "src_lines_by_module": lines, "src_lines_by_kind": kinds, "runs": runs,
+              "spread": table,
               "per_layer": {workload: {name: stats["median"] for name, stats in metrics.items()}
                             for workload, metrics in per_layer.items()},
               "tier1": tier1, "cli": cli, **reduce_runs(in_process, statistics.median),
@@ -382,11 +407,21 @@ def main(argv=None):
     if git("status", "--porcelain", "--untracked-files=no"):
         record["dirty"] = True  # the files measured are not the commit's
     if args.against:
+        other_lines = other["src_lines_by_module"]
         net = {name: lines.get(name, 0) - other_lines.get(name, 0)
                for name in sorted(set(lines) | set(other_lines))}
         record.update(src_lines_net=sum(net.values()), src_lines_net_by_module=net)
         print("src lines %+d against %s: %s" % (sum(net.values()), args.against, json.dumps(net)),
               file=sys.stderr)
+        if "src_lines_by_kind" in other:  # files written before it have no split by kind
+            zero = dict.fromkeys(KINDS, 0)
+            net_kinds = {name: {kind: kinds.get(name, zero)[kind]
+                                - other["src_lines_by_kind"].get(name, zero)[kind]
+                                for kind in KINDS} for name in net}
+            record["src_lines_net_by_kind"] = net_kinds
+            print("src lines by kind against %s: %s" % (args.against, json.dumps(
+                {kind: sum(m[kind] for m in net_kinds.values()) for kind in KINDS})),
+                file=sys.stderr)
     path = os.path.join(ROOT, "BENCH_%s.json" % args.label)
     with open(path, "w") as fh:
         json.dump(record, fh, indent=1)
