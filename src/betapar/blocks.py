@@ -49,7 +49,7 @@ import collections
 import operator
 from typing import NamedTuple
 
-from .conversion import ChainAdder, apply_local
+from .conversion import ChainAdder, _frame
 from .digits import Alphabet, DigitString
 from .numeration import (
     F,
@@ -132,7 +132,8 @@ class BlockAdder:
 
     As a digit set conversion it is a layer of
     :func:`betapar.conversion.apply_local`: a 3-local map on blocks of k
-    digits (memory and anticipation 1) from A + A to A.
+    digits (memory and anticipation 1) from A + A to A.  Its frames hold
+    one digit of A + A per byte, so construction checks that 4 max(B) < 256.
     """
 
     memory = anticipation = 1
@@ -141,6 +142,9 @@ class BlockAdder:
     def __init__(self, base, params):
         self.base = base
         self.params = params
+        if 4 * params.B.max_digit >= 256:
+            raise ValueError("digit sums up to %d overflow a byte lane of the block frame"
+                             % (4 * params.B.max_digit))
         self.k = params.k
         self.alphabet = self.output_alphabet = params.A
         self.input_alphabet = params.A.plus(params.A)
@@ -166,7 +170,7 @@ class BlockAdder:
             raise ValueError("block must have exactly k=%d digits" % k)
         lo, hi = min(u), max(u)
         inA2 = self.input_alphabet
-        if lo not in inA2 or hi not in inA2:
+        if lo < inA2.min_digit or hi > inA2.max_digit:
             raise ValueError("block digits %d..%d outside %s" % (lo, hi, inA2))
         if hi <= B.max_digit:  # B and A + A both start at 0
             return BlockDecomposition((0,) * (2 * ell), u, (0,) * (2 * s))
@@ -194,37 +198,55 @@ class BlockAdder:
         return tuple(self.outputs((*h, *g, *f)[::-1])[::-1])
 
     def outputs(self, padded):
-        """The output blocks of every 3-block window of padded, most significant first.
+        """The output blocks of every 3-block window of padded, most significant
+        first, as bytes, one per digit.
 
-        Each block is decomposed once, its digits reversed into the LSD-first
-        order of decompose (as a list: a traced call may read it again);
-        f, the first block of a window, is the more significant neighbour.
-        Digit i of the block is C(g)_i plus digit i of L(h) S(f); every part
-        lies over B by construction (see decompose), so each digit lies in A.
+        padded is any sequence of ints over A + A, a list or bytes, of whole
+        blocks.  Each block is decomposed once, its digits reversed into the
+        LSD-first order of decompose; f, the first block of a window, is the
+        more significant neighbour.  Digit i of the output block is C(g)_i
+        plus digit i of L(h) S(f).  Every part lies over B by construction
+        (see decompose), so each digit lies in A and fits its byte with no
+        carry, as construction checks: the C parts and the L S parts are
+        each joined least significant block first, and the two joins are
+        added as ints.
         """
         k = self.k
-        decs = [self.decompose(padded[i:i + k][::-1]) for i in range(0, len(padded), k)]
-        out = []
-        for f, g, h in zip(decs, decs[1:], decs[2:]):
-            out.extend(reversed([c + t for c, t in zip(g.C, h.L + f.S)]))
-        return out
+        decs = [self.decompose(padded[i:i + k][::-1]) for i in range(0, len(padded), k)][::-1]
+        C = b"".join([bytes(g.C) for g in decs[1:-1]])
+        LS = b"".join([bytes(h.L + f.S) for h, f in zip(decs, decs[2:])])
+        return (int.from_bytes(C, "little") + int.from_bytes(LS, "little")).to_bytes(len(C), "big")
 
     # -- string-level addition ---------------------------------------------------
 
     def add(self, x, y):
-        """Parallel addition of two digit strings over A: apply_local of x + y."""
+        """Parallel addition of two digit strings over A: apply_local of x + y.
+
+        x and y are laid on one packed frame, one byte per digit, and added
+        as ints, on the frame of apply_local; a digit of A + A fits its byte
+        with no carry.  The frame's bytes go to outputs, and the sum is
+        built from the bytes it returns.
+        """
         A = self.params.A
         for t in (x, y):
             if not t.alphabet_ok(A):
                 raise ValueError("digit out of alphabet %s in %s" % (A, t))
-        return apply_local(self, x + y)
+        operands = [t for t in (x, y) if t.digits]
+        if not operands:
+            return DigitString()
+        top, bottom = _frame(self, operands)
+        k = self.k
+        frame = sum(int.from_bytes(bytes(t.digits), "big") << 8 * (t.lsd_exponent - bottom + k)
+                    for t in operands)
+        return DigitString._from_bytes(
+            self.outputs(frame.to_bytes(top - bottom + 2 * k, "big")), top - 1)
 
 
 def _read_back(path, j):
     """g's digits along path, least significant first, back from pair j of
     its last set, and the pair of its first set that they lead back to."""
     g = []
-    for _, (preds, digits) in reversed(path):
+    for preds, digits in reversed(path):
         g.append(digits[j])
         j = preds[j]
     return tuple(g), j
@@ -255,12 +277,12 @@ class _BlockWalk:
         self.head_digits = [_read_back(path, j)[0] for j in range(len(self.head[-1]))]
 
     def read(self, node, word):
-        """The set that word, most significant digit first, takes node to, and the path."""
+        """The set that word, most significant digit first, takes node to, and
+        the links of each step."""
         path = []
         for e in word:
-            step = node[e] or self.transition(node, e)
-            path.append(step)
-            node = step[0]
+            node, links = node[e] or self.transition(node, e)
+            path.append(links)
         return node, path
 
     def finish(self, node):
@@ -405,7 +427,7 @@ class SignedBlockAdder(ChainAdder):
 
     The layered fold of :class:`ChainAdder` over the non-negative block
     adder ``inner``: each layer is one ``inner.outputs`` call over the
-    fold's unpacked frame, conjugated by the plateau letter c = floor(beta).
+    bytes of the fold's frame, conjugated by the plateau letter c = floor(beta).
     The constant-c block is a fixed point of the block map, so finite
     support survives.  Positive layers of y go through the conjugated map,
     negative layers through its mirror image under digit negation.  The

@@ -58,7 +58,8 @@ edge contributions to vanish.
 The fold runs over any layer: a p-local map on blocks of k digits with
 ``memory`` r, ``anticipation`` t, ``k``, ``p``, both alphabets, a ``name``
 and ``outputs(padded)``, the k output digits of every p-block window of a
-padded digit list, most significant first.  A :class:`LocalRule` is one
+padded sequence of digits, a list or bytes, most significant first, as a
+sequence of ints.  A :class:`LocalRule` is one
 with k = 1, a k-block adder one with r = t = 1.  A layer moves the support
 of a string at most r blocks up and t blocks down, and its fixed plateau
 letter keeps every digit farther out at 0.  So :meth:`ChainAdder.add` lays
@@ -80,7 +81,7 @@ Python loop over the digits.  A layer's step is its own
 ``packed_step(width)`` when it offers one: the GDE rules do, a step that
 reads its carries through byte tables with ``bytes.translate``, or None
 when their sums may not fit a byte.  Any other layer steps through its
-window loop, one ``outputs`` call on the unpacked frame
+window loop, one ``outputs`` call on the frame's bytes
 (:func:`_window_step`).
 
 Rules are shareable: their memos, of window outputs (filled by
@@ -197,29 +198,42 @@ def apply_local(layer, u, plateau=0):
     if u.is_zero():
         return DigitString()
     k = layer.k
-    h = (layer.p - 1) * k  # r + t blocks each side, then up to k - 1 digits onto the block grid
-    out = layer.outputs([c] * (h + k - 1 - u.msd_exponent % k) + [v + c for v in u.digits]
-                        + [c] * (h + u.lsd_exponent % k))
-    top = (u.msd_exponent // k + 1 + layer.memory) * k
+    top, bottom = _frame(layer, [u])
+    out = layer.outputs([c] * (top - 1 + layer.anticipation * k - u.msd_exponent)
+                        + [v + c for v in u.digits]
+                        + [c] * (u.lsd_exponent - bottom + layer.memory * k))
     return DigitString([v - c for v in out], top - 1)
+
+
+def _frame(layer, operands, n=1):
+    """(top, bottom): the exponents just above and at the foot of the frame
+    that holds n steps of the layer over the nonzero digit strings operands.
+
+    A step moves the support at most r blocks up and t blocks down, so the
+    frame is the operands' support grown by n such moves on the k-grid.  A
+    step reads it padded with t blocks above and r below.
+    """
+    k = layer.k
+    top = (max(s.msd_exponent for s in operands) // k + 1 + n * layer.memory) * k
+    bottom = (min(s.lsd_exponent for s in operands) // k - n * layer.anticipation) * k
+    return top, bottom
 
 
 def _window_step(layer, width):
     """The layer on a packed padded frame of ``width`` digits, through its window loop.
 
-    The frame is unpacked, one byte per digit, read by one ``outputs``
-    call, and the outputs packed again with 0 in the t pad blocks above
-    and the r below, as ``packed_step`` returns them.
+    The frame's bytes, one per digit, are read by one ``outputs`` call, and
+    the outputs packed again with 0 in the t pad blocks above and the r
+    below, as ``packed_step`` returns them.
     """
     shift = 8 * layer.memory * layer.k
-    return lambda z: int.from_bytes(
-        bytes(layer.outputs(list(z.to_bytes(width, "big")))), "big") << shift
+    return lambda z: int.from_bytes(layer.outputs(z.to_bytes(width, "big")), "big") << shift
 
 
 def fixes(layer, c):
     """Whether the constant letter c is a fixed point of the layer: Phi(c^p) = c^k."""
     return (c in layer.input_alphabet and c in layer.output_alphabet
-            and layer.outputs([c] * (layer.p * layer.k)) == [c] * layer.k)
+            and list(layer.outputs([c] * (layer.p * layer.k))) == [c] * layer.k)
 
 
 def fixed_letters(layer):
@@ -498,12 +512,8 @@ class ChainAdder:
         if not operands:
             return DigitString()
         layer = self.layer
-        k = layer.k
-        n = self.hi_layers + self.lo_layers
-        # a layer grows the support by r blocks up and t blocks down: the frame holds n of each
-        top = (max(s.msd_exponent for s in operands) // k + 1 + n * layer.memory) * k
-        bottom = (min(s.lsd_exponent for s in operands) // k - n * layer.anticipation) * k
-        width = top - bottom + (layer.p - 1) * k
+        top, bottom = _frame(layer, operands, self.hi_layers + self.lo_layers)
+        width = top - bottom + (layer.p - 1) * layer.k
         packed = getattr(layer, "packed_step", None)
         step = packed and packed(width) or _window_step(layer, width)
         return DigitString._from_bytes(self._packed_fold(step, x, y, bottom, top - bottom), top - 1)

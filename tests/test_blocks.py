@@ -288,8 +288,10 @@ class TestBlockAdd:
         assert check_sum(tribonacci_adder, x, y, tribonacci_adder.add(x, y))
 
     def test_alphabet_enforced(self, tribonacci_adder):
-        with pytest.raises(ValueError):
-            tribonacci_adder.add(parse_digits("3"), parse_digits("1"))
+        # both ends of A = {0..2}, on either operand
+        for x, y in (("3", "1"), ("-1", "1"), ("1", "3"), ("1", "-1")):
+            with pytest.raises(ValueError):
+                tribonacci_adder.add(parse_digits(x), parse_digits(y))
 
     def test_each_block_read_is_decomposed_once(self, tri, monkeypatch):
         # a string spanning m blocks is read from two blocks below its
@@ -388,6 +390,52 @@ class TestBlockAdd:
             sys.setswitchinterval(interval)
         assert not any(th.is_alive() for th in threads)
         assert got == want
+
+
+class TestPackedAdd:
+    """The unsigned add sums x and y on one packed frame, one byte per digit,
+    and outputs reads a frame's bytes as it reads the list of its digits."""
+
+    @staticmethod
+    def _operand(rng, top, k):
+        """Zero, one digit, or up to four blocks over {0..top}, at an exponent
+        from two blocks below the radix point to two above it."""
+        kind = rng.randrange(4)
+        if kind == 0:
+            return DigitString()
+        n = 1 if kind == 1 else rng.randint(2, 4 * k)
+        return DigitString(tuple(rng.randint(0, top) for _ in range(n)), rng.randint(-2 * k, 2 * k))
+
+    @pytest.mark.parametrize("d, s, k", [(3, 5, 14), (2, 2, 10)])
+    def test_matches_apply_local_of_the_digitwise_sum(self, d, s, k):
+        adder = dbonacci_block_adder(d, s=s)
+        assert adder.k == k
+        rng = random.Random(40 + d)
+        for _ in range(300):
+            x, y = self._operand(rng, 2, k), self._operand(rng, 2, k)
+            out = adder.add(x, y)
+            assert out == apply_local(adder, x + y) == _lsd_first_convert(adder, x + y, 0), (x, y)
+
+    def test_outputs_read_bytes_as_lists(self, tribonacci_adder, rule_plus42):
+        rng = random.Random(17)
+        for layer in (tribonacci_adder, rule_plus42):
+            top = layer.input_alphabet.max_digit
+            for blocks_in_frame in (3, 4, 7):
+                frame = [rng.randint(0, top) for _ in range(blocks_in_frame * layer.k)]
+                assert list(layer.outputs(bytes(frame))) == list(layer.outputs(frame))
+
+    def test_byte_lane_guard(self):
+        # A + A = {0..4 max(B)} must fit a byte: 4 * 64 = 256 would carry
+        # into the neighbouring digit's byte.  s = 2 is certify_s of both bases
+        from betapar.algebraic import quadratic_plus_base
+
+        base = quadratic_plus_base(64, 1)
+        with pytest.raises(ValueError, match="byte lane"):
+            BlockAdder(base, make_block_params(base, 1, 2))
+        base = quadratic_plus_base(63, 1)
+        adder = BlockAdder(base, make_block_params(base, 1, 2))
+        x = parse_digits("126,126")
+        assert check_sum(adder, x, x, adder.add(x, x))
 
 
 def _lsd_first_convert(adder, u, c):

@@ -19,9 +19,9 @@ three runs on a fresh base: ``certify_s`` of the d-bonacci bases for d = 3,
 in µs per block over the blocks outside B among 2,000 seeded ones, read
 cold (a fresh adder) and then warm (the same adder again).  Beside them,
 one sum of two seeded 100,000-digit operands is timed in process on the
-minus:4,2 and plus:4,2 GDE adders and the signed Tribonacci block adder, in
-µs per operand digit, the median of three runs, each on a fresh adder;
-a GDE rule's window loop is timed on long strings, cold and then warm, the
+minus:4,2 and plus:4,2 GDE adders and the unsigned and signed Tribonacci
+block adders, in µs per operand digit, the median of three runs, each on a
+fresh adder; a GDE rule's window loop is timed on long strings, cold and then warm, the
 median of three, with the windows its memo keeps: one ``apply_local`` of a
 seeded 100,000-digit string on a fresh minus:4,2 and plus:4,2 rule, and
 one sum of two seeded 2,000-digit operands on a fresh plus:40,23 adder,
@@ -253,6 +253,7 @@ def run_long_additions():
 
     adders = {"minus:4,2": lambda: quadratic_adder("minus", 4, 2),
               "plus:4,2": lambda: quadratic_adder("plus", 4, 2),
+              "unsigned-tribonacci": lambda: dbonacci_block_adder(3, s=5),
               "signed-tribonacci": lambda: dbonacci_block_adder(3, signed=True, s=5)}
     rng = random.Random(SEED)
 
